@@ -13,18 +13,12 @@ import (
 // on randomized trace sets, which the exact int64 arithmetic of
 // power.Arena makes possible (see power.Quantize).
 
-// CollectArena gathers n traces of random plaintexts into the arena.
-// The RNG and probe-noise consumption is identical to CollectTraces, so
-// both paths record the same quantized samples for the same seed.
-func CollectArena(a *power.Arena, v AESVictim, probe *power.Probe, n int, rng *rand.Rand) {
-	a.Reset()
-	ExtendArena(a, v, probe, n, rng)
-}
-
-// ExtendArena adds n more traces to the arena — the sequential-sampling
-// hook, allocation-free in steady state: trace samples append to the
-// arena's contiguous backing (pre-reserved via Grow) and the plaintext
-// buffer lives on the arena.
+// ExtendArena adds n more traces of random plaintexts to the arena — the
+// sequential-sampling hook, allocation-free in steady state: trace
+// samples append to the arena's contiguous backing (pre-reserved via
+// Grow) and the plaintext buffer lives on the arena. The RNG and
+// probe-noise consumption is identical to CollectTraces, so both paths
+// record the same quantized samples for the same seed.
 func ExtendArena(a *power.Arena, v AESVictim, probe *power.Probe, n int, rng *rand.Rand) {
 	pt := a.StageInput()
 	for i := 0; i < n; i++ {

@@ -28,7 +28,7 @@ func collectBoth(t *testing.T, key []byte, sigma float64, jitter, n int) (*power
 	}
 	ts := CollectTraces(vNaive, mkProbe(), n, rand.New(rand.NewSource(99)))
 	a := power.NewArena(16)
-	CollectArena(a, vArena, mkProbe(), n, rand.New(rand.NewSource(99)))
+	ExtendArena(a, vArena, mkProbe(), n, rand.New(rand.NewSource(99)))
 	return ts, a
 }
 
@@ -74,7 +74,7 @@ func TestArenaKeyRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := power.NewArena(16)
-	CollectArena(a, v, power.PowerProbe(0.5, 7), 400, rand.New(rand.NewSource(3)))
+	ExtendArena(a, v, power.PowerProbe(0.5, 7), 400, rand.New(rand.NewSource(3)))
 	if got := CorrectBytes(CPAKeyArena(a), key); got != 16 {
 		t.Fatalf("arena CPA recovered %d/16 key bytes", got)
 	}
@@ -97,7 +97,7 @@ func TestExtendArenaZeroAlloc(t *testing.T) {
 	a := power.NewArena(16)
 
 	const perPass, passes = 32, 20
-	CollectArena(a, v, probe, perPass, rng) // warm victim, probe RNGs, arena
+	ExtendArena(a, v, probe, perPass, rng) // warm victim, probe RNGs, arena
 	a.Grow((passes+2)*perPass, 160)
 
 	allocs := testing.AllocsPerRun(passes, func() {
@@ -118,7 +118,7 @@ func TestArenaAnalysisZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := power.NewArena(16)
-	CollectArena(a, v, power.PowerProbe(0.8, 7), 200, rand.New(rand.NewSource(5)))
+	ExtendArena(a, v, power.PowerProbe(0.8, 7), 200, rand.New(rand.NewSource(5)))
 	DPAByteArena(a, 0) // build grouping + scratch
 	CPAByteArena(a, 0) // build column caches + scratch
 

@@ -124,6 +124,37 @@ func TestAdaptiveOneShotScenarios(t *testing.T) {
 	}
 }
 
+// TestAdaptiveRunOnlySpecMountsOnce pins the two-kind sampling model
+// for downstream scenarios: a Spec with only Run set is one-shot, so the
+// adaptive engine settles it in exactly one mount with no sample
+// dimension, never re-mounting it in full-budget passes.
+func TestAdaptiveRunOnlySpecMountsOnce(t *testing.T) {
+	mounts := 0
+	sc := &scenario.Spec{
+		ID: "run-only", In: scenario.FamilyPhysical,
+		Run: func(env *scenario.Env) (scenario.Outcome, error) {
+			mounts++
+			return scenario.Outcome{Rows: scenario.Cell("run-only", env.Arch, "-", "blocked"), Verdict: "blocked"}, nil
+		},
+	}
+	sels, err := expandDefenses([]string{"none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := sweepExperiment(sc, "sgx", sels[0], SweepOptions{Samples: 64, Adaptive: &stats.Policy{Confidence: 0.99}})
+	results, err := engine.New(1).Run(context.Background(), []engine.Experiment{exp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mounts != 1 {
+		t.Errorf("run-only Spec mounted %d times, want 1", mounts)
+	}
+	d := results[0].Sampling
+	if d == nil || d.Passes != 1 || d.Reference != 0 {
+		t.Errorf("run-only Spec decision %+v, want Passes 1, Reference 0", d)
+	}
+}
+
 // TestAdaptiveSavesSamples pins the cost claim on a floored slice of the
 // grid: the broken DPA/Kocher/CPA cells must settle for well under the
 // fixed budget at the default confidence.

@@ -31,12 +31,12 @@ func TestCellKeyEncodeDecodeRoundTrip(t *testing.T) {
 func TestCellKeyDecodeRejectsGarbage(t *testing.T) {
 	for _, s := range []string{
 		"", "cell", "cell|v1", "cell|v2|a|b|c|1|0|0|0",
-		"cell|v1|a|b|c|x|0|0|0",           // non-integer samples
-		"cell|v1|a|b|c|1|zz|0|0",          // non-float confidence
-		"cell|v1|a%7|b|c|1|0|0|0",         // truncated escape
-		"cell|v1|a%41|b|c|1|0|0|0",        // non-canonical escape
-		"cell|v1|a|b|c|1|0|0|0|extra",     // too many fields
-		"grid|v1|a|b|c|1|0|0|0",           // wrong prefix
+		"cell|v1|a|b|c|x|0|0|0",       // non-integer samples
+		"cell|v1|a|b|c|1|zz|0|0",      // non-float confidence
+		"cell|v1|a%7|b|c|1|0|0|0",     // truncated escape
+		"cell|v1|a%41|b|c|1|0|0|0",    // non-canonical escape
+		"cell|v1|a|b|c|1|0|0|0|extra", // too many fields
+		"grid|v1|a|b|c|1|0|0|0",       // wrong prefix
 	} {
 		if _, err := DecodeCellKey(s); err == nil {
 			t.Errorf("DecodeCellKey(%q) accepted garbage", s)
@@ -107,9 +107,9 @@ func TestResolveCellRaisesFloorAndDefaults(t *testing.T) {
 
 func TestResolveCellErrors(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		scen, arch, def  string
-		opt              CellOptions
+		name            string
+		scen, arch, def string
+		opt             CellOptions
 	}{
 		{"unknown scenario", "no-such-attack", "sgx", "none", CellOptions{}},
 		{"family token", "transient", "sgx", "none", CellOptions{}},
@@ -136,7 +136,7 @@ func TestResolveCellErrors(t *testing.T) {
 // same grid in the same order, or verdict surfaces drift.
 func TestEnumerateCellsMatchesSweep(t *testing.T) {
 	cases := []struct {
-		name                      string
+		name                     string
 		archs, attacks, defenses []string
 	}{
 		{"defaults", nil, nil, nil},
@@ -224,10 +224,10 @@ func TestRunCellMatchesSweep(t *testing.T) {
 
 func TestCellExperimentRejectsNonCanonical(t *testing.T) {
 	for _, k := range []CellKey{
-		{Scenario: "Flush+Reload", Arch: "sgx", Defense: "none", Samples: 64},          // scenario case
-		{Scenario: "flush+reload", Arch: "SGX", Defense: "none", Samples: 64},          // arch case
+		{Scenario: "Flush+Reload", Arch: "sgx", Defense: "none", Samples: 64},                // scenario case
+		{Scenario: "flush+reload", Arch: "SGX", Defense: "none", Samples: 64},                // arch case
 		{Scenario: "flush+reload", Arch: "sgx", Defense: "ct-aes+clock-jitter", Samples: 64}, // unsorted combo
-		{Scenario: "dpa", Arch: "sgx", Defense: "none", Samples: 1},                    // below the dpa trace floor
+		{Scenario: "dpa", Arch: "sgx", Defense: "none", Samples: 1},                          // below the dpa trace floor
 		{Scenario: "flush+reload", Arch: "sgx", Defense: "none", Samples: 64, MaxSamples: 9}, // cap without confidence
 		{Scenario: "nope", Arch: "sgx", Defense: "none", Samples: 64},
 		{Scenario: "flush+reload", Arch: "sgx", Defense: "fortress", Samples: 64},

@@ -32,7 +32,7 @@ import (
 // regenerating and replaying the 1280 cells stays affordable.
 const goldenSamples = 96
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_grid.tsv from the fixed-budget engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_grid.tsv and testdata/fixed_rows.tsv from the fixed-budget engine")
 
 // raceDetectorEnabled is set by race_test.go under `go test -race`.
 var raceDetectorEnabled bool
@@ -139,5 +139,83 @@ func TestGoldenGrid(t *testing.T) {
 	if ratio := float64(s.FixedSamples) / float64(s.TotalSamples); ratio < 1.5 {
 		t.Errorf("adaptive grid burned %d samples vs %d fixed (%.2fx saving), want >= 1.5x",
 			s.TotalSamples, s.FixedSamples, ratio)
+	}
+}
+
+// fixedRowDefenses is the defense axis of the fixed-row golden: the
+// undefended baseline plus the two software mitigations that flip the
+// sequential scenarios (ct-aes for the cache channels, masked-aes for
+// DPA/CPA), so the file covers both broken and fully drained passes.
+var fixedRowDefenses = []string{"none", "ct-aes", "masked-aes"}
+
+func fixedRowsPath() string { return filepath.Join("testdata", "fixed_rows.tsv") }
+
+// fixedRowLines renders sweep results as sorted "scenario arch defense
+// measurement verdict" TSV lines. Error rows carry the error text as
+// their measurement.
+func fixedRowLines(results []engine.Result) []string {
+	lines := make([]string, 0, len(results))
+	for i := range results {
+		r := &results[i]
+		measurement, verdict := r.Err, "error"
+		if !r.Failed() {
+			measurement, verdict = r.Rows[0][2], r.Verdict
+		}
+		lines = append(lines, fmt.Sprintf("%s\t%s\t%s\t%s\t%s",
+			sweepScenarioName(r.Name), r.Arch, sweepDefenseLabel(r.Name), measurement, verdict))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
+// TestGoldenGridFixedRows pins the fixed-budget engine's measurement
+// bytes, which the class-only golden grid does not cover: every
+// sequential scenario against every architecture under the
+// fixedRowDefenses axis, full rows at the golden budget. Regenerate with
+// -update only after intentionally changing what a measurement reports.
+func TestGoldenGridFixedRows(t *testing.T) {
+	if raceDetectorEnabled && !*updateGolden {
+		t.Skip("skipping the fixed-row replay under the race detector; the concurrent sweep tests cover the engine's synchronization")
+	}
+	var seq []string
+	for _, s := range scenario.All() {
+		if scenario.CanMountSeq(s) {
+			seq = append(seq, s.Name())
+		}
+	}
+	exps, err := SweepExperimentsWith(nil, seq, fixedRowDefenses, SweepOptions{Samples: goldenSamples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := engine.New(0).Run(context.Background(), exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(fixedRowLines(results), "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(fixedRowsPath(), []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d fixed rows", len(results))
+	}
+	want, err := os.ReadFile(fixedRowsPath())
+	if err != nil {
+		t.Fatalf("fixed rows missing (run `go test -run TestGoldenGridFixedRows -update ./internal/core`): %v", err)
+	}
+	wantLines := strings.Split(strings.TrimRight(string(want), "\n"), "\n")
+	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("fixed grid has %d rows, golden has %d", len(gotLines), len(wantLines))
+	}
+	diffs := 0
+	for i := range wantLines {
+		if gotLines[i] != wantLines[i] {
+			if diffs++; diffs <= 20 {
+				t.Errorf("fixed row changed:\n  golden: %s\n  now:    %s", wantLines[i], gotLines[i])
+			}
+		}
+	}
+	if diffs > 0 {
+		t.Errorf("%d/%d fixed rows changed", diffs, len(wantLines))
 	}
 }

@@ -88,7 +88,7 @@ func SweepResume(ctx context.Context, store *diskcache.Store, eng *engine.Engine
 	var coldExps []engine.Experiment
 	for i, k := range keys {
 		addr := ResultAddr(k)
-		if body, ok := store.Get(addr); ok {
+		if body, ok, _ := store.GetE(addr); ok {
 			var r engine.Result
 			if json.Unmarshal(body, &r) == nil {
 				results[i], loaded[i] = r, true
@@ -173,7 +173,7 @@ func SweepResume(ctx context.Context, store *diskcache.Store, eng *engine.Engine
 // then counts as new, which only affects the summary's wording, never
 // results.
 func loadManifest(store *diskcache.Store) map[string]string {
-	body, ok := store.Get(manifestAddr)
+	body, ok, _ := store.GetE(manifestAddr)
 	if !ok {
 		return map[string]string{}
 	}

@@ -365,28 +365,19 @@ func sweepExperiment(sc scenario.Scenario, arch string, sel defenseSel, opt Swee
 			return naCell(fmt.Sprintf("defense %s not applicable on %s: %s", d.Name(), arch, reason))
 		}
 	}
-	if opt.Adaptive == nil {
-		exp.Run = func(ctx *engine.Ctx) (engine.Outcome, error) {
-			if err := ctx.Context.Err(); err != nil {
-				return engine.Outcome{}, err
-			}
-			env, err := scenario.NewEnvWithDefenses(arch, ctx.Samples, ctx.Seed, ctx.RNG, defs)
-			if err != nil {
-				return engine.Outcome{}, err
-			}
-			env.BindScratch(ctx.Scratch)
-			return sc.Mount(env)
-		}
-		return exp
-	}
-	pol := *opt.Adaptive
 	exp.Run = func(ctx *engine.Ctx) (engine.Outcome, error) {
+		if err := ctx.Context.Err(); err != nil {
+			return engine.Outcome{}, err
+		}
 		env, err := scenario.NewEnvWithDefenses(arch, ctx.Samples, ctx.Seed, ctx.RNG, defs)
 		if err != nil {
 			return engine.Outcome{}, err
 		}
 		env.BindScratch(ctx.Scratch)
-		return adaptiveCell(ctx.Context, sc, env, pol, ctx.Samples)
+		if opt.Adaptive == nil {
+			return sc.Mount(env)
+		}
+		return adaptiveCell(ctx.Context, sc, env, *opt.Adaptive, ctx.Samples)
 	}
 	return exp
 }
@@ -394,28 +385,22 @@ func sweepExperiment(sc scenario.Scenario, arch string, sel defenseSel, opt Swee
 // adaptiveCell measures one applicable grid cell under the sequential
 // verdict engine. Sequential-sampling scenarios run cumulative
 // checkpoint passes (stats.Plan); one-shot scenarios settle on a single
-// mount; everything else falls back to independent full-budget passes.
-// Pass 0 always runs under the cell's own job seed, so a pass that needs
-// the full reference budget measures exactly what the fixed engine
-// would — the adaptive layer changes cost, never verdicts. Further
-// passes (demanded by high confidence targets or disagreeing passes —
-// the escalation path) derive their seeds from the job seed and the pass
-// index, keeping stopping points independent of engine parallelism.
+// mount. Pass 0 always runs under the cell's own job seed, so a pass
+// that needs the full reference budget measures exactly what the fixed
+// engine would — the adaptive layer changes cost, never verdicts.
+// Further passes (demanded by high confidence targets or disagreeing
+// passes — the escalation path) derive their seeds from the job seed and
+// the pass index, keeping stopping points independent of engine
+// parallelism.
 //
 // Cancellation is cooperative at checkpoint granularity: the context is
-// checked between passes, and sequential passes run under a plan bound
-// to it (stats.Plan.Bind), so a cancelled cell — a disconnected HTTP
-// client, an expired compute deadline — stops extending its sample set
-// within one SPRT checkpoint and surfaces the context's error instead
-// of a truncated measurement. Cancellation never produces a partial
+// checked before every pass (the caller checks it before the first),
+// and each pass runs under a plan bound to it (stats.Plan.Bind), so a
+// cancelled cell — a disconnected HTTP client, an expired compute
+// deadline — stops extending its sample set within one SPRT checkpoint
+// and surfaces the context's error instead of a truncated measurement. Cancellation never produces a partial
 // verdict: the interrupted pass's outcome is discarded wholesale.
 func adaptiveCell(ctx context.Context, sc scenario.Scenario, base *scenario.Env, pol stats.Policy, reference int) (engine.Outcome, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return engine.Outcome{}, err
-	}
 	if scenario.IsOneShot(sc) {
 		out, err := sc.Mount(base)
 		if err != nil {
@@ -426,29 +411,21 @@ func adaptiveCell(ctx context.Context, sc scenario.Scenario, base *scenario.Env,
 		return out, nil
 	}
 	t := stats.NewTest(pol, reference)
-	seq := scenario.CanMountSeq(sc)
 	var out engine.Outcome
 	var err error
 	for t.NeedMore() {
 		if cerr := ctx.Err(); cerr != nil {
 			return engine.Outcome{}, cerr
 		}
-		env := base.Batch(t.Passes(), reference)
-		used := reference
-		if seq {
-			plan := stats.NewPlan(t.Policy(), reference).Bind(ctx)
-			out, err = scenario.MountSeq(sc, env, plan)
-			if plan.Cancelled() {
-				return engine.Outcome{}, ctx.Err()
-			}
-			used = plan.Used()
-		} else {
-			out, err = sc.Mount(env)
+		plan := stats.NewPlan(t.Policy(), reference).Bind(ctx)
+		out, err = scenario.MountSeq(sc, base.Batch(t.Passes(), reference), plan)
+		if plan.Cancelled() {
+			return engine.Outcome{}, ctx.Err()
 		}
 		if err != nil {
 			return out, err
 		}
-		t.Observe(scenario.VerdictClass(out.Verdict) == scenario.ClassBroken, used)
+		t.Observe(scenario.VerdictClass(out.Verdict) == scenario.ClassBroken, plan.Used())
 	}
 	dec := t.Conclude()
 	out.Sampling = &dec

@@ -232,6 +232,8 @@ func (s *Store) path(addr string) string {
 // address echo, an IO error — is a miss; files that were present but
 // refused are additionally quarantined so the next read of the address
 // is a clean miss rather than a repeated decode of known-bad bytes.
+// Get is GetE without the storage-health signal; the program reads
+// through GetE, and Get remains for the perfbench diskcache probe.
 func (s *Store) Get(addr string) ([]byte, bool) {
 	body, ok, _ := s.GetE(addr)
 	return body, ok

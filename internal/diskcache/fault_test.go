@@ -30,7 +30,7 @@ func TestFaultReadInjection(t *testing.T) {
 	if !strings.Contains(ioErr.Error(), "fault:") {
 		t.Fatalf("injected error %q does not carry the fault marker", ioErr)
 	}
-	// The legacy two-value Get sees the same miss, no error channel.
+	// The two-value Get sees the same miss, no error channel.
 	if _, ok := s.Get(addr); ok {
 		t.Fatal("Get served through an injected read fault")
 	}

@@ -19,7 +19,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	good := encode(macKey, "cell|v1|flush+reload|sgx|none|64|0|0|0", []byte(`{"verdict":"LEAKS"}`+"\n"))
 	f.Add(good)
 	f.Add(encode(macKey, "", nil))
-	f.Add(good[:len(good)-1])            // truncated MAC
+	f.Add(good[:len(good)-1])                    // truncated MAC
 	f.Add(append(good[:len(good):len(good)], 0)) // trailing byte
 	f.Add([]byte("IDC1"))
 	f.Add([]byte{})

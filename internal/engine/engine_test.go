@@ -246,7 +246,7 @@ func TestSummarizeSampling(t *testing.T) {
 		{Experiment: Experiment{Samples: 600},
 			Outcome: Outcome{Verdict: "blocked",
 				Sampling: &stats.Decision{Class: stats.ClassMitigated, SamplesUsed: 1200, Reference: 600, Passes: 2, Escalated: true, Decided: true}}},
-		{Experiment: Experiment{Samples: 50}, Outcome: Outcome{Verdict: "LEAKS"}},  // fixed-budget cell
+		{Experiment: Experiment{Samples: 50}, Outcome: Outcome{Verdict: "LEAKS"}}, // fixed-budget cell
 		{Experiment: Experiment{Samples: 99}, Outcome: Outcome{Verdict: "n/a"}},   // no substrate: no cost
 		{Experiment: Experiment{Samples: 77}, Err: "boom"},                        // failures carry no cost
 	}
@@ -270,12 +270,12 @@ func TestGCTuneRespectsGOGC(t *testing.T) {
 		gogc string
 		tune bool
 	}{
-		{"", true},          // unset: the engine applies its pacing
-		{"   ", true},       // whitespace is as good as unset
-		{"100", false},      // operator pinned the default explicitly
-		{"50", false},       // operator chose tighter pacing
-		{"800", false},      // operator chose looser pacing
-		{"off", false},      // operator disabled the collector target
+		{"", true},           // unset: the engine applies its pacing
+		{"   ", true},        // whitespace is as good as unset
+		{"100", false},       // operator pinned the default explicitly
+		{"50", false},        // operator chose tighter pacing
+		{"800", false},       // operator chose looser pacing
+		{"off", false},       // operator disabled the collector target
 		{"not-a-num", false}, // even junk is an explicit operator choice
 	}
 	for _, tc := range cases {

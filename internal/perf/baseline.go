@@ -29,34 +29,18 @@ func (r *Report) EnvironmentString() string {
 	return fmt.Sprintf("%s numcpu=%d gomaxprocs=%d parallel=%d", r.GoVersion, r.NumCPU, r.GOMAXPROCS, r.Parallel)
 }
 
-// ReadBaseline loads a baseline file in either layout: the schema-2
-// multi-environment container, or a legacy schema-1 single-Report
-// artifact (wrapped as a one-environment File so callers see one shape).
+// ReadBaseline loads a schema-2 multi-environment baseline file.
 func ReadBaseline(path string) (*File, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var probe struct {
-		Schema       int             `json:"schema"`
-		Environments json.RawMessage `json:"environments"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("perf: %s: %w", path, err)
-	}
-	if probe.Environments == nil {
-		rep, err := ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return &File{Schema: FileSchema, Environments: []*Report{rep}}, nil
-	}
-	if probe.Schema != FileSchema {
-		return nil, fmt.Errorf("perf: %s: file schema %d, want %d (refresh the baseline)", path, probe.Schema, FileSchema)
-	}
 	var f File
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("perf: %s: %w", path, err)
+	}
+	if f.Schema != FileSchema {
+		return nil, fmt.Errorf("perf: %s: file schema %d, want %d (refresh the baseline)", path, f.Schema, FileSchema)
 	}
 	return &f, nil
 }

@@ -7,32 +7,6 @@ import (
 	"testing"
 )
 
-// TestReadBaselineLegacy pins the migration path: a schema-1 artifact (a
-// bare Report) reads as a one-environment container, so checked-in
-// baselines written before the container existed keep arming the gate.
-func TestReadBaselineLegacy(t *testing.T) {
-	rep := &Report{Schema: Schema, GoVersion: "go1.24.0", GOMAXPROCS: 1, Parallel: 1,
-		Configs: []Result{{Name: "grid", CellsPerSec: 100}}}
-	path := filepath.Join(t.TempDir(), "legacy.json")
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != FileSchema || len(f.Environments) != 1 {
-		t.Fatalf("legacy wrap = schema %d, %d environments", f.Schema, len(f.Environments))
-	}
-	if got := f.Match(rep); got == nil || got.Configs[0].CellsPerSec != 100 {
-		t.Fatalf("legacy entry did not match its own environment: %+v", got)
-	}
-}
-
 // TestFileUpsertMatchRoundTrip pins the container semantics: one entry
 // per environment, refresh-in-place, deterministic order, and a lossless
 // write/read cycle.

@@ -51,7 +51,7 @@ func brokenEvidenceFor(arch string) string {
 func attestationScenarios() []Scenario {
 	return []Scenario{
 		&Spec{
-			ID: "quote-replay", In: FamilyAttestation, Section: "3", Single: true,
+			ID: "quote-replay", In: FamilyAttestation, Section: "3",
 			Summary: "captured quotes replayed into later verification sessions against a verifier " +
 				"that does not enforce nonce single-use",
 			Run: func(env *Env) (Outcome, error) {
@@ -98,7 +98,7 @@ func attestationScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "measure-toctou", In: FamilyAttestation, Section: "3", Single: true,
+			ID: "measure-toctou", In: FamilyAttestation, Section: "3",
 			Summary: "time-of-measure/time-of-quote gap: the enclave image is tampered after the load-time " +
 				"measurement is ledgered, and the quote attests the stale digest",
 			Applies: func(arch string) (bool, string) {
@@ -158,7 +158,7 @@ func attestationScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "stale-tcb", In: FamilyAttestation, Section: "3", Single: true,
+			ID: "stale-tcb", In: FamilyAttestation, Section: "3",
 			Summary: "quotes claiming a sweep-revoked baseline TCB presented to a verifier that never " +
 				"refreshes its revocation state",
 			Run: func(env *Env) (Outcome, error) {

@@ -125,8 +125,9 @@ func seqCacheResult(run cacheRun, plan *stats.Plan, env *Env) cachesca.Result {
 // plan: one sample recovers one secret bit, so each checkpoint extends
 // the recovered prefix of a reference-sized secret and grades the
 // cumulative hit ratio against the same 14/16 bar as the fixed grading.
-// The full secret is drawn up front so a full pass consumes the RNG
-// exactly like the fixed-budget mount.
+// The full secret is drawn up front, so the RNG stream does not depend
+// on the ladder: a pass that drains it measures exactly the one-rung
+// fixed-budget pass.
 func seqBitChannel(env *Env, plan *stats.Plan, recover func(chunk []byte) (correct int)) (correct, bits int) {
 	secret := make([]byte, secretBytesFor(plan.Reference()))
 	env.RNG.Read(secret)
@@ -189,15 +190,6 @@ func cacheScenarios() []Scenario {
 			ID: "flush+reload", In: FamilyCacheSCA, Section: "4.1",
 			Summary: "Flush+Reload (Yarom-Falkner) key recovery against T-table AES via shared table pages",
 			Applies: noSharedCache,
-			Run: func(env *Env) (Outcome, error) {
-				p := env.NewPlatform()
-				v, err := env.AESVictim(p)
-				if err != nil {
-					return Outcome{}, err
-				}
-				res := cachesca.FlushReload(v, env.Samples, AttackerDomain, env.RNG)
-				return cacheOutcome("flush+reload", env, res, "flush+reload vs "+defenseName(env)), nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				v, err := env.AESVictim(p)
@@ -212,15 +204,6 @@ func cacheScenarios() []Scenario {
 			ID: "prime+probe", In: FamilyCacheSCA, Section: "4.1",
 			Summary: "Prime+Probe (Osvik-Shamir-Tromer) through the shared LLC, no shared memory needed",
 			Applies: noSharedCache,
-			Run: func(env *Env) (Outcome, error) {
-				p := env.NewPlatform()
-				v, err := env.AESVictim(p)
-				if err != nil {
-					return Outcome{}, err
-				}
-				res := cachesca.PrimeProbe(v, p.LLC, env.Samples, AttackerDomain, env.RNG)
-				return cacheOutcome("prime+probe", env, res, "prime+probe vs "+defenseName(env)), nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				v, err := env.AESVictim(p)
@@ -240,15 +223,6 @@ func cacheScenarios() []Scenario {
 			// budget for a stable differential. Declared as a floor so
 			// the reported Samples field states what the cell runs.
 			Floor: 2048,
-			Run: func(env *Env) (Outcome, error) {
-				p := env.NewPlatform()
-				v, err := env.AESVictim(p)
-				if err != nil {
-					return Outcome{}, err
-				}
-				res := cachesca.EvictTime(v, env.Samples, env.RNG)
-				return cacheOutcome("evict+time", env, res, "evict+time vs "+defenseName(env)), nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				v, err := env.AESVictim(p)
@@ -263,16 +237,6 @@ func cacheScenarios() []Scenario {
 			ID: "tlb-channel", In: FamilyCacheSCA, Section: "4.1",
 			Summary: "TLB Prime+Probe (TLBleed): secret-dependent page translations observed via shared TLB sets",
 			Applies: noSharedTLB,
-			Run: func(env *Env) (Outcome, error) {
-				p := env.NewPlatform()
-				// One prime/translate/probe round recovers one secret
-				// bit, so the sample budget sizes the secret.
-				secret := make([]byte, secretBytesFor(env.Samples))
-				env.RNG.Read(secret)
-				_, correct := cachesca.TLBAttack(p.Core(0).TLB, secret, VictimASID, AttackerASID)
-				return bitOutcome("tlb-channel", env, correct, len(secret)*8,
-					"TLB prime+probe vs "+defenseName(env)), nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				correct, bits := seqBitChannel(env, plan, func(chunk []byte) int {
@@ -287,26 +251,13 @@ func cacheScenarios() []Scenario {
 			ID: "branch-shadow", In: FamilyCacheSCA, Section: "4.1",
 			Summary: "BTB/PHT branch shadowing (Lee et al.): secret-dependent branches via the shared predictor",
 			Applies: noPredictor,
-			Run: func(env *Env) (Outcome, error) {
+			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
-				// One shadow-query round per secret bit, as above.
-				secret := make([]byte, secretBytesFor(env.Samples))
-				env.RNG.Read(secret)
 				var pred cachesca.BranchPredictor = p.Core(0).Pred
 				if env.DefenseConfig().PredictorFlush {
 					// IBPB-style btb-flush (§4.2): predictor state is
 					// invalidated on every victim→attacker switch, so the
 					// shadow query observes reset state.
-					pred = &switchFlushPredictor{p: p.Core(0).Pred}
-				}
-				_, correct := cachesca.BranchShadow(pred, secret, 40)
-				return bitOutcome("branch-shadow", env, correct, len(secret)*8,
-					"branch shadowing vs "+defenseName(env)), nil
-			},
-			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
-				p := env.NewPlatform()
-				var pred cachesca.BranchPredictor = p.Core(0).Pred
-				if env.DefenseConfig().PredictorFlush {
 					pred = &switchFlushPredictor{p: p.Core(0).Pred}
 				}
 				correct, bits := seqBitChannel(env, plan, func(chunk []byte) int {

@@ -54,14 +54,10 @@ func SamplingCell(s Scenario) string {
 	if IsOneShot(s) {
 		return "one-shot"
 	}
-	kind := "full-budget passes"
-	if CanMountSeq(s) {
-		kind = "sequential"
-	}
 	if floor := MinSamplesOf(s); floor > 0 {
-		return fmt.Sprintf("%s, floor %d", kind, floor)
+		return fmt.Sprintf("sequential, floor %d", floor)
 	}
-	return kind
+	return "sequential"
 }
 
 // CatalogMarkdown renders the registry as the EXPERIMENTS.md index:

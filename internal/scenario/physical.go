@@ -64,25 +64,14 @@ func KocherRecovers(collect func(exp, mod *big.Int, n int, rng *rand.Rand) []phy
 // trace past it, which only costs one backing growth.
 const aesTracePoints = 160
 
-// collectTraces runs a fixed-budget power-trace campaign on the cell's
-// arena: collect env.Samples traces, analyze with the batched kernels.
-func collectTraces(env *Env, sigma float64, analyze func(*power.Arena) [16]byte) (got int, err error) {
-	v, err := env.PowerAESVictim()
-	if err != nil {
-		return 0, err
-	}
-	a := env.TraceArena()
-	a.Grow(env.Samples, aesTracePoints)
-	physical.CollectArena(a, v, env.PowerProbe(sigma, 1), env.Samples, env.RNG)
-	return physical.CorrectBytes(analyze(a), VictimKey()), nil
-}
-
 // seqTraces drives a cumulative power-trace attack (DPA, CPA) through
 // the plan's checkpoint ladder: extend one trace arena, regrade the
 // recovered key bytes, stop on a full (>= 14/16) recovery. A pass that
 // drains the plan has collected exactly the fixed-budget trace set. The
 // arena is worker-pooled scratch, so escalation passes extend and
-// regrade without allocating.
+// regrade without allocating. masked-aes and clock-jitter (§5) act
+// here: the victim may be first-order masked, and the probe may carry
+// hiding jitter.
 func seqTraces(env *Env, plan *stats.Plan, sigma float64, analyze func(*power.Arena) [16]byte) (got, traces int, err error) {
 	v, err := env.PowerAESVictim()
 	if err != nil {
@@ -113,14 +102,6 @@ func physicalScenarios() []Scenario {
 			// The bit-voting needs a floor of timings to be reliable;
 			// the sweep raises the cell's budget to it.
 			Floor: 600,
-			Run: func(env *Env) (Outcome, error) {
-				ok := KocherRecovers(physical.CollectTimingSamples, env.Samples, env.RNG)
-				return Outcome{
-					Rows:    Cell("kocher-timing", env.Arch, fmt.Sprintf("%d timings", env.Samples), LeakIf(ok)),
-					Verdict: LeakIf(ok),
-					Detail:  "Kocher timing attack on square-and-multiply RSA",
-				}, nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				mod, exp := kocherTarget()
 				var samples []physical.TimingSample
@@ -148,21 +129,6 @@ func physicalScenarios() []Scenario {
 			// The difference-of-means statistic needs far more traces
 			// than CPA's correlation to separate the key hypotheses.
 			Floor: 1500,
-			Run: func(env *Env) (Outcome, error) {
-				// masked-aes and clock-jitter (§5) act here: the victim may
-				// be first-order masked, and the probe may carry hiding
-				// jitter.
-				got, err := collectTraces(env, 0.5, physical.DPAKeyArena)
-				if err != nil {
-					return Outcome{}, err
-				}
-				return Outcome{
-					Rows:    Cell("dpa", env.Arch, fmt.Sprintf("%d/16 key bytes @ %d traces", got, env.Samples), LeakIf(got >= 14)),
-					Metrics: map[string]float64{"key_bytes": float64(got)},
-					Verdict: LeakIf(got >= 14),
-					Detail:  "difference-of-means DPA vs " + env.DefenseLabel(),
-				}, nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				got, traces, err := seqTraces(env, plan, 0.5, physical.DPAKeyArena)
 				if err != nil {
@@ -179,20 +145,6 @@ func physicalScenarios() []Scenario {
 		&Spec{
 			ID: "cpa", In: FamilyPhysical, Section: "5",
 			Summary: "Correlation power analysis (Pearson, Hamming-weight model) on unprotected AES traces",
-			Run: func(env *Env) (Outcome, error) {
-				// Same countermeasure seams as dpa: masked victim and/or
-				// jittered traces.
-				got, err := collectTraces(env, 0.8, physical.CPAKeyArena)
-				if err != nil {
-					return Outcome{}, err
-				}
-				return Outcome{
-					Rows:    Cell("cpa", env.Arch, fmt.Sprintf("%d/16 key bytes @ %d traces", got, env.Samples), LeakIf(got >= 14)),
-					Metrics: map[string]float64{"key_bytes": float64(got)},
-					Verdict: LeakIf(got >= 14),
-					Detail:  "close-proximity CPA vs " + env.DefenseLabel(),
-				}, nil
-			},
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				got, traces, err := seqTraces(env, plan, 0.8, physical.CPAKeyArena)
 				if err != nil {
@@ -207,7 +159,7 @@ func physicalScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "dfa-piret-quisquater", In: FamilyPhysical, Section: "5", Single: true,
+			ID: "dfa-piret-quisquater", In: FamilyPhysical, Section: "5",
 			Summary: "Piret-Quisquater differential fault attack: full AES key from a handful of faulty ciphertexts",
 			Run: func(env *Env) (Outcome, error) {
 				oracle, err := physical.NewFaultOracle(VictimKey())
@@ -228,7 +180,7 @@ func physicalScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "bellcore", In: FamilyPhysical, Section: "5", Single: true,
+			ID: "bellcore", In: FamilyPhysical, Section: "5",
 			Summary: "Bellcore RSA-CRT fault attack: one faulty half-exponentiation factors the modulus",
 			Run: func(env *Env) (Outcome, error) {
 				// Deterministic keygen from the job RNG — crypto/rsa's
@@ -272,7 +224,7 @@ func physicalScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "clkscrew", In: FamilyPhysical, Section: "5", Single: true,
+			ID: "clkscrew", In: FamilyPhysical, Section: "5",
 			Summary: "CLKSCREW: overclock via the kernel-reachable DVFS regulator to fault the TrustZone secure world",
 			Applies: mobileOnlyDVFS,
 			Run: func(env *Env) (Outcome, error) {

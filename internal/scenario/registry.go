@@ -24,8 +24,9 @@ func NewRegistry() *Registry {
 
 // Register adds a scenario. Names must be non-empty and unique (including
 // case-insensitively — the CLI resolves user input case-insensitively, so
-// two names differing only in case would be ambiguous), and the family
-// must be non-empty.
+// two names differing only in case would be ambiguous), the family must
+// be non-empty, and a *Spec must set exactly one of Run (one-shot) and
+// RunSeq (sequential).
 func (r *Registry) Register(s Scenario) error {
 	if s == nil {
 		return fmt.Errorf("scenario: register nil scenario")
@@ -36,6 +37,9 @@ func (r *Registry) Register(s Scenario) error {
 	}
 	if s.Family() == "" {
 		return fmt.Errorf("scenario: register %q with empty family", name)
+	}
+	if sp, ok := s.(*Spec); ok && (sp.Run == nil) == (sp.RunSeq == nil) {
+		return fmt.Errorf("scenario: register %q: set exactly one of Run (one-shot) and RunSeq (sequential)", name)
 	}
 	key := strings.ToLower(name)
 	r.mu.Lock()

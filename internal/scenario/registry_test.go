@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/intrust-sim/intrust/internal/stats"
 )
 
 func testSpec(name, family string) *Spec {
@@ -30,6 +32,16 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	}
 	if err := r.Register(testSpec("DUP", FamilyPhysical)); err == nil {
 		t.Error("case-colliding name accepted (lookups are case-insensitive)")
+	}
+	// A Spec is one-shot (Run) or sequential (RunSeq): both or neither
+	// leaves Mount's measurement ambiguous or absent.
+	both := testSpec("both", FamilyPhysical)
+	both.RunSeq = func(*Env, *stats.Plan) (Outcome, error) { return Outcome{}, nil }
+	if err := r.Register(both); err == nil {
+		t.Error("Spec with both Run and RunSeq accepted")
+	}
+	if err := r.Register(&Spec{ID: "neither", In: FamilyPhysical}); err == nil {
+		t.Error("Spec with neither Run nor RunSeq accepted")
 	}
 }
 

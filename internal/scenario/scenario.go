@@ -82,18 +82,6 @@ type Sampler interface {
 	MinSamples() int
 }
 
-// OneShotSampler is an optional Scenario extension marking scenarios
-// whose measurement does not consume the sample budget at all — fault
-// attacks needing a handful of faulty ciphertexts, transient extraction
-// running to completion regardless of Samples. The adaptive engine
-// settles such cells with a single mount instead of corroborating
-// passes that would multiply the real cost without adding evidence.
-type OneShotSampler interface {
-	// OneShot reports that one mount settles a cell regardless of the
-	// sample budget.
-	OneShot() bool
-}
-
 // SequentialSampler is an optional Scenario extension for cumulative
 // sequential sampling: MountSeq runs ONE measurement pass that extends a
 // single cumulative sample set to each checkpoint the plan issues and
@@ -101,9 +89,15 @@ type OneShotSampler interface {
 // conservatively — only a full secret recovery counts, never a partial
 // signal — because a starved budget is expected to look mitigated even
 // on broken cells. A pass that drains the plan without a recovery has
-// measured exactly what the fixed-budget engine would have measured
-// (same seed, same sample count, same statistic); one that stops early
-// has already recovered the secret, which more samples cannot undo.
+// measured exactly what the fixed-budget engine measures (same seed,
+// same sample count, same statistic: the fixed budget is a one-rung
+// plan); one that stops early has already recovered the secret, which
+// more samples cannot undo.
+//
+// Scenarios without it are one-shot: their measurement does not consume
+// the sample budget at all — fault attacks needing a handful of faulty
+// ciphertexts, transient extraction running to completion regardless of
+// Samples — and the adaptive engine settles them with a single mount.
 type SequentialSampler interface {
 	MountSeq(env *Env, plan *stats.Plan) (Outcome, error)
 }
@@ -117,7 +111,8 @@ type Describer interface {
 }
 
 // Spec is the standard Scenario implementation: a declarative record
-// wrapping a mount function. All catalog scenarios are Specs, and
+// wrapping exactly one mount function — Run for a one-shot scenario,
+// RunSeq for a sequential one. All catalog scenarios are Specs, and
 // downstream users can register their own.
 type Spec struct {
 	// ID is the unique scenario name.
@@ -133,17 +128,15 @@ type Spec struct {
 	// from batches below it are discounted as possible sample
 	// starvation.
 	Floor int
-	// Single marks the scenario's measurement as budget-independent
-	// (see OneShotSampler).
-	Single bool
 	// Applies decides per-architecture applicability; nil means the
 	// scenario applies to every known architecture.
 	Applies func(arch string) (bool, string)
-	// Run mounts the attack.
+	// Run mounts a one-shot attack, whose measurement does not depend
+	// on the sample budget. Set Run or RunSeq, never both.
 	Run func(env *Env) (Outcome, error)
-	// RunSeq, when non-nil, mounts one cumulative sequential-sampling
-	// pass (see SequentialSampler). Scenarios without it fall back to
-	// full-budget Run passes under the adaptive engine.
+	// RunSeq mounts one cumulative sequential-sampling pass (see
+	// SequentialSampler). Mount runs it under a one-rung plan at
+	// env.Samples, which is the fixed-budget measurement.
 	RunSeq func(env *Env, plan *stats.Plan) (Outcome, error)
 }
 
@@ -165,19 +158,21 @@ func (s *Spec) Applicable(arch string) (bool, string) {
 	return s.Applies(arch)
 }
 
-// Mount implements Scenario.
+// Mount implements Scenario. A sequential Spec measures at the fixed
+// budget as one pass under a one-rung plan: the ladder's only checkpoint
+// is env.Samples.
 func (s *Spec) Mount(env *Env) (Outcome, error) {
-	if s.Run == nil {
-		return Outcome{}, fmt.Errorf("scenario %s has no mount function", s.ID)
+	switch {
+	case s.RunSeq != nil:
+		return s.RunSeq(env, stats.NewPlan(stats.Policy{MinBatch: env.Samples}, env.Samples))
+	case s.Run != nil:
+		return s.Run(env)
 	}
-	return s.Run(env)
+	return Outcome{}, fmt.Errorf("scenario %s has no mount function", s.ID)
 }
 
 // MinSamples implements Sampler.
 func (s *Spec) MinSamples() int { return s.Floor }
-
-// OneShot implements OneShotSampler.
-func (s *Spec) OneShot() bool { return s.Single }
 
 // MountSeq implements SequentialSampler; check CanMountSeq before
 // calling.
@@ -237,14 +232,10 @@ func MinSamplesOf(s Scenario) int {
 	return 0
 }
 
-// IsOneShot reports whether the scenario declares its measurement
-// budget-independent (see OneShotSampler).
-func IsOneShot(s Scenario) bool {
-	if os, ok := s.(OneShotSampler); ok {
-		return os.OneShot()
-	}
-	return false
-}
+// IsOneShot reports whether the scenario's measurement is
+// budget-independent: every scenario that cannot mount sequentially is
+// settled by a single mount (see SequentialSampler).
+func IsOneShot(s Scenario) bool { return !CanMountSeq(s) }
 
 // CanMountSeq reports whether the scenario supports cumulative
 // sequential sampling. A *Spec qualifies only when its RunSeq is wired —

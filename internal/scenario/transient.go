@@ -75,7 +75,7 @@ func transientOutcome(name string, env *Env, r transient.Result, detail string) 
 func transientScenarios() []Scenario {
 	return []Scenario{
 		&Spec{
-			ID: "spectre-v1", In: FamilyTransient, Section: "4.2", Single: true,
+			ID: "spectre-v1", In: FamilyTransient, Section: "4.2",
 			Summary: "Spectre-PHT bounds-check bypass; expected blocked on in-order cores (no speculation window)",
 			Run: func(env *Env) (Outcome, error) {
 				// The spec-barrier defense (§4.2) compiles an lfence-style
@@ -89,7 +89,7 @@ func transientScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "spectre-btb", In: FamilyTransient, Section: "4.2", Single: true,
+			ID: "spectre-btb", In: FamilyTransient, Section: "4.2",
 			Summary: "Spectre-BTB: cross-training an indirect branch to a disclosure gadget the victim never calls",
 			Applies: needsSpeculativeStructure("branch-target buffer"),
 			Run: func(env *Env) (Outcome, error) {
@@ -105,7 +105,7 @@ func transientScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "ret2spec", In: FamilyTransient, Section: "4.2", Single: true,
+			ID: "ret2spec", In: FamilyTransient, Section: "4.2",
 			Summary: "ret2spec: return stack buffer poisoning redirects a victim return to the gadget",
 			Applies: needsSpeculativeStructure("return stack buffer"),
 			Run: func(env *Env) (Outcome, error) {
@@ -118,7 +118,7 @@ func transientScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "meltdown", In: FamilyTransient, Section: "4.2", Single: true,
+			ID: "meltdown", In: FamilyTransient, Section: "4.2",
 			Summary: "Meltdown: fault-deferred forwarding of supervisor data to a user-space probe",
 			Applies: needsMMU,
 			Run: func(env *Env) (Outcome, error) {
@@ -131,7 +131,7 @@ func transientScenarios() []Scenario {
 			},
 		},
 		&Spec{
-			ID: "foreshadow", In: FamilyTransient, Section: "4.2", Single: true,
+			ID: "foreshadow", In: FamilyTransient, Section: "4.2",
 			Summary: "Foreshadow (L1TF): extract the SGX quoting enclave's attestation key through the EPC",
 			Applies: sgxOnly,
 			Run: func(env *Env) (Outcome, error) {

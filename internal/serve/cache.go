@@ -20,7 +20,7 @@ type cellCache struct {
 	mu       sync.Mutex
 	max      int
 	maxBytes int64
-	bytes    int64 // resident key+body bytes, guarded by mu
+	bytes    int64      // resident key+body bytes, guarded by mu
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 

@@ -29,15 +29,15 @@ type metrics struct {
 	requests map[string]int64      // endpoint \x00 code -> count
 	latency  map[string]*histogram // endpoint -> seconds histogram
 
-	cellsComputed  atomic.Int64
-	cellComputeUS  atomic.Int64 // summed compute wall clock, microseconds
-	cellsStreamed  atomic.Int64
-	cellErrors     atomic.Int64
-	diskWriteErrors atomic.Int64 // write-behind persists that failed all retries
+	cellsComputed    atomic.Int64
+	cellComputeUS    atomic.Int64 // summed compute wall clock, microseconds
+	cellsStreamed    atomic.Int64
+	cellErrors       atomic.Int64
+	diskWriteErrors  atomic.Int64 // write-behind persists that failed all retries
 	diskWriteRetries atomic.Int64 // backoff retries of failed persists
-	diskReadErrors  atomic.Int64 // disk-tier reads that failed at the IO layer
-	diskBypassed    atomic.Int64 // disk operations skipped by an open breaker
-	deadlineRejects atomic.Int64 // requests answered 503 by the compute deadline
+	diskReadErrors   atomic.Int64 // disk-tier reads that failed at the IO layer
+	diskBypassed     atomic.Int64 // disk operations skipped by an open breaker
+	deadlineRejects  atomic.Int64 // requests answered 503 by the compute deadline
 
 	revalidations  atomic.Int64 // /cell 304s answered from the content address
 	attestQuotes   atomic.Int64

@@ -46,10 +46,10 @@ import (
 	"github.com/intrust-sim/intrust/internal/fault"
 	"github.com/intrust-sim/intrust/internal/isa"
 	"github.com/intrust-sim/intrust/internal/perf"
-	"github.com/intrust-sim/intrust/internal/serve"
 	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/power"
 	"github.com/intrust-sim/intrust/internal/scenario"
+	"github.com/intrust-sim/intrust/internal/serve"
 	"github.com/intrust-sim/intrust/internal/stats"
 	"github.com/intrust-sim/intrust/internal/tee"
 	"github.com/intrust-sim/intrust/internal/tee/sanctuary"
@@ -503,8 +503,8 @@ var (
 	PerfCompare = perf.Compare
 	// PerfReadFile loads a single-environment report.
 	PerfReadFile = perf.ReadFile
-	// PerfReadBaseline loads a BENCH_sweep.json baseline in either
-	// layout (multi-environment container or legacy single report).
+	// PerfReadBaseline loads a BENCH_sweep.json multi-environment
+	// baseline.
 	PerfReadBaseline = perf.ReadBaseline
 	// AllocsPerAccess measures heap allocations per cache-hierarchy
 	// access (tracked at zero for the flattened substrate).
