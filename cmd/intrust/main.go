@@ -109,10 +109,8 @@ func main() {
 		os.Exit(runAttest(flag.Args()[1:]))
 	}
 	samples := 400
-	secretLen := 16
 	if *quick {
 		samples = 150
-		secretLen = 6
 	}
 	run := func(name string, f func() error) {
 		start := time.Now()
@@ -165,7 +163,7 @@ func main() {
 	if selected["transient"] {
 		any = true
 		run("TAB4", func() error {
-			t, err := core.Table4Transient(secretLen)
+			t, err := core.Table4Transient(samples)
 			if err != nil {
 				return err
 			}

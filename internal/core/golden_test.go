@@ -17,7 +17,7 @@ import (
 
 // The golden grid pins the full scenario × architecture × defense class
 // table — every registered scenario against every architecture under
-// every cataloged defense (the `-defense all` axis), 1280 cells — to a
+// every cataloged defense (the `-defense all` axis), 2432 cells — to a
 // checked-in file. The file is generated from the FIXED-budget engine
 // (go test -run TestGoldenGrid -update) and the test replays the grid
 // through the ADAPTIVE sequential-sampling engine: the two must agree on
@@ -29,7 +29,7 @@ import (
 // goldenSamples is the requested per-cell budget of the golden grid
 // (raised to each scenario's floor as usual). Large enough that no
 // applicable cell sits on a statistical knife edge, small enough that
-// regenerating and replaying the 1280 cells stays affordable.
+// regenerating and replaying the 2432 cells stays affordable.
 const goldenSamples = 96
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_grid.tsv and testdata/fixed_rows.tsv from the fixed-budget engine")
@@ -72,7 +72,7 @@ func goldenGrid(t *testing.T, opt SweepOptions) []engine.Result {
 	return results
 }
 
-// TestGoldenGrid replays the full 1280-cell grid through the adaptive
+// TestGoldenGrid replays the full 2432-cell grid through the adaptive
 // engine at the default confidence and compares every cell's class
 // against the checked-in fixed-budget golden table. Run with -update to
 // regenerate the table from the fixed engine after intentionally
@@ -80,7 +80,7 @@ func goldenGrid(t *testing.T, opt SweepOptions) []engine.Result {
 // thresholds) — never to paper over an unintended flip.
 func TestGoldenGrid(t *testing.T) {
 	if raceDetectorEnabled && !*updateGolden {
-		t.Skip("skipping the 1280-cell golden replay under the race detector; the concurrent sweep tests cover the engine's synchronization")
+		t.Skip("skipping the 2432-cell golden replay under the race detector; the concurrent sweep tests cover the engine's synchronization")
 	}
 	if *updateGolden {
 		results := goldenGrid(t, SweepOptions{Samples: goldenSamples})

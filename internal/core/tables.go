@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"math/big"
 
-	"github.com/intrust-sim/intrust/internal/attack/cachesca"
 	"github.com/intrust-sim/intrust/internal/attack/physical"
-	"github.com/intrust-sim/intrust/internal/attack/transient"
 	"github.com/intrust-sim/intrust/internal/attest"
-	"github.com/intrust-sim/intrust/internal/cache"
-	"github.com/intrust-sim/intrust/internal/cpu"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/isa"
 	"github.com/intrust-sim/intrust/internal/platform"
@@ -263,191 +259,94 @@ func Table2Architectures() (*Table, error) {
 		"SMART has no enclave: isolation probes not applicable; its PC-gated attestation is exercised in TAB5/examples")
 }
 
-// cacheVerdict grades a cache-attack result with the scenario layer's
-// shared grader, so TAB3 and sweep verdicts can never drift apart.
-var cacheVerdict = scenario.CacheVerdict
-
-func cacheRow(attack, defense string, res cachesca.Result) engine.Outcome {
-	return engine.Outcome{
-		Rows:    [][]string{{attack, defense, fmt.Sprintf("%d", res.NibblesCorrect), cacheVerdict(res)}},
-		Metrics: map[string]float64{"key_nibbles": float64(res.NibblesCorrect)},
-		Verdict: cacheVerdict(res),
-	}
+// gridRow is one TAB3/TAB4 row as a projection of a sweep grid cell:
+// the paper's attack and setting labels over the cell that measures
+// them. The row's measurement and verdict are the cell's own, so the
+// paper tables and the sweep cannot disagree.
+type gridRow struct {
+	attack, setting         string
+	scenario, arch, defense string
 }
 
-// table3Experiments enumerates the Section 4.1 attack×defense pairs.
-func table3Experiments(samples int) []engine.Experiment {
-	key := []byte("table3 secretkey")
-	// aesExp builds one cache-attack experiment against the T-table AES
-	// victim (domain 5, tables at 0x40000, attacker domain 9): fresh
-	// server platform, victim, optional defense setup, then the mount.
-	aesExp := func(name, attack, defense string, setup func(*platform.Platform),
-		mount func(ctx *engine.Ctx, v *cachesca.Victim, p *platform.Platform) cachesca.Result) engine.Experiment {
-		return engine.Experiment{
-			Name: "tab3/" + name, Attack: "cachesca", Samples: samples, Seed: 33,
-			Run: func(ctx *engine.Ctx) (engine.Outcome, error) {
-				p := platform.NewServer()
-				v, err := cachesca.NewVictim(p.Core(0).Hier, key, 5, 0x40000)
-				if err != nil {
-					return engine.Outcome{}, err
-				}
-				if setup != nil {
-					setup(p)
-				}
-				return cacheRow(attack, defense, mount(ctx, v, p)), nil
-			},
+// table3Rows are the Section 4.1 attack×defense pairs. The embedded
+// architectures have no rows: their cache cells are n/a in the grid.
+var table3Rows = []gridRow{
+	{"flush+reload", "none (SGX, TrustZone)", "flush+reload", "sgx", "none"},
+	{"prime+probe", "none (SGX, TrustZone)", "prime+probe", "sgx", "none"},
+	{"prime+probe", "LLC partition (Sanctum)", "prime+probe", "sanctum", "stock"},
+	{"prime+probe", "randomized mapping [40]", "prime+probe", "sgx", "randomized-index"},
+	{"prime+probe", "cache exclusion (Sanctuary)", "prime+probe", "sanctuary", "stock"},
+	{"evict+time", "none (SGX, TrustZone)", "evict+time", "sgx", "none"},
+	{"tlb prime+probe", "shared TLB (all high-end)", "tlb-channel", "sgx", "none"},
+	{"btb shadowing", "shared predictor (SGX [28])", "branch-shadow", "sgx", "none"},
+}
+
+// table4Rows are the Section 4.2 attack×configuration pairs.
+var table4Rows = []gridRow{
+	{"spectre-pht", "high-end speculative core", "spectre-v1", "sgx", "none"},
+	{"spectre-pht", "+ fence after bounds check", "spectre-v1", "sgx", "spec-barrier"},
+	{"spectre-pht", "in-order embedded core", "spectre-v1", "sancus", "none"},
+	{"spectre-btb", "shared VA-indexed BTB", "spectre-btb", "sgx", "none"},
+	{"spectre-btb", "+ predictor flush (IBPB)", "spectre-btb", "sgx", "btb-flush"},
+	{"ret2spec", "shared RSB", "ret2spec", "sgx", "none"},
+	{"meltdown", "fault-forwarding core", "meltdown", "sgx", "none"},
+	{"meltdown", "fixed silicon (no forwarding)", "meltdown", "sgx", "no-fault-forwarding"},
+	{"foreshadow", "SGX + L1TF silicon (quoting key!)", "foreshadow", "sgx", "none"},
+	{"foreshadow", "SGX + L1-flush mitigation", "foreshadow", "sgx", "l1tf-flush"},
+}
+
+// gridTable measures each row through the same key resolution and
+// experiment construction as `intrust sweep` and /cell, at a fixed
+// budget of samples, and renders the cell's measurement and verdict
+// under the row's own labels.
+func gridTable(title, setting string, rows []gridRow, samples int, notes ...string) (*Table, error) {
+	exps := make([]engine.Experiment, len(rows))
+	for i, row := range rows {
+		k, err := ResolveCell(row.scenario, row.arch, row.defense, CellOptions{Samples: samples})
+		if err != nil {
+			return nil, err
 		}
+		exp, err := k.Experiment()
+		if err != nil {
+			return nil, err
+		}
+		run, row, cell := exp.Run, row, k.Scenario+"/"+k.Arch+"/"+k.Defense
+		exp.Run = func(ctx *engine.Ctx) (engine.Outcome, error) {
+			out, err := run(ctx)
+			if err != nil {
+				return out, err
+			}
+			out.Rows = [][]string{{row.attack, row.setting, out.Rows[0][2], out.Verdict, cell}}
+			return out, nil
+		}
+		exps[i] = exp
 	}
-	primeProbe := func(ctx *engine.Ctx, v *cachesca.Victim, p *platform.Platform) cachesca.Result {
-		return cachesca.PrimeProbe(v, p.LLC, ctx.Samples, 9, ctx.RNG)
-	}
-	return []engine.Experiment{
-		aesExp("flush-reload", "flush+reload", "none (SGX, TrustZone)", nil,
-			func(ctx *engine.Ctx, v *cachesca.Victim, _ *platform.Platform) cachesca.Result {
-				return cachesca.FlushReload(v, ctx.Samples, 9, ctx.RNG)
-			}),
-		aesExp("prime-probe", "prime+probe", "none (SGX, TrustZone)", nil, primeProbe),
-		aesExp("prime-probe-partition", "prime+probe", "LLC partition (Sanctum)",
-			func(p *platform.Platform) {
-				p.LLC.SetPartition(5, 0x00ff)
-				p.LLC.SetPartition(9, 0xff00)
-			}, primeProbe),
-		aesExp("prime-probe-randomized", "prime+probe", "randomized mapping [40]",
-			func(p *platform.Platform) { p.LLC.SetRandomizedIndex(5, 0xdecafbad) }, primeProbe),
-		aesExp("prime-probe-exclusion", "prime+probe", "cache exclusion (Sanctuary)",
-			func(p *platform.Platform) {
-				p.Core(0).Hier.Cacheability = func(addr uint32) cache.Level {
-					if addr >= 0x40000 && addr < 0x42000 {
-						return cache.LevelL1
-					}
-					return cache.LevelAll
-				}
-			}, primeProbe),
-		aesExp("evict-time", "evict+time", "none (SGX, TrustZone)", nil,
-			func(ctx *engine.Ctx, v *cachesca.Victim, _ *platform.Platform) cachesca.Result {
-				return cachesca.EvictTime(v, ctx.Samples*8, ctx.RNG)
-			}),
-		{Name: "tab3/tlb", Attack: "cachesca", Samples: samples,
-			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				tlb := cache.NewTLB(32, 4)
-				_, correct := cachesca.TLBAttack(tlb, []byte{0xA5, 0x3C}, 1, 2)
-				return bitRecoveryRow("tlb prime+probe", "shared TLB (all high-end)", correct), nil
-			}},
-		{Name: "tab3/btb", Attack: "cachesca", Samples: samples,
-			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				pred := cpu.NewPredictor(1024, 256, 8)
-				_, correct := cachesca.BranchShadow(pred, []byte{0xC3, 0x5A}, 40)
-				return bitRecoveryRow("btb shadowing", "shared predictor (SGX [28])", correct), nil
-			}},
-	}
-}
-
-// bitRecoveryRow grades a bit-recovery channel (TLB, BTB) against the
-// same >=14/16 threshold as the key-nibble attacks.
-func bitRecoveryRow(attack, defense string, correct int) engine.Outcome {
-	verdict := "defense holds"
-	if correct >= 14 {
-		verdict = "ATTACK SUCCEEDS"
-	}
-	return engine.Outcome{
-		Rows: [][]string{{attack, defense,
-			fmt.Sprintf("%d/16 bits", correct), verdict}},
-		Metrics: map[string]float64{"bits": float64(correct)},
-		Verdict: verdict,
-	}
+	return runTable(title, []string{"attack", setting, "measurement", "verdict", "grid cell"}, exps, notes...)
 }
 
 // Table3CacheSCA regenerates the Section 4.1 matrix: cache attacks versus
-// the architectures' defenses, with measured key-nibble recovery.
+// the architectures' defenses, each row one grid cell measured at a
+// fixed budget of samples (raised to the scenario's floor).
 func Table3CacheSCA(samples int) (*Table, error) {
-	return runTable(
+	return gridTable(
 		"TAB3 — cache side-channel attacks vs architectural defenses",
-		[]string{"attack", "defense (architecture)", "key nibbles (of 16)", "verdict"},
-		table3Experiments(samples),
+		"defense (architecture)", table3Rows, samples,
 		"success threshold: >=14/16 first-round key nibbles (the classic OST 64-bit reduction)",
-		"embedded architectures have no shared caches: attacks not applicable (paper: 'none ... even considers cache side channels')")
-}
-
-// transientRow grades one transient-execution result with the scenario
-// layer's shared grader.
-func transientRow(res transient.Result, config string) engine.Outcome {
-	verdict := scenario.TransientVerdict(res)
-	return engine.Outcome{
-		Rows:    [][]string{{res.Attack, config, fmt.Sprintf("%d/%d", res.Correct, len(res.Target)), verdict}},
-		Metrics: map[string]float64{"bytes_extracted": float64(res.Correct)},
-		Verdict: verdict,
-	}
-}
-
-// table4Experiments enumerates the Section 4.2 attack×configuration pairs.
-func table4Experiments(secretLen int) []engine.Experiment {
-	secret := []byte("TRANSIENT-SECRET")[:secretLen]
-	simple := func(name, config string, run func() (transient.Result, error)) engine.Experiment {
-		return engine.Experiment{
-			Name: "tab4/" + name, Attack: "transient", Samples: secretLen,
-			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				r, err := run()
-				if err != nil {
-					return engine.Outcome{}, err
-				}
-				return transientRow(r, config), nil
-			},
-		}
-	}
-	return []engine.Experiment{
-		simple("spectre-v1", "high-end speculative core", func() (transient.Result, error) {
-			return transient.SpectreV1(cpu.HighEndFeatures(), secret, false)
-		}),
-		simple("spectre-v1-fence", "+ fence after bounds check", func() (transient.Result, error) {
-			return transient.SpectreV1(cpu.HighEndFeatures(), secret, true)
-		}),
-		simple("spectre-v1-inorder", "in-order embedded core", func() (transient.Result, error) {
-			return transient.SpectreV1(cpu.EmbeddedFeatures(), secret, false)
-		}),
-		simple("spectre-btb", "shared VA-indexed BTB", func() (transient.Result, error) {
-			return transient.SpectreBTB(cpu.HighEndFeatures(), secret, false)
-		}),
-		simple("spectre-btb-ibpb", "+ predictor flush (IBPB)", func() (transient.Result, error) {
-			return transient.SpectreBTB(cpu.HighEndFeatures(), secret, true)
-		}),
-		simple("ret2spec", "shared RSB", func() (transient.Result, error) {
-			return transient.Ret2spec(cpu.HighEndFeatures(), secret)
-		}),
-		simple("meltdown", "fault-forwarding core", func() (transient.Result, error) {
-			return transient.Meltdown(cpu.HighEndFeatures(), secret)
-		}),
-		simple("meltdown-fixed", "fixed silicon (no forwarding)", func() (transient.Result, error) {
-			feat := cpu.HighEndFeatures()
-			feat.FaultForwarding = false
-			return transient.Meltdown(feat, secret)
-		}),
-		simple("foreshadow", "SGX + L1TF silicon (quoting key!)", func() (transient.Result, error) {
-			s, err := sgx.New(platform.NewServer())
-			if err != nil {
-				return transient.Result{}, err
-			}
-			return transient.ForeshadowSGX(s, secretLen, false)
-		}),
-		simple("foreshadow-mitigated", "SGX + L1-flush mitigation", func() (transient.Result, error) {
-			s, err := sgx.New(platform.NewServer())
-			if err != nil {
-				return transient.Result{}, err
-			}
-			s.MitigateL1TF = true
-			return transient.ForeshadowSGX(s, secretLen, true)
-		}),
-	}
+		"embedded architectures have no shared caches: attacks not applicable (paper: 'none ... even considers cache side channels')",
+		"each row is the named scenario/architecture/defense cell of `intrust sweep`")
 }
 
 // Table4Transient regenerates the Section 4.2 matrix with measured
-// extraction rates.
-func Table4Transient(secretLen int) (*Table, error) {
-	return runTable(
+// extraction rates, each row one grid cell. The transient scenarios
+// mount once and extract a fixed secret, so samples only enters the
+// cells' keys; it does not change what they measure.
+func Table4Transient(samples int) (*Table, error) {
+	return gridTable(
 		"TAB4 — transient-execution attacks vs platform configurations",
-		[]string{"attack", "configuration", "bytes extracted", "verdict"},
-		table4Experiments(secretLen),
+		"configuration", table4Rows, samples,
 		"SGX abort-page semantics stop plain Meltdown; Foreshadow bypasses them via a cleared present bit",
-		"the Foreshadow rows extract the platform's ECDSA attestation scalar from the quoting enclave's EPC memory")
+		"the Foreshadow rows extract the platform's ECDSA attestation scalar from the quoting enclave's EPC memory",
+		"each row is the named scenario/architecture/defense cell of `intrust sweep`")
 }
 
 // kocherRecovers is the scenario layer's shared Kocher victim (61-bit

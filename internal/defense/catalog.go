@@ -54,6 +54,28 @@ func needsPredictor(arch string) (bool, string) {
 	return true, ""
 }
 
+// needsMMU gates the fault-forwarding fix: the MPU-based embedded cores
+// have no supervisor/user address-space split for a load to fault on.
+func needsMMU(arch string) (bool, string) {
+	if classOf(arch) == platform.ClassEmbedded {
+		return false, "no MMU on the MPU-based embedded core: no faulting load to forward"
+	}
+	return true, ""
+}
+
+// sgxOnly gates the L1TF flush: the terminal fault it closes targets
+// SGX's EPC, which no other surveyed architecture has.
+func sgxOnly(arch string) (bool, string) {
+	if arch != "sgx" {
+		return false, "the L1TF flush guards SGX's EPC; " + arch + " has no enclave page cache"
+	}
+	return true, ""
+}
+
+// randomIndexKey seeds the randomized-index scramble. A fixed key keeps
+// cells deterministic; the attacker never learns it.
+const randomIndexKey = 0xdecafbad
+
 func catalog() []Defense {
 	return []Defense{
 		// --- §4.1 cache side-channel defenses -------------------------
@@ -91,6 +113,19 @@ func catalog() []Defense {
 						}
 						return cache.LevelAll
 					}
+				})
+			},
+		},
+		&Spec{
+			ID: "randomized-index", In: FamilyCacheSCA, Section: "4.1",
+			Summary: "CEASER-style randomized cache indexing: the victim's addresses map to LLC sets through " +
+				"a keyed scramble, so the attacker cannot build eviction sets for the victim's lines",
+			BlocksList: []string{"prime+probe"},
+			Applies:    needsSharedCache,
+			Apply: func(c *Config) {
+				vd := c.VictimDomain
+				c.PlatformHooks = append(c.PlatformHooks, func(p *platform.Platform) {
+					p.LLC.SetRandomizedIndex(vd, randomIndexKey)
 				})
 			},
 		},
@@ -144,6 +179,22 @@ func catalog() []Defense {
 			BlocksList: []string{"spectre-btb", "branch-shadow"},
 			Applies:    needsPredictor,
 			Apply:      func(c *Config) { c.PredictorFlush = true },
+		},
+		&Spec{
+			ID: "no-fault-forwarding", In: FamilyTransient, Section: "4.2",
+			Summary: "fixed silicon: a faulting load returns no data to the transient instructions behind it, " +
+				"so the Meltdown window has nothing to encode",
+			BlocksList: []string{"meltdown"},
+			Applies:    needsMMU,
+			Apply:      func(c *Config) { c.NoFaultForwarding = true },
+		},
+		&Spec{
+			ID: "l1tf-flush", In: FamilyTransient, Section: "4.2",
+			Summary: "Foreshadow microcode fix: the L1 data cache is flushed on every enclave exit, " +
+				"so no EPC line is left for an L1 terminal fault to read",
+			BlocksList: []string{"foreshadow"},
+			Applies:    sgxOnly,
+			Apply:      func(c *Config) { c.L1TFFlush = true },
 		},
 		// --- §5 physical-attack defenses ------------------------------
 		&Spec{

@@ -13,9 +13,9 @@ import (
 // re-rolls its cells' RNG seeds.
 var catalogNames = []string{
 	// against cachesca (§4.1)
-	"cache-coloring", "ct-aes", "flush-on-switch", "tlb-partition", "way-partition",
+	"cache-coloring", "ct-aes", "flush-on-switch", "randomized-index", "tlb-partition", "way-partition",
 	// against transient (§4.2)
-	"btb-flush", "spec-barrier",
+	"btb-flush", "l1tf-flush", "no-fault-forwarding", "spec-barrier",
 	// against physical (§5)
 	"clock-jitter", "crt-check", "masked-aes",
 	// against attestation (§3)
@@ -49,8 +49,9 @@ func TestCatalogMetadataComplete(t *testing.T) {
 }
 
 // TestApplicabilityMatchesPaper pins each defense's architecture axis to
-// the paper's platform taxonomy: the cache/TLB/predictor mechanisms need
-// shared microarchitectural state (absent on the embedded platforms),
+// the paper's platform taxonomy: the cache/TLB/predictor mechanisms and
+// the fault-forwarding fix need shared microarchitectural state or an MMU
+// (absent on the embedded platforms), the L1TF flush needs SGX's EPC,
 // while the software countermeasures (constant-time, masking, CRT checks,
 // clock jitter) and the trivially-satisfiable speculation barrier apply
 // everywhere.
@@ -73,7 +74,8 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 		}
 		return out
 	}
-	for _, name := range []string{"way-partition", "cache-coloring", "flush-on-switch", "tlb-partition", "btb-flush"} {
+	for _, name := range []string{"way-partition", "cache-coloring", "flush-on-switch", "randomized-index",
+		"tlb-partition", "btb-flush", "no-fault-forwarding"} {
 		set := applicableSet(name)
 		for _, arch := range highEnd {
 			if !set[arch] {
@@ -91,6 +93,12 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 			if !ok {
 				t.Errorf("%s not applicable on %s", name, arch)
 			}
+		}
+	}
+	// The L1TF flush guards SGX's EPC and nothing else.
+	for arch, ok := range applicableSet("l1tf-flush") {
+		if ok != (arch == "sgx") {
+			t.Errorf("l1tf-flush applicable on %s = %v, want sgx only", arch, ok)
 		}
 	}
 	// Unknown architectures are never applicable.

@@ -95,6 +95,13 @@ type Config struct {
 	// PredictorFlush flushes branch-predictor state (BTB/PHT/RSB) on
 	// context switches (§4.2, IBPB-style).
 	PredictorFlush bool
+	// NoFaultForwarding models fixed silicon (§4.2): a faulting load
+	// never forwards its data to dependent transient instructions.
+	NoFaultForwarding bool
+	// L1TFFlush applies the Foreshadow microcode fix (§4.2): the L1 data
+	// cache is flushed on every enclave exit, so no EPC line survives for
+	// a terminal fault to read.
+	L1TFFlush bool
 	// CRTCheck verifies RSA-CRT signatures before release (§5, the
 	// Shamir/infective fault-check family).
 	CRTCheck bool

@@ -46,11 +46,9 @@ func noPredictor(arch string) (bool, string) {
 	return true, ""
 }
 
-// CacheVerdict grades a key-recovery result against the classic OST
-// 64-bit-reduction threshold (>= 14/16 first-round key nibbles). TAB3
-// and the sweep grade with the same function so their verdicts can never
-// drift apart.
-func CacheVerdict(res cachesca.Result) string {
+// cacheVerdict grades a key-recovery result against the classic OST
+// 64-bit-reduction threshold (>= 14/16 first-round key nibbles).
+func cacheVerdict(res cachesca.Result) string {
 	switch {
 	case res.Success:
 		return "ATTACK SUCCEEDS"
@@ -73,7 +71,7 @@ func defenseName(env *Env) string {
 
 // cacheOutcome renders a key-nibble recovery outcome.
 func cacheOutcome(name string, env *Env, res cachesca.Result, detail string) Outcome {
-	v := CacheVerdict(res)
+	v := cacheVerdict(res)
 	return Outcome{
 		Rows:    Cell(name, env.Arch, fmt.Sprintf("%d/16 nibbles @ %d samples", res.NibblesCorrect, res.Samples), v),
 		Metrics: map[string]float64{"key_nibbles": float64(res.NibblesCorrect)},

@@ -54,7 +54,10 @@ func TestDefenseFlipsMatchPaper(t *testing.T) {
 		{"prime+probe", "sgx", "ct-aes", 64},
 		{"evict+time", "sgx", "ct-aes", 2048},
 		{"spectre-v1", "sgx", "spec-barrier", 8},
+		{"prime+probe", "sgx", "randomized-index", 64},
 		{"spectre-btb", "sgx", "btb-flush", 8},
+		{"meltdown", "sgx", "no-fault-forwarding", 8},
+		{"foreshadow", "sgx", "l1tf-flush", 8},
 		{"branch-shadow", "sgx", "btb-flush", 64},
 		{"dpa", "sancus", "masked-aes", 1500},
 		{"cpa", "sancus", "masked-aes", 256},

@@ -235,16 +235,22 @@ func (e *Env) DefenseLabel() string {
 }
 
 // Features returns the CPU feature set of the environment's platform
-// class.
+// class, with fault forwarding cleared under the no-fault-forwarding
+// defense (§4.2 fixed silicon).
 func (e *Env) Features() cpu.Features {
+	var f cpu.Features
 	switch e.Class {
 	case ClassServer:
-		return cpu.HighEndFeatures()
+		f = cpu.HighEndFeatures()
 	case ClassMobile:
-		return cpu.MobileFeatures()
+		f = cpu.MobileFeatures()
 	default:
-		return cpu.EmbeddedFeatures()
+		f = cpu.EmbeddedFeatures()
 	}
+	if e.cfg.NoFaultForwarding {
+		f.FaultForwarding = false
+	}
+	return f
 }
 
 // NewPlatform returns a platform of the architecture's class with the

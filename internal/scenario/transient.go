@@ -52,10 +52,9 @@ func sgxOnly(arch string) (bool, string) {
 	return true, ""
 }
 
-// TransientVerdict grades one extraction result: LEAKS when more than
-// half the target bytes came out. Shared with TAB4 so table and sweep
-// verdicts agree.
-func TransientVerdict(r transient.Result) string {
+// transientVerdict grades one extraction result: LEAKS when more than
+// half the target bytes came out.
+func transientVerdict(r transient.Result) string {
 	if r.Correct > len(r.Target)/2 {
 		return "LEAKS"
 	}
@@ -63,7 +62,7 @@ func TransientVerdict(r transient.Result) string {
 }
 
 func transientOutcome(name string, env *Env, r transient.Result, detail string) Outcome {
-	v := TransientVerdict(r)
+	v := transientVerdict(r)
 	return Outcome{
 		Rows:    Cell(name, env.Arch, fmt.Sprintf("%d/%d bytes", r.Correct, len(r.Target)), v),
 		Metrics: map[string]float64{"bytes_extracted": float64(r.Correct)},
@@ -144,7 +143,10 @@ func transientScenarios() []Scenario {
 				// pooled); release the server DRAM backing once the attack
 				// result — which only copies bytes out — is in hand.
 				defer s.Platform().Mem.Release()
-				r, err := transient.ForeshadowSGX(s, len(sweepSecret), false)
+				// The l1tf-flush defense (§4.2) turns on SGX's microcode
+				// L1 flush on enclave exits.
+				s.MitigateL1TF = env.DefenseConfig().L1TFFlush
+				r, err := transient.ForeshadowSGX(s, len(sweepSecret), s.MitigateL1TF)
 				if err != nil {
 					return Outcome{}, err
 				}
