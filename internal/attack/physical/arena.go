@@ -33,39 +33,37 @@ func ExtendArena(a *power.Arena, v AESVictim, probe *power.Probe, n int, rng *ra
 // plaintext-byte class v the model value is sboxHW[v^k].
 var sboxHW [256]int64
 
-// sboxBit0 holds the 128 byte values whose S-box output has bit 0 set —
-// the DPA selection function's preimage. For guess k, class v is
-// selected iff v^k is in this set.
-var sboxBit0 []byte
+// sboxBit0[u] reports whether bit 0 of SBox(u) is set — the DPA
+// selection function. For guess k, class v is selected iff sboxBit0[v^k].
+var sboxBit0 [256]bool
 
 func init() {
 	for u := 0; u < 256; u++ {
 		s := softcrypto.SBox(byte(u))
 		sboxHW[u] = int64(power.HW(uint32(s)))
-		if s&1 == 1 {
-			sboxBit0 = append(sboxBit0, byte(u))
+		sboxBit0[u] = s&1 == 1
+	}
+}
+
+// bestGuess returns the key guess with the largest statistic: ascending
+// k, strict >, so the lowest k wins a tie.
+func bestGuess(stat *[256]float64) (byte, float64) {
+	bestK, best := byte(0), -1.0
+	for k, x := range stat {
+		if x > best {
+			bestK, best = byte(k), x
 		}
 	}
+	return bestK, best
 }
 
 // DPAByteArena recovers one key byte with the batched difference-of-means
 // distinguisher — bit-identical to DPAByte on the same recorded traces.
+// One all-guess kernel call scores every key guess.
 func DPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
-	cs := a.ClassSumsFor(byteIdx)
-	bestK, bestD := byte(0), -1.0
-	var selected [256]bool
-	for k := 0; k < 256; k++ {
-		for i := range selected {
-			selected[i] = false
-		}
-		for _, u := range sboxBit0 {
-			selected[u^byte(k)] = true
-		}
-		if d := cs.DifferenceOfMeans(&selected); d > bestD {
-			bestK, bestD = byte(k), d
-		}
-	}
-	return bestK, bestD
+	var d [256]float64
+	a.ClassSumsFor(byteIdx).DifferenceOfMeansXor(&sboxBit0, &d)
+	return bestGuess(&d)
 }
 
 // DPAKeyArena recovers all 16 key bytes with the batched distinguisher.
@@ -79,20 +77,12 @@ func DPAKeyArena(a *power.Arena) [16]byte {
 
 // CPAByteArena recovers one key byte by batched Pearson correlation
 // against the HW(SBox(pt^k)) hypothesis — bit-identical to CPAByte on
-// the same recorded traces.
+// the same recorded traces. One all-guess kernel call scores every key
+// guess.
 func CPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
-	cs := a.ClassSumsFor(byteIdx)
-	bestK, bestC := byte(0), -1.0
-	var hyp [256]int64
-	for k := 0; k < 256; k++ {
-		for v := 0; v < 256; v++ {
-			hyp[v] = sboxHW[v^k]
-		}
-		if c := cs.MaxAbsPearson(&hyp); c > bestC {
-			bestK, bestC = byte(k), c
-		}
-	}
-	return bestK, bestC
+	var c [256]float64
+	a.ClassSumsFor(byteIdx).MaxAbsPearsonXor(&sboxHW, &c)
+	return bestGuess(&c)
 }
 
 // CPAKeyArena recovers all 16 key bytes with the batched distinguisher.

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,3 +131,33 @@ func TestArenaAnalysisZeroAlloc(t *testing.T) {
 		t.Fatalf("arena regrade allocated %.1f objects/run, want 0", allocs)
 	}
 }
+
+// benchSink keeps the benchmarked kernels' results live.
+var benchSink byte
+
+// benchByteArena times one key byte of an all-guess arena kernel at the
+// sweep's reference budget (96 traces) and at a large campaign (1500).
+// The byte index rotates, so each call regroups the class sums as a
+// sweep checkpoint does.
+func benchByteArena(b *testing.B, kernel func(*power.Arena, int) (byte, float64)) {
+	for _, n := range []int{96, 1500} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			v, err := NewUnprotectedAES([]byte("sixteen byte key"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := power.NewArena(16)
+			ExtendArena(a, v, power.PowerProbe(0.8, 7), n, rand.New(rand.NewSource(5)))
+			kernel(a, 15) // build the caches and scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = kernel(a, i%16)
+			}
+		})
+	}
+}
+
+func BenchmarkDPAByteArena(b *testing.B) { benchByteArena(b, DPAByteArena) }
+
+func BenchmarkCPAByteArena(b *testing.B) { benchByteArena(b, CPAByteArena) }

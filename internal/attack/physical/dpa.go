@@ -167,11 +167,14 @@ func CorrectBytes(got [16]byte, want []byte) int {
 
 // TracesToDisclosure doubles the trace budget until CPA recovers the full
 // key (or the cap is hit) and returns the budget needed — the standard
-// countermeasure-strength metric.
+// countermeasure-strength metric. Every doubling records a fresh
+// campaign into one reused arena and runs the batched CPA on it.
 func TracesToDisclosure(v AESVictim, probe *power.Probe, key []byte, cap int, rng *rand.Rand) (int, bool) {
+	a := power.NewArena(16)
 	for n := 32; n <= cap; n *= 2 {
-		ts := CollectTraces(v, probe, n, rng)
-		if CorrectBytes(CPAKey(ts), key) == 16 {
+		a.Reset()
+		ExtendArena(a, v, probe, n, rng)
+		if CorrectBytes(CPAKeyArena(a), key) == 16 {
 			return n, true
 		}
 	}

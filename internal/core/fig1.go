@@ -84,8 +84,9 @@ func fig1Experiments(quick bool) []engine.Experiment {
 				if err != nil {
 					return engine.Outcome{}, err
 				}
-				ts := physical.CollectTraces(v, power.PowerProbe(0.8, 1), ctx.Samples, ctx.RNG)
-				cpaBytes := physical.CorrectBytes(physical.CPAKey(ts), key)
+				a := power.NewArena(16)
+				physical.ExtendArena(a, v, power.PowerProbe(0.8, 1), ctx.Samples, ctx.RNG)
+				cpaBytes := physical.CorrectBytes(physical.CPAKeyArena(a), key)
 				channel := float64(cpaBytes) / 16
 				var levels [3]Level
 				for i := range levels {

@@ -32,7 +32,7 @@ import (
 // regenerating and replaying the 2432 cells stays affordable.
 const goldenSamples = 96
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_grid.tsv and testdata/fixed_rows.tsv from the fixed-budget engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden_grid.tsv and testdata/fixed_rows.tsv from the fixed-budget engine, and the pinned TAB5/FIG1 renders")
 
 // raceDetectorEnabled is set by race_test.go under `go test -race`.
 var raceDetectorEnabled bool

@@ -435,8 +435,9 @@ func table5Experiments(quick bool) []engine.Experiment {
 				if err != nil {
 					return engine.Outcome{}, err
 				}
-				ts := physical.CollectTraces(v, power.EMProbe(0.8, 13), ctx.Samples, ctx.RNG)
-				emBytes := physical.CorrectBytes(physical.CPAKey(ts), key)
+				a := power.NewArena(16)
+				physical.ExtendArena(a, v, power.EMProbe(0.8, 13), ctx.Samples, ctx.RNG)
+				emBytes := physical.CorrectBytes(physical.CPAKeyArena(a), key)
 				return engine.Outcome{
 					Rows: [][]string{{"EM analysis [14]", "unprotected AES",
 						fmt.Sprintf("%d traces", ctx.Samples), leakIf(emBytes >= 14)}},

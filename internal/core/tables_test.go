@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -121,4 +122,52 @@ func TestBlocksClaimsHoldInGoldenGrid(t *testing.T) {
 		t.Error("no Blocks claim is mitigated anywhere in the golden grid")
 	}
 	t.Logf("Blocks claims in the golden grid: %d mitigated, %d n/a", counts[scenario.ClassMitigated], counts[scenario.ClassNA])
+}
+
+// TestPhysicalRendersPinned pins the quick TAB5 and FIG1 renders byte
+// for byte against checked-in files. Both run their CPA rows on the
+// arena kernels, whose statistics equal the float64 reference bit for
+// bit, so any change to the kernels, the trace stream or the row
+// assembly shows up here. The CLI's "[... regenerated in ...]" timing
+// line is printed outside the render and is not part of the pin.
+// Regenerate with -update only after intentionally changing what a row
+// reports.
+func TestPhysicalRendersPinned(t *testing.T) {
+	for _, tc := range []struct {
+		file   string
+		render func() (string, error)
+	}{
+		{"tab5_quick.txt", func() (string, error) {
+			tab, err := Table5Physical(true)
+			if err != nil {
+				return "", err
+			}
+			return tab.String(), nil
+		}},
+		{"fig1_quick.txt", func() (string, error) {
+			f, err := Figure1(true)
+			if err != nil {
+				return "", err
+			}
+			return f.Render(), nil
+		}},
+	} {
+		got, err := tc.render()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		path := filepath.Join("testdata", tc.file)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("render pin missing (run `go test ./internal/core -run TestPhysicalRendersPinned -update`): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s render changed:\n--- pinned\n%s--- now\n%s", tc.file, want, got)
+		}
+	}
 }

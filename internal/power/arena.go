@@ -6,9 +6,9 @@ import "math"
 // re-walked: DPA runs 256 key guesses per byte, CPA another 256, the
 // adaptive engine regrades after every checkpoint extension. The arena
 // keeps every sample of a cell's traces int16-quantized in ONE contiguous
-// backing array and the distinguishers walk contiguous blocks of exact
-// integer sums, so a full 256-guess analysis touches a fraction of the
-// memory the float64 trace matrix costs — and, because every sum is
+// backing array, groups them once per byte into exact integer class
+// sums, and scores all 256 guesses of a distinguisher with two
+// Walsh–Hadamard transforms over those sums — and, because every sum is
 // exact in int64, the results are bit-identical to the retained naive
 // float64 reference (see the equivalence argument on Quantize).
 
@@ -83,10 +83,11 @@ type Arena struct {
 	clsSums      []int64
 	totSums      []int64
 
-	// sel and sxy are the reused per-guess accumulators of
-	// DifferenceOfMeans and MaxAbsPearson, so a 256-guess loop never
-	// touches the heap.
-	sel, sxy []int64
+	// wht is the 256×pts scratch block of the all-guess kernels
+	// (DifferenceOfMeansXor, MaxAbsPearsonXor): the class sums are copied
+	// in and transformed in place, so a warm regrade never touches the
+	// heap.
+	wht []int64
 
 	// stage is the StageInput scratch buffer.
 	stage []byte
@@ -281,104 +282,169 @@ func (a *Arena) ClassSumsFor(byteIdx int) QClassSums {
 	return cs
 }
 
-// DifferenceOfMeans returns the maximum absolute difference of mean
-// traces between the selected classes and the rest — Kocher's DPA
-// distinguisher in batched form. Because the class sums are exact
-// integers, the unselected partition is the total minus the selected sum
-// (no second accumulation pass), and the result still equals the naive
-// two-partition float64 walk bit for bit.
-func (cs QClassSums) DifferenceOfMeans(selected *[256]bool) float64 {
-	a, pts := cs.a, cs.pts
-	if pts == 0 {
-		return 0
-	}
-	var n1 int64
-	for v := 0; v < 256; v++ {
-		if selected[v] {
-			n1 += int64(a.clsCount[v])
+// The all-guess distinguishers. A key guess k changes which classes a
+// hypothesis weights, never the class sums themselves: the DPA selected
+// sum and the CPA Σxy of guess k are both the XOR-correlation
+// S_k = Σ_v w[v⊕k]·C_v of a 256-entry weight vector w with the 256 class
+// rows C. The Walsh–Hadamard transform H diagonalizes XOR-correlation
+// (H·H = 256·I), so S = H(Hw ⊙ HC)/256 yields all 256 guesses for about
+// 2·256·8 adds per point instead of 256 weighted 256-row sums.
+//
+// Exactness: |C_v| <= n·2^15 <= 2^28 at n <= 2^13 traces. The forward
+// transform grows magnitudes by at most 2^8, Hw is at most 2^8 (DPA's 0/1
+// selection) or 2^11 (CPA's 0..8 Hamming weights), and the inverse grows
+// them by at most 2^8 again, so every intermediate stays within 2^55 <
+// 2^63 and the final division by 256 is exact. The int64 sums equal the
+// per-guess sums term for term, and the float64 epilogue consumes them
+// through the per-point expressions of the float64 reference, in the same
+// order — so every statistic equals the reference bit for bit.
+
+// fwht runs the in-place unnormalized Walsh–Hadamard transform across
+// the 256 rows of blk (row u at u*m, m values each). Each pass fuses two
+// butterfly stages over four whole rows, so every inner loop is a
+// contiguous m-length walk and the block is swept four times, not eight.
+func fwht(blk []int64, m int) {
+	for h := 1; h < 256; h *= 4 {
+		for i := 0; i < 256; i += 4 * h {
+			for r := i; r < i+h; r++ {
+				x0 := blk[r*m:][:m]
+				x1 := blk[(r+h)*m:][:m]
+				x2 := blk[(r+2*h)*m:][:m]
+				x3 := blk[(r+3*h)*m:][:m]
+				for j := range x0 {
+					a, b := x0[j]+x1[j], x0[j]-x1[j]
+					c, d := x2[j]+x3[j], x2[j]-x3[j]
+					x0[j], x1[j], x2[j], x3[j] = a+c, b+d, a-c, b-d
+				}
+			}
 		}
 	}
-	n0 := int64(cs.n) - n1
-	if n0 == 0 || n1 == 0 {
-		return 0
-	}
-	if cap(a.sel) < pts {
-		a.sel = make([]int64, pts)
-	}
-	a.sel = a.sel[:pts]
-	clear(a.sel)
-	for v := 0; v < 256; v++ {
-		if !selected[v] || a.clsCount[v] == 0 {
-			continue
-		}
-		src := a.clsSums[v*pts:][:pts]
-		for j, x := range src {
-			a.sel[j] += x
-		}
-	}
-	f1, f0 := float64(n1), float64(n0)
-	best := 0.0
-	for j := 0; j < pts; j++ {
-		s1 := a.sel[j]
-		d := math.Abs(float64(s1)/f1 - float64(a.totSums[j]-s1)/f0)
-		if d > best {
-			best = d
-		}
-	}
-	return best / Scale
 }
 
-// MaxAbsPearson returns the largest |Pearson correlation| across all
-// points for the per-class hypothesis hyp (one model value per possible
-// input-byte value) — the CPA distinguisher in batched form. The
-// hypothesis for trace i depends on i only through its class, so Σx,
-// Σx² and Σxy all collapse onto the 256 class sums: one guess costs a
-// 256×points walk of contiguous int64 blocks instead of an n×points walk
-// of the trace matrix, and exact integer arithmetic keeps the statistic
+// xorCorrelate overwrites the 256 rows of blk (row v at v*m) with their
+// XOR-correlation against the weights whose transform is wh: row k
+// becomes Σ_v w[v⊕k]·row_v, exactly.
+func xorCorrelate(blk []int64, m int, wh *[256]int64) {
+	fwht(blk, m)
+	for u, f := range wh {
+		row := blk[u*m:][:m]
+		for j := range row {
+			row[j] *= f
+		}
+	}
+	fwht(blk, m)
+	for i := range blk {
+		blk[i] /= 256
+	}
+}
+
+// transform returns Hw, the Walsh–Hadamard transform of w.
+func transform(w [256]int64) [256]int64 {
+	fwht(w[:], 1)
+	return w
+}
+
+// classCounts returns the class trace counts correlated against the
+// weights whose transform is wh: entry k is Σ_v w[v⊕k]·count_v.
+func (cs QClassSums) classCounts(wh *[256]int64) [256]int64 {
+	var c [256]int64
+	for v, n := range cs.a.clsCount {
+		c[v] = int64(n)
+	}
+	xorCorrelate(c[:], 1, wh)
+	return c
+}
+
+// correlateClasses copies the cached class sums into the arena-owned
+// 256×pts scratch block and XOR-correlates them against the weights
+// whose transform is wh: row k of the returned block holds the per-point
+// Σ_v w[v⊕k]·C_v for guess k.
+func (cs QClassSums) correlateClasses(wh *[256]int64) []int64 {
+	a, m := cs.a, 256*cs.pts
+	if cap(a.wht) < m {
+		a.wht = make([]int64, m)
+	}
+	blk := a.wht[:m]
+	copy(blk, a.clsSums)
+	xorCorrelate(blk, cs.pts, wh)
+	return blk
+}
+
+// DifferenceOfMeansXor fills out[k] with the maximum absolute
+// difference of mean traces between the classes v with s[v⊕k] set and
+// the rest — Kocher's DPA distinguisher for all 256 key guesses in one
+// call. Because the class sums are exact integers, the unselected
+// partition is the total minus the selected sum (no second accumulation
+// pass), and every out[k] equals the naive two-partition float64 walk
+// bit for bit. An empty or full partition yields 0.
+func (cs QClassSums) DifferenceOfMeansXor(s *[256]bool, out *[256]float64) {
+	*out = [256]float64{}
+	a, pts := cs.a, cs.pts
+	if pts == 0 {
+		return
+	}
+	var w [256]int64
+	for v, sel := range s {
+		if sel {
+			w[v] = 1
+		}
+	}
+	wh := transform(w)
+	n1s := cs.classCounts(&wh)
+	blk := cs.correlateClasses(&wh)
+	for k, n1 := range n1s {
+		n0 := int64(cs.n) - n1
+		if n0 == 0 || n1 == 0 {
+			continue
+		}
+		f1, f0 := float64(n1), float64(n0)
+		best := 0.0
+		for j, s1 := range blk[k*pts:][:pts] {
+			d := math.Abs(float64(s1)/f1 - float64(a.totSums[j]-s1)/f0)
+			if d > best {
+				best = d
+			}
+		}
+		out[k] = best / Scale
+	}
+}
+
+// MaxAbsPearsonXor fills out[k] with the largest |Pearson correlation|
+// across all points for the per-class hypothesis v ↦ h[v⊕k] (one model
+// value per possible input-byte value) — the CPA distinguisher for all
+// 256 key guesses in one call. The hypothesis for trace i depends on i
+// only through its class, so Σx, Σx² and Σxy all collapse onto the class
+// counts and class sums, and exact integer arithmetic keeps every out[k]
 // bit-identical to TraceSet.MaxAbsPearson on the dequantized traces.
-func (cs QClassSums) MaxAbsPearson(hyp *[256]int64) float64 {
+func (cs QClassSums) MaxAbsPearsonXor(h *[256]int64, out *[256]float64) {
+	*out = [256]float64{}
 	a, pts := cs.a, cs.pts
 	n := float64(cs.n)
 	if cs.n < 2 || pts == 0 {
-		return 0
+		return
 	}
-	var sx, sxx int64
-	for v := 0; v < 256; v++ {
-		c := int64(a.clsCount[v])
-		if c == 0 {
-			continue
-		}
-		sx += c * hyp[v]
-		sxx += c * hyp[v] * hyp[v]
+	var h2 [256]int64
+	for v, x := range h {
+		h2[v] = x * x
 	}
-	hden := math.Sqrt(n*float64(sxx) - float64(sx)*float64(sx))
-	if cap(a.sxy) < pts {
-		a.sxy = make([]int64, pts)
-	}
-	a.sxy = a.sxy[:pts]
-	clear(a.sxy)
-	for v := 0; v < 256; v++ {
-		h := hyp[v]
-		if h == 0 || a.clsCount[v] == 0 {
-			continue
-		}
-		src := a.clsSums[v*pts:][:pts]
-		for j, s := range src {
-			a.sxy[j] += h * s
-		}
-	}
+	wh, wh2 := transform(*h), transform(h2)
+	sxs, sxxs := cs.classCounts(&wh), cs.classCounts(&wh2)
+	blk := cs.correlateClasses(&wh)
 	sy, syy := a.colSums()
-	fsx := float64(sx)
-	best := 0.0
-	for j := 0; j < pts; j++ {
-		num := n*float64(a.sxy[j]) - fsx*float64(sy[j])
-		den := hden * math.Sqrt(n*float64(syy[j])-float64(sy[j])*float64(sy[j]))
-		if den == 0 {
-			continue
+	for k := range out {
+		hden := math.Sqrt(n*float64(sxxs[k]) - float64(sxs[k])*float64(sxs[k]))
+		fsx := float64(sxs[k])
+		best := 0.0
+		for j, sxy := range blk[k*pts:][:pts] {
+			num := n*float64(sxy) - fsx*float64(sy[j])
+			den := hden * math.Sqrt(n*float64(syy[j])-float64(sy[j])*float64(sy[j]))
+			if den == 0 {
+				continue
+			}
+			if r := math.Abs(num / den); r > best {
+				best = r
+			}
 		}
-		if r := math.Abs(num / den); r > best {
-			best = r
-		}
+		out[k] = best
 	}
-	return best
 }

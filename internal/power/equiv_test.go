@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,10 +93,40 @@ func TestArenaRecordingMatchesNaive(t *testing.T) {
 	}
 }
 
+// checkDoM compares every guess k of one DifferenceOfMeansXor call
+// against the float64 reference: the grouped difference of means under
+// the selection v ↦ s[v⊕k].
+func checkDoM(t *testing.T, what string, ts *TraceSet, a *Arena, byteIdx int, s *[256]bool) {
+	t.Helper()
+	ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][byteIdx] })
+	var out [256]float64
+	a.ClassSumsFor(byteIdx).DifferenceOfMeansXor(s, &out)
+	for k := range out {
+		want := ncs.DifferenceOfMeans(func(v uint8) bool { return s[int(v)^k] })
+		eqBits(t, fmt.Sprintf("%s k=%d", what, k), out[k], want)
+	}
+}
+
+// checkPearson compares every guess k of one MaxAbsPearsonXor call
+// against the float64 reference: the per-trace Pearson walk with
+// h_i = hyp[pt_i⊕k].
+func checkPearson(t *testing.T, what string, ts *TraceSet, a *Arena, byteIdx int, hyp *[256]int64) {
+	t.Helper()
+	var out [256]float64
+	a.ClassSumsFor(byteIdx).MaxAbsPearsonXor(hyp, &out)
+	h := make([]float64, ts.Len())
+	for k := range out {
+		for i := range h {
+			h[i] = float64(hyp[int(ts.Inputs[i][byteIdx])^k])
+		}
+		eqBits(t, fmt.Sprintf("%s k=%d", what, k), out[k], ts.MaxAbsPearson(h))
+	}
+}
+
 // TestDifferenceOfMeansEquivalence is the DPA-kernel property test:
 // randomized trace sets, randomized selected-class sets, both partition
-// shapes and both jitter regimes — batched result bit-identical to the
-// naive grouped float64 reference.
+// shapes and both jitter regimes — every one of the 256 all-guess
+// results bit-identical to the naive grouped float64 reference.
 func TestDifferenceOfMeansEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -112,38 +143,22 @@ func TestDifferenceOfMeansEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, a := recordPair(tc.seed, tc.traces, 30, tc.jitter, tc.sigma)
-			ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][tc.byteIdx] })
-			qcs := a.ClassSumsFor(tc.byteIdx)
-
 			srng := rand.New(rand.NewSource(tc.seed * 7))
 			var sel [256]bool
 			for trial := 0; trial < 64; trial++ {
 				for v := range sel {
 					sel[v] = srng.Intn(2) == 1
 				}
-				got := qcs.DifferenceOfMeans(&sel)
-				want := ncs.DifferenceOfMeans(func(v uint8) bool { return sel[v] })
-				eqBits(t, "DifferenceOfMeans", got, want)
+				checkDoM(t, "DifferenceOfMeansXor", ts, a, tc.byteIdx, &sel)
 			}
-
-			// Degenerate partitions: empty and full selections are 0 on
-			// both paths.
-			for v := range sel {
-				sel[v] = false
-			}
-			eqBits(t, "empty selection", qcs.DifferenceOfMeans(&sel), 0)
-			for v := range sel {
-				sel[v] = true
-			}
-			eqBits(t, "full selection", qcs.DifferenceOfMeans(&sel), 0)
 		})
 	}
 }
 
 // TestMaxAbsPearsonEquivalence is the CPA-kernel property test:
 // randomized trace sets and randomized per-class integer hypotheses —
-// batched class-collapsed Pearson bit-identical to the naive per-trace
-// float64 reference.
+// every one of the 256 all-guess class-collapsed Pearson results
+// bit-identical to the naive per-trace float64 reference.
 func TestMaxAbsPearsonEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -158,22 +173,13 @@ func TestMaxAbsPearsonEquivalence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, a := recordPair(tc.seed, tc.traces, 30, tc.jitter, tc.sigma)
-			const byteIdx = 5
-			qcs := a.ClassSumsFor(byteIdx)
-
 			hrng := rand.New(rand.NewSource(tc.seed * 13))
-			h := make([]float64, ts.Len())
 			var hyp [256]int64
 			for trial := 0; trial < 32; trial++ {
 				for v := range hyp {
 					hyp[v] = int64(hrng.Intn(9)) // HW-like range 0..8
 				}
-				for i := range h {
-					h[i] = float64(hyp[ts.Inputs[i][byteIdx]])
-				}
-				got := qcs.MaxAbsPearson(&hyp)
-				want := ts.MaxAbsPearson(h)
-				eqBits(t, "MaxAbsPearson", got, want)
+				checkPearson(t, "MaxAbsPearsonXor", ts, a, 5, &hyp)
 			}
 		})
 	}
@@ -200,7 +206,6 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 		sel[v] = srng.Intn(2) == 1
 		hyp[v] = int64(srng.Intn(9))
 	}
-	h := make([]float64, 0, 120)
 
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 40; i++ {
@@ -223,34 +228,105 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 		}
 
 		const byteIdx = 2
-		ncs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][byteIdx] })
-		qcs := a.ClassSumsFor(byteIdx)
-		eqBits(t, "DifferenceOfMeans after extend",
-			qcs.DifferenceOfMeans(&sel), ncs.DifferenceOfMeans(func(v uint8) bool { return sel[v] }))
-
-		h = h[:ts.Len()]
-		for i := range h {
-			h[i] = float64(hyp[ts.Inputs[i][byteIdx]])
-		}
-		eqBits(t, "MaxAbsPearson after extend",
-			qcs.MaxAbsPearson(&hyp), ts.MaxAbsPearson(h))
+		checkDoM(t, "DifferenceOfMeansXor after extend", ts, a, byteIdx, &sel)
+		checkPearson(t, "MaxAbsPearsonXor after extend", ts, a, byteIdx, &hyp)
 	}
 }
 
-// TestTinySets pins the n<2 guards on both kernels.
-func TestTinySets(t *testing.T) {
+// TestRailEnvelope pins the int64 transforms at the documented exactness
+// envelope: 2^13 traces whose every sample sits on a ±maxQ ADC rail.
+// Point 0 is +maxQ on every trace, so its class sums total n·maxQ, the
+// largest any point can reach; point 1's sign follows a bit of the class,
+// point 2's is random, and point 3 is -maxQ throughout. Every guess must
+// still match the float64 reference bit for bit — an int64 overflow
+// anywhere in the transforms would not.
+func TestRailEnvelope(t *testing.T) {
+	const n, byteIdx = 1 << 13, 9
+	ts := &TraceSet{}
 	a := NewArena(16)
-	var hyp [256]int64
-	hyp[0] = 1
-	cs := a.ClassSumsFor(0)
-	if got := cs.MaxAbsPearson(&hyp); got != 0 {
-		t.Errorf("empty arena Pearson = %v, want 0", got)
+	p := PowerProbe(0, 1)
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < n; i++ {
+		input := make([]byte, 16)
+		rng.Read(input)
+		rail := [4]float64{1, -1, -1, -1}
+		if input[byteIdx]&0x21 != 0 {
+			rail[1] = 1
+		}
+		if rng.Intn(2) == 1 {
+			rail[2] = 1
+		}
+		rec, arec := NewRecorder(p), a.BeginTrace(p)
+		for _, x := range rail {
+			rec.record(x * 1e9)
+			arec.record(x * 1e9)
+		}
+		ts.Add(rec.Samples, input)
+		a.EndTrace(input)
+	}
+	for i := 0; i < n; i++ {
+		for j, q := range a.Trace(i) {
+			if q != maxQ && q != -maxQ {
+				t.Fatalf("trace %d point %d = %d, not on a rail", i, j, q)
+			}
+		}
 	}
 	var sel [256]bool
-	sel[0] = true
-	if got := cs.DifferenceOfMeans(&sel); got != 0 {
-		t.Errorf("empty arena DoM = %v, want 0", got)
+	var hyp [256]int64
+	for v := range sel {
+		sel[v] = v&1 == 1
+		hyp[v] = int64(v % 9)
 	}
+	checkDoM(t, "rail DifferenceOfMeansXor", ts, a, byteIdx, &sel)
+	checkPearson(t, "rail MaxAbsPearsonXor", ts, a, byteIdx, &hyp)
+}
+
+// TestTinySets pins the degenerate guards of both kernels: an empty
+// arena (no points), a single trace (n < 2) and an empty or full
+// selection all give 0 for every guess.
+func TestTinySets(t *testing.T) {
+	allZero := func(what string, out *[256]float64) {
+		t.Helper()
+		for k, x := range out {
+			if x != 0 {
+				t.Errorf("%s: out[%d] = %v, want 0", what, k, x)
+			}
+		}
+	}
+	var hyp [256]int64
+	var sel [256]bool
+	for v := range hyp {
+		hyp[v] = int64(v % 9)
+		sel[v] = v%3 == 0
+	}
+	var out [256]float64
+
+	a := NewArena(16)
+	cs := a.ClassSumsFor(0)
+	cs.MaxAbsPearsonXor(&hyp, &out)
+	allZero("empty arena Pearson", &out)
+	cs.DifferenceOfMeansXor(&sel, &out)
+	allZero("empty arena DoM", &out)
+
+	_, one := recordPair(5, 1, 10, 0, 0.5)
+	cs = one.ClassSumsFor(0)
+	cs.MaxAbsPearsonXor(&hyp, &out)
+	allZero("one-trace Pearson", &out)
+	cs.DifferenceOfMeansXor(&sel, &out)
+	allZero("one-trace DoM", &out)
+
+	_, many := recordPair(6, 50, 10, 0, 0.5)
+	cs = many.ClassSumsFor(0)
+	for v := range sel {
+		sel[v] = false
+	}
+	cs.DifferenceOfMeansXor(&sel, &out)
+	allZero("empty selection", &out)
+	for v := range sel {
+		sel[v] = true
+	}
+	cs.DifferenceOfMeansXor(&sel, &out)
+	allZero("full selection", &out)
 }
 
 // TestQuantizeGrid pins the ADC model: round-to-nearest on the 1/Scale
