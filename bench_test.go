@@ -339,8 +339,9 @@ func BenchmarkAblationMaskingNoise(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ts := physical.CollectTraces(v, power.PowerProbe(sigma, 5), 256, rand.New(rand.NewSource(2)))
-					bytesGot = physical.CorrectBytes(physical.CPAKey(ts), key)
+					a := power.NewArena(16)
+					physical.ExtendArena(a, v, power.PowerProbe(sigma, 5), 256, rand.New(rand.NewSource(2)))
+					bytesGot = physical.CorrectBytes(physical.CPAKeyArena(a), key)
 				}
 				b.ReportMetric(float64(bytesGot), "key-bytes-recovered")
 			})

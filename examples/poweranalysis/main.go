@@ -26,8 +26,9 @@ func main() {
 	fmt.Printf("unprotected AES : CPA recovers the key after %d traces (success=%v)\n", n, ok)
 
 	// Difference-of-means DPA on the same victim.
-	ts := intrust.CollectTraces(victim, intrust.PowerProbe(0.5, 2), 1500, rng)
-	dpaKey := intrust.DPAKey(ts)
+	traces := intrust.NewTraceArena(16)
+	intrust.ExtendArena(traces, victim, intrust.PowerProbe(0.5, 2), 1500, rng)
+	dpaKey := intrust.DPAKeyArena(traces)
 	fmt.Printf("classic DPA     : %d/16 key bytes from 1500 traces\n",
 		physical.CorrectBytes(dpaKey, key))
 
@@ -47,7 +48,8 @@ func main() {
 	fmt.Printf("hiding (jitter) : CPA needs %d traces (success=%v)\n", nH, okH)
 
 	// EM emanations: same attack, weaker coupling.
-	tsEM := intrust.CollectTraces(victim, intrust.EMProbe(0.8, 5), 1024, rng)
+	emTraces := intrust.NewTraceArena(16)
+	intrust.ExtendArena(emTraces, victim, intrust.EMProbe(0.8, 5), 1024, rng)
 	fmt.Printf("EM probe        : %d/16 key bytes from 1024 traces\n",
-		physical.CorrectBytes(intrust.CPAKey(tsEM), key))
+		physical.CorrectBytes(intrust.CPAKeyArena(emTraces), key))
 }

@@ -7,18 +7,19 @@ import (
 	"github.com/intrust-sim/intrust/internal/softcrypto"
 )
 
-// The arena-backed DPA/CPA path: the sweep's production kernels. The
-// naive TraceSet implementations above are retained as the reference —
-// the kernel-equivalence property tests assert both paths bit-identical
-// on randomized trace sets, which the exact int64 arithmetic of
-// power.Arena makes possible (see power.Quantize).
+// The arena-backed DPA/CPA path. Capture and analysis both run on a
+// power.Arena; internal/power's tests pin every statistic below bit for
+// bit against a float64 reference over the dequantized traces, which
+// the exact int64 arithmetic of the arena makes possible (see
+// power.Quantize).
 
 // ExtendArena adds n more traces of random plaintexts to the arena — the
 // sequential-sampling hook, allocation-free in steady state: trace
 // samples append to the arena's contiguous backing (pre-reserved via
-// Grow) and the plaintext buffer lives on the arena. The RNG and
-// probe-noise consumption is identical to CollectTraces, so both paths
-// record the same quantized samples for the same seed.
+// Grow) and the plaintext buffer lives on the arena. Extending in
+// increments consumes the RNG and the probe's noise stream exactly like
+// one larger call, so the statistic at any checkpoint matches a
+// fixed-budget collection of the same size.
 func ExtendArena(a *power.Arena, v AESVictim, probe *power.Probe, n int, rng *rand.Rand) {
 	pt := a.StageInput()
 	for i := 0; i < n; i++ {
@@ -57,16 +58,16 @@ func bestGuess(stat *[256]float64) (byte, float64) {
 	return bestK, best
 }
 
-// DPAByteArena recovers one key byte with the batched difference-of-means
-// distinguisher — bit-identical to DPAByte on the same recorded traces.
-// One all-guess kernel call scores every key guess.
+// DPAByteArena recovers one key byte with Kocher's difference-of-means
+// distinguisher on bit 0 of the S-box output. One all-guess kernel call
+// scores every key guess.
 func DPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
 	var d [256]float64
 	a.ClassSumsFor(byteIdx).DifferenceOfMeansXor(&sboxBit0, &d)
 	return bestGuess(&d)
 }
 
-// DPAKeyArena recovers all 16 key bytes with the batched distinguisher.
+// DPAKeyArena recovers all 16 key bytes with difference of means.
 func DPAKeyArena(a *power.Arena) [16]byte {
 	var out [16]byte
 	for i := 0; i < 16; i++ {
@@ -75,9 +76,8 @@ func DPAKeyArena(a *power.Arena) [16]byte {
 	return out
 }
 
-// CPAByteArena recovers one key byte by batched Pearson correlation
-// against the HW(SBox(pt^k)) hypothesis — bit-identical to CPAByte on
-// the same recorded traces. One all-guess kernel call scores every key
+// CPAByteArena recovers one key byte by Pearson correlation against the
+// HW(SBox(pt^k)) hypothesis. One all-guess kernel call scores every key
 // guess.
 func CPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
 	var c [256]float64
@@ -85,7 +85,7 @@ func CPAByteArena(a *power.Arena, byteIdx int) (byte, float64) {
 	return bestGuess(&c)
 }
 
-// CPAKeyArena recovers all 16 key bytes with the batched distinguisher.
+// CPAKeyArena recovers all 16 key bytes by Pearson correlation.
 func CPAKeyArena(a *power.Arena) [16]byte {
 	var out [16]byte
 	for i := 0; i < 16; i++ {

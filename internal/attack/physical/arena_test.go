@@ -2,69 +2,11 @@ package physical
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/power"
 )
-
-// collectBoth records the same attack campaign through both capture
-// paths: fresh victims and probes with identical seeds, one shared
-// plaintext stream shape (separate rand.Rand at the same seed).
-func collectBoth(t *testing.T, key []byte, sigma float64, jitter, n int) (*power.TraceSet, *power.Arena) {
-	t.Helper()
-	mkProbe := func() *power.Probe {
-		p := power.PowerProbe(sigma, 7)
-		p.JitterMax = jitter
-		return p
-	}
-	vNaive, err := NewUnprotectedAES(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vArena, err := NewUnprotectedAES(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := CollectTraces(vNaive, mkProbe(), n, rand.New(rand.NewSource(99)))
-	a := power.NewArena(16)
-	ExtendArena(a, vArena, mkProbe(), n, rand.New(rand.NewSource(99)))
-	return ts, a
-}
-
-// TestArenaAttackEquivalence pins the full distinguisher stack: the
-// batched arena DPA and CPA return the same recovered byte AND the same
-// statistic bits as the naive reference on the same campaign.
-func TestArenaAttackEquivalence(t *testing.T) {
-	key := []byte("sixteen byte key")
-	for _, tc := range []struct {
-		name   string
-		sigma  float64
-		jitter int
-	}{
-		{"clean", 0.5, 0},
-		{"jitter", 1.0, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ts, a := collectBoth(t, key, tc.sigma, tc.jitter, 300)
-			for _, byteIdx := range []int{0, 7, 15} {
-				nk, nd := DPAByte(ts, byteIdx)
-				ak, ad := DPAByteArena(a, byteIdx)
-				if nk != ak || math.Float64bits(nd) != math.Float64bits(ad) {
-					t.Errorf("DPA byte %d: naive (%#02x, %v) != arena (%#02x, %v)",
-						byteIdx, nk, nd, ak, ad)
-				}
-				nk, nc := CPAByte(ts, byteIdx)
-				ak, ac := CPAByteArena(a, byteIdx)
-				if nk != ak || math.Float64bits(nc) != math.Float64bits(ac) {
-					t.Errorf("CPA byte %d: naive (%#02x, %v) != arena (%#02x, %v)",
-						byteIdx, nk, nc, ak, ac)
-				}
-			}
-		})
-	}
-}
 
 // TestArenaKeyRecovery pins that the batched path actually breaks the
 // unprotected victim — full 16-byte CPA recovery at a realistic budget.

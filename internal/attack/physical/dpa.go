@@ -76,84 +76,6 @@ func (v *MaskedAESVictim) EncryptTraced(pt []byte, rec *power.Recorder) [16]byte
 	return v.m.Encrypt(pt)
 }
 
-// CollectTraces gathers n traces of random plaintexts on the given probe.
-func CollectTraces(v AESVictim, probe *power.Probe, n int, rng *rand.Rand) *power.TraceSet {
-	ts := &power.TraceSet{}
-	ExtendTraces(ts, v, probe, n, rng)
-	return ts
-}
-
-// ExtendTraces adds n more traces to an existing set — the sequential
-// sampling hook: extending a set in increments consumes the RNG and the
-// probe's noise stream exactly like one larger CollectTraces call, so the
-// cumulative statistic at any checkpoint matches a fixed-budget
-// collection of the same size.
-func ExtendTraces(ts *power.TraceSet, v AESVictim, probe *power.Probe, n int, rng *rand.Rand) {
-	for i := 0; i < n; i++ {
-		pt := make([]byte, 16)
-		rng.Read(pt)
-		rec := power.NewRecorder(probe)
-		v.EncryptTraced(pt, rec)
-		ts.Add(rec.Samples, pt)
-	}
-}
-
-// CPAByte recovers one key byte by Pearson correlation against the
-// HW(SBox(pt^k)) hypothesis.
-func CPAByte(ts *power.TraceSet, byteIdx int) (byte, float64) {
-	bestK, bestC := byte(0), -1.0
-	h := make([]float64, ts.Len())
-	for k := 0; k < 256; k++ {
-		for i := range h {
-			h[i] = power.HW(uint32(softcrypto.SBox(ts.Inputs[i][byteIdx] ^ byte(k))))
-		}
-		if c := ts.MaxAbsPearson(h); c > bestC {
-			bestK, bestC = byte(k), c
-		}
-	}
-	return bestK, bestC
-}
-
-// CPAKey recovers all 16 key bytes.
-func CPAKey(ts *power.TraceSet) [16]byte {
-	var out [16]byte
-	for i := 0; i < 16; i++ {
-		out[i], _ = CPAByte(ts, i)
-	}
-	return out
-}
-
-// DPAByte recovers one key byte with Kocher's original difference-of-means
-// distinguisher on bit 0 of the S-box output.
-//
-// The partition of a guess k depends on trace i only through the
-// plaintext byte ts.Inputs[i][byteIdx], so the traces are grouped into
-// per-byte-value class sums once and each of the 256 guesses combines at
-// most 256 presummed vectors instead of re-walking the whole trace
-// matrix — the same distinguisher at a fraction of the arithmetic.
-func DPAByte(ts *power.TraceSet, byteIdx int) (byte, float64) {
-	cs := ts.ClassSums(func(i int) uint8 { return ts.Inputs[i][byteIdx] })
-	bestK, bestD := byte(0), -1.0
-	for k := 0; k < 256; k++ {
-		d := cs.DifferenceOfMeans(func(v uint8) bool {
-			return softcrypto.SBox(v^byte(k))&1 == 1
-		})
-		if d > bestD {
-			bestK, bestD = byte(k), d
-		}
-	}
-	return bestK, bestD
-}
-
-// DPAKey recovers all 16 key bytes with difference of means.
-func DPAKey(ts *power.TraceSet) [16]byte {
-	var out [16]byte
-	for i := 0; i < 16; i++ {
-		out[i], _ = DPAByte(ts, i)
-	}
-	return out
-}
-
 // CorrectBytes counts matching bytes between a recovered and true key.
 func CorrectBytes(got [16]byte, want []byte) int {
 	n := 0
@@ -167,15 +89,20 @@ func CorrectBytes(got [16]byte, want []byte) int {
 
 // TracesToDisclosure doubles the trace budget until CPA recovers the full
 // key (or the cap is hit) and returns the budget needed — the standard
-// countermeasure-strength metric. Every doubling records a fresh
-// campaign into one reused arena and runs the batched CPA on it.
+// countermeasure-strength metric. The budgets run 32, 64, 128, … and
+// the last one is the cap itself, so a cap that is not 32·2ᵏ is still
+// measured. Every budget records a fresh campaign into one reused arena
+// and runs the batched CPA on it.
 func TracesToDisclosure(v AESVictim, probe *power.Probe, key []byte, cap int, rng *rand.Rand) (int, bool) {
 	a := power.NewArena(16)
-	for n := 32; n <= cap; n *= 2 {
+	for n := min(32, cap); n > 0; n = min(2*n, cap) {
 		a.Reset()
 		ExtendArena(a, v, probe, n, rng)
 		if CorrectBytes(CPAKeyArena(a), key) == 16 {
 			return n, true
+		}
+		if n == cap {
+			break
 		}
 	}
 	return cap, false

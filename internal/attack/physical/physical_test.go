@@ -43,8 +43,9 @@ func TestCPARecoversFullKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := CollectTraces(v, power.PowerProbe(0.8, 3), 256, rand.New(rand.NewSource(3)))
-	got := CPAKey(ts)
+	a := power.NewArena(16)
+	ExtendArena(a, v, power.PowerProbe(0.8, 3), 256, rand.New(rand.NewSource(3)))
+	got := CPAKeyArena(a)
 	if n := CorrectBytes(got, aesKey); n != 16 {
 		t.Fatalf("CPA recovered %d/16 bytes", n)
 	}
@@ -55,8 +56,9 @@ func TestDPARecoversKeyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := CollectTraces(v, power.PowerProbe(0.5, 4), 1500, rand.New(rand.NewSource(4)))
-	got := DPAKey(ts)
+	a := power.NewArena(16)
+	ExtendArena(a, v, power.PowerProbe(0.5, 4), 1500, rand.New(rand.NewSource(4)))
+	got := DPAKeyArena(a)
 	if n := CorrectBytes(got, aesKey); n < 12 {
 		t.Fatalf("DPA recovered only %d/16 bytes", n)
 	}
@@ -65,8 +67,9 @@ func TestDPARecoversKeyBytes(t *testing.T) {
 func TestEMProbeAlsoWorks(t *testing.T) {
 	// EM side channel: weaker coupling, more traces, same result shape.
 	v, _ := NewUnprotectedAES(aesKey)
-	ts := CollectTraces(v, power.EMProbe(0.8, 5), 1024, rand.New(rand.NewSource(5)))
-	got := CPAKey(ts)
+	a := power.NewArena(16)
+	ExtendArena(a, v, power.EMProbe(0.8, 5), 1024, rand.New(rand.NewSource(5)))
+	got := CPAKeyArena(a)
 	if n := CorrectBytes(got, aesKey); n < 14 {
 		t.Fatalf("EM CPA recovered %d/16 bytes", n)
 	}
@@ -77,8 +80,9 @@ func TestMaskingDefeatsFirstOrderCPA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := CollectTraces(v, power.PowerProbe(0.8, 6), 512, rand.New(rand.NewSource(6)))
-	got := CPAKey(ts)
+	a := power.NewArena(16)
+	ExtendArena(a, v, power.PowerProbe(0.8, 6), 512, rand.New(rand.NewSource(6)))
+	got := CPAKeyArena(a)
 	if n := CorrectBytes(got, aesKey); n > 2 {
 		t.Fatalf("masked implementation leaked %d/16 bytes to first-order CPA", n)
 	}
@@ -96,6 +100,41 @@ func TestHidingRaisesTraceBudget(t *testing.T) {
 	hiddenN, okHidden := TracesToDisclosure(v, hidden, aesKey, 2048, rng)
 	if okHidden && hiddenN <= plain {
 		t.Fatalf("hiding did not raise the trace budget: %d (plain) vs %d (hidden)", plain, hiddenN)
+	}
+}
+
+// countingVictim counts the traces a campaign records.
+type countingVictim struct {
+	AESVictim
+	traces int
+}
+
+func (c *countingVictim) EncryptTraced(pt []byte, rec *power.Recorder) [16]byte {
+	c.traces++
+	return c.AESVictim.EncryptTraced(pt, rec)
+}
+
+// TestTracesToDisclosureMeasuresAtCap pins the budget ladder's last rung:
+// a cap that is not 32·2ᵏ is itself measured before the cap is reported,
+// and a cap below the first rung is measured once.
+func TestTracesToDisclosureMeasuresAtCap(t *testing.T) {
+	for _, tc := range []struct{ cap, traces int }{
+		{100, 32 + 64 + 100},
+		{20, 20},
+		{128, 32 + 64 + 128},
+	} {
+		mv, err := NewMaskedAESVictim(aesKey, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := &countingVictim{AESVictim: mv}
+		n, ok := TracesToDisclosure(v, power.PowerProbe(0.8, 6), aesKey, tc.cap, rand.New(rand.NewSource(6)))
+		if ok || n != tc.cap {
+			t.Errorf("cap %d: masked victim gave (%d, %v), want (%d, false)", tc.cap, n, ok, tc.cap)
+		}
+		if v.traces != tc.traces {
+			t.Errorf("cap %d: recorded %d traces, want %d", tc.cap, v.traces, tc.traces)
+		}
 	}
 }
 

@@ -354,6 +354,15 @@ func Table4Transient(samples int) (*Table, error) {
 // measure the same attack by construction.
 var kocherRecovers = scenario.KocherRecovers
 
+// disclosureCost renders a TracesToDisclosure result as a TAB5 cost
+// cell: the budget that disclosed the key, or the cap that did not.
+func disclosureCost(n int, ok bool) string {
+	if ok {
+		return fmt.Sprintf("%d traces", n)
+	}
+	return fmt.Sprintf(">= %d traces (cap)", n)
+}
+
 // table5Experiments enumerates the Section 5 attack×countermeasure pairs.
 func table5Experiments(quick bool) []engine.Experiment {
 	nSamp := 600
@@ -391,7 +400,7 @@ func table5Experiments(quick bool) []engine.Experiment {
 				n, ok := physical.TracesToDisclosure(v, power.PowerProbe(0.8, 10), key, ctx.Samples, ctx.RNG)
 				return engine.Outcome{
 					Rows: [][]string{{"CPA [25,30]", "unprotected AES",
-						fmt.Sprintf("%d traces", n), leakIf(ok)}},
+						disclosureCost(n, ok), leakIf(ok)}},
 					Metrics: map[string]float64{"traces_to_disclosure": float64(n)},
 					Verdict: leakIf(ok),
 				}, nil
@@ -405,7 +414,7 @@ func table5Experiments(quick bool) []engine.Experiment {
 				n, ok := physical.TracesToDisclosure(mv, power.PowerProbe(0.8, 11), key, ctx.Samples, ctx.RNG)
 				return engine.Outcome{
 					Rows: [][]string{{"CPA [25,30]", "1st-order masking",
-						fmt.Sprintf(">= %d traces (cap)", n), leakIf(ok)}},
+						disclosureCost(n, ok), leakIf(ok)}},
 					Metrics: map[string]float64{"traces_to_disclosure": float64(n)},
 					Verdict: leakIf(ok),
 				}, nil
@@ -419,12 +428,8 @@ func table5Experiments(quick bool) []engine.Experiment {
 				hidden := power.PowerProbe(0.8, 12)
 				hidden.JitterMax = 6
 				n, ok := physical.TracesToDisclosure(v, hidden, key, ctx.Samples, ctx.RNG)
-				cost := fmt.Sprintf("%d traces", n)
-				if !ok {
-					cost = fmt.Sprintf(">= %d traces (cap)", n)
-				}
 				return engine.Outcome{
-					Rows:    [][]string{{"CPA [25,30]", "hiding (random delays)", cost, leakIf(ok)}},
+					Rows:    [][]string{{"CPA [25,30]", "hiding (random delays)", disclosureCost(n, ok), leakIf(ok)}},
 					Metrics: map[string]float64{"traces_to_disclosure": float64(n)},
 					Verdict: leakIf(ok),
 				}, nil

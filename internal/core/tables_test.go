@@ -171,3 +171,22 @@ func TestPhysicalRendersPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDisclosureCost pins the TAB5 CPA cost cell: a disclosed key
+// reports its budget, an undisclosed one reports the cap it hit.
+func TestDisclosureCost(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		ok   bool
+		want string
+	}{
+		{64, true, "64 traces"},
+		{1024, true, "1024 traces"},
+		{1024, false, ">= 1024 traces (cap)"},
+		{100, false, ">= 100 traces (cap)"},
+	} {
+		if got := disclosureCost(tc.n, tc.ok); got != tc.want {
+			t.Errorf("disclosureCost(%d, %v) = %q, want %q", tc.n, tc.ok, got, tc.want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package power
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // The batched analysis kernels. A trace matrix spends its life being
 // re-walked: DPA runs 256 key guesses per byte, CPA another 256, the
@@ -9,8 +12,9 @@ import "math"
 // backing array, groups them once per byte into exact integer class
 // sums, and scores all 256 guesses of a distinguisher with two
 // Walsh–Hadamard transforms over those sums — and, because every sum is
-// exact in int64, the results are bit-identical to the retained naive
-// float64 reference (see the equivalence argument on Quantize).
+// exact in int64, the results are bit-identical to a naive float64
+// computation over the dequantized samples — the reference the package
+// tests pin them against (see the equivalence argument on Quantize).
 
 // Scale is the quantization grid of the simulated acquisition ADC: one
 // step per 1/256 of a leakage unit. It is a power of two, which is what
@@ -32,8 +36,8 @@ const maxQ = math.MaxInt16
 // n <= 2^13 traces of <= 2^9 points, every sum the kernels form —
 // Σq, Σq², Σhw·q and their n-scaled Pearson terms — stays below 2^53,
 // so int64 accumulation is exact and float64 conversion is lossless.
-// The naive float64 path sums the same values scaled by 2^-8 (per y
-// factor) in a different association order; exact arithmetic makes
+// A naive float64 computation over the dequantized samples sums the same
+// values scaled by 2^-8 (per y factor) in a different association order; exact arithmetic makes
 // reassociation harmless, which is the whole equivalence proof.
 func Quantize(x float64) int16 {
 	q := math.Round(x * Scale)
@@ -51,10 +55,10 @@ func Dequant(q int16) float64 { return float64(q) / Scale }
 
 // Arena is the int16-quantized trace matrix of one cell: every sample of
 // every trace lives in one contiguous backing array, with the per-trace
-// public inputs packed alongside. It is the batched counterpart of
-// TraceSet and the unit of per-worker scratch reuse — Reset keeps the
-// grown backing so the adaptive engine's Extend passes and the next cell
-// on the same worker record without touching the heap.
+// public inputs packed alongside. It is the unit of per-worker scratch
+// reuse — Reset keeps the grown backing so the adaptive engine's Extend
+// passes and the next cell on the same worker record without touching
+// the heap.
 type Arena struct {
 	qs   []int16 // all samples, trace i at offs[i] : offs[i]+lens[i]
 	offs []int32
@@ -167,9 +171,9 @@ func (a *Arena) StageInput() []byte {
 // seals the trace. At most one trace may be recording at a time.
 func (a *Arena) BeginTrace(p *Probe) *Recorder {
 	if p.jrng == nil {
-		// Same lazy jitter-RNG initialization as NewRecorder, so an
-		// arena-recorded trace draws the identical jitter stream.
-		p.jrng = newJitterRNG(p)
+		// The hiding-jitter stream is seeded from the jitter bound, so
+		// a probe's delays replay identically on every run.
+		p.jrng = rand.New(rand.NewSource(0x7ace + int64(p.JitterMax)))
 	}
 	a.tstart = len(a.qs)
 	a.rec = Recorder{Probe: p, arena: a}
@@ -188,7 +192,8 @@ func (a *Arena) EndTrace(input []byte) {
 }
 
 // Points returns the number of usable sample points (minimum trace
-// length), like TraceSet.Points.
+// length): jittered traces have ragged lengths, and the statistics run
+// over their common prefix.
 func (a *Arena) Points() int {
 	if a.pts >= 0 {
 		return a.pts
@@ -415,7 +420,8 @@ func (cs QClassSums) DifferenceOfMeansXor(s *[256]bool, out *[256]float64) {
 // 256 key guesses in one call. The hypothesis for trace i depends on i
 // only through its class, so Σx, Σx² and Σxy all collapse onto the class
 // counts and class sums, and exact integer arithmetic keeps every out[k]
-// bit-identical to TraceSet.MaxAbsPearson on the dequantized traces.
+// bit-identical to the per-trace float64 Pearson walk over the
+// dequantized traces.
 func (cs QClassSums) MaxAbsPearsonXor(h *[256]int64, out *[256]float64) {
 	*out = [256]float64{}
 	a, pts := cs.a, cs.pts

@@ -8,50 +8,35 @@ import (
 )
 
 // The kernel-equivalence property layer: the batched int16-arena kernels
-// must be BIT-identical to the retained naive float64 reference on
-// randomized trace sets. Both recording paths quantize at capture (the
-// ADC model), Scale is a power of two, and every arena sum is exact in
+// must be BIT-identical to the float64 reference (reference_test.go) on
+// randomized trace sets. The reference reads the dequantized arena
+// samples, Scale is a power of two, and every arena sum is exact in
 // int64 — so the equivalence is exact, not approximate, and these tests
 // compare math.Float64bits, not a tolerance.
 
-// recordPair records the same randomized traces through both paths:
-// the naive TraceSet via NewRecorder and the Arena via BeginTrace.
-// Separate probes with identical seeds keep the noise and jitter streams
-// aligned.
+// recordPair records randomized traces into an Arena and returns them
+// with their dequantized float64 reference set.
 func recordPair(seed int64, nTraces, leaksPer, jitterMax int, sigma float64) (*TraceSet, *Arena) {
-	mk := func() *Probe {
-		p := PowerProbe(sigma, seed)
-		p.JitterMax = jitterMax
-		return p
-	}
-	pNaive, pArena := mk(), mk()
-
-	ts := &TraceSet{}
+	p := PowerProbe(sigma, seed)
+	p.JitterMax = jitterMax
 	a := NewArena(16)
-
-	// One value stream drives both recordings.
 	vrng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	for i := 0; i < nTraces; i++ {
-		input := make([]byte, 16)
-		vrng.Read(input)
-		vals := make([]uint32, leaksPer)
-		for j := range vals {
-			vals[j] = vrng.Uint32()
-		}
-
-		rec := NewRecorder(pNaive)
-		for _, v := range vals {
-			rec.Leak(v)
-		}
-		ts.Add(rec.Samples, input)
-
-		arec := a.BeginTrace(pArena)
-		for _, v := range vals {
-			arec.Leak(v)
-		}
-		a.EndTrace(input)
+		recordTrace(a, p, vrng, leaksPer)
 	}
-	return ts, a
+	return ReferenceSet(a), a
+}
+
+// recordTrace records one trace of leaksPer random values under a
+// random input drawn from vrng.
+func recordTrace(a *Arena, p *Probe, vrng *rand.Rand, leaksPer int) {
+	input := make([]byte, 16)
+	vrng.Read(input)
+	rec := a.BeginTrace(p)
+	for j := 0; j < leaksPer; j++ {
+		rec.Leak(vrng.Uint32())
+	}
+	a.EndTrace(input)
 }
 
 // eqBits fails unless got and want are the same float64 bit pattern.
@@ -60,36 +45,6 @@ func eqBits(t *testing.T, what string, got, want float64) {
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("%s: arena %v (%#x) != naive %v (%#x)",
 			what, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-}
-
-// TestArenaRecordingMatchesNaive pins the capture front-ends: the
-// dequantized arena samples equal the naive recorder's samples exactly,
-// trace by trace, including ragged jitter lengths.
-func TestArenaRecordingMatchesNaive(t *testing.T) {
-	for _, jitter := range []int{0, 3} {
-		ts, a := recordPair(41, 17, 25, jitter, 0.8)
-		if a.Len() != ts.Len() {
-			t.Fatalf("jitter=%d: arena %d traces, naive %d", jitter, a.Len(), ts.Len())
-		}
-		if a.Points() != ts.Points() {
-			t.Fatalf("jitter=%d: arena %d points, naive %d", jitter, a.Points(), ts.Points())
-		}
-		for i := 0; i < a.Len(); i++ {
-			qtr, ftr := a.Trace(i), ts.Traces[i]
-			if len(qtr) != len(ftr) {
-				t.Fatalf("jitter=%d trace %d: arena len %d, naive len %d", jitter, i, len(qtr), len(ftr))
-			}
-			for j, q := range qtr {
-				if math.Float64bits(Dequant(q)) != math.Float64bits(ftr[j]) {
-					t.Fatalf("jitter=%d trace %d sample %d: dequant %v != naive %v",
-						jitter, i, j, Dequant(q), ftr[j])
-				}
-			}
-			if string(a.Input(i)) != string(ts.Inputs[i]) {
-				t.Fatalf("jitter=%d trace %d: inputs differ", jitter, i)
-			}
-		}
 	}
 }
 
@@ -189,13 +144,8 @@ func TestMaxAbsPearsonEquivalence(t *testing.T) {
 // analyse, extend the same sets, analyse again — the arena's invalidated
 // caches must rebuild to bit-identical statistics at every checkpoint.
 func TestEquivalenceAcrossExtend(t *testing.T) {
-	mk := func() *Probe {
-		p := PowerProbe(1.2, 99)
-		p.JitterMax = 2
-		return p
-	}
-	pNaive, pArena := mk(), mk()
-	ts := &TraceSet{}
+	p := PowerProbe(1.2, 99)
+	p.JitterMax = 2
 	a := NewArena(16)
 	vrng := rand.New(rand.NewSource(991))
 
@@ -209,25 +159,11 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 
 	for pass := 0; pass < 3; pass++ {
 		for i := 0; i < 40; i++ {
-			input := make([]byte, 16)
-			vrng.Read(input)
-			vals := make([]uint32, 20)
-			for j := range vals {
-				vals[j] = vrng.Uint32()
-			}
-			rec := NewRecorder(pNaive)
-			for _, v := range vals {
-				rec.Leak(v)
-			}
-			ts.Add(rec.Samples, input)
-			arec := a.BeginTrace(pArena)
-			for _, v := range vals {
-				arec.Leak(v)
-			}
-			a.EndTrace(input)
+			recordTrace(a, p, vrng, 20)
 		}
 
 		const byteIdx = 2
+		ts := ReferenceSet(a)
 		checkDoM(t, "DifferenceOfMeansXor after extend", ts, a, byteIdx, &sel)
 		checkPearson(t, "MaxAbsPearsonXor after extend", ts, a, byteIdx, &hyp)
 	}
@@ -242,7 +178,6 @@ func TestEquivalenceAcrossExtend(t *testing.T) {
 // anywhere in the transforms would not.
 func TestRailEnvelope(t *testing.T) {
 	const n, byteIdx = 1 << 13, 9
-	ts := &TraceSet{}
 	a := NewArena(16)
 	p := PowerProbe(0, 1)
 	rng := rand.New(rand.NewSource(13))
@@ -256,12 +191,10 @@ func TestRailEnvelope(t *testing.T) {
 		if rng.Intn(2) == 1 {
 			rail[2] = 1
 		}
-		rec, arec := NewRecorder(p), a.BeginTrace(p)
+		rec := a.BeginTrace(p)
 		for _, x := range rail {
 			rec.record(x * 1e9)
-			arec.record(x * 1e9)
 		}
-		ts.Add(rec.Samples, input)
 		a.EndTrace(input)
 	}
 	for i := 0; i < n; i++ {
@@ -277,6 +210,7 @@ func TestRailEnvelope(t *testing.T) {
 		sel[v] = v&1 == 1
 		hyp[v] = int64(v % 9)
 	}
+	ts := ReferenceSet(a)
 	checkDoM(t, "rail DifferenceOfMeansXor", ts, a, byteIdx, &sel)
 	checkPearson(t, "rail MaxAbsPearsonXor", ts, a, byteIdx, &hyp)
 }

@@ -15,10 +15,7 @@
 // paper-section cross-reference.
 package power
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // HW returns the Hamming weight of v — the canonical power model for CMOS
 // bus transfers.
@@ -92,43 +89,19 @@ func EMProbe(sigma float64, seed int64) *Probe {
 	return &Probe{Model: ModelHW, Gain: 0.6, Noise: NewNoise(sigma*1.8, seed)}
 }
 
-// Recorder captures one trace: a sequence of leakage samples, quantized
-// onto the acquisition ADC's grid (see Quantize). A Recorder either owns
-// its Samples slice (NewRecorder — the naive float64 path) or streams
-// int16 steps into an Arena's contiguous backing (Arena.BeginTrace);
-// both record bit-identical values, which is what lets the batched
-// integer kernels and the naive float64 reference agree exactly.
+// Recorder captures one trace into an Arena: a sequence of leakage
+// samples, quantized onto the acquisition ADC's grid (see Quantize) and
+// appended to the arena's contiguous backing. Arena.BeginTrace hands
+// out the arena's own Recorder.
 type Recorder struct {
-	Probe   *Probe
-	Samples []float64
-	prev    uint32
-	arena   *Arena
+	Probe *Probe
+	prev  uint32
+	arena *Arena
 }
 
-// newJitterRNG seeds the probe's hiding-jitter stream; NewRecorder and
-// Arena.BeginTrace share it so both recording paths draw identical
-// jitter.
-func newJitterRNG(p *Probe) *rand.Rand {
-	return rand.New(rand.NewSource(0x7ace + int64(p.JitterMax)))
-}
-
-// NewRecorder starts a trace on the given probe.
-func NewRecorder(p *Probe) *Recorder {
-	if p.jrng == nil {
-		p.jrng = newJitterRNG(p)
-	}
-	return &Recorder{Probe: p}
-}
-
-// record appends one quantized sample to whichever backing the recorder
-// targets.
+// record appends one quantized sample to the arena backing.
 func (r *Recorder) record(x float64) {
-	q := Quantize(x)
-	if r.arena != nil {
-		r.arena.qs = append(r.arena.qs, q)
-		return
-	}
-	r.Samples = append(r.Samples, Dequant(q))
+	r.arena.qs = append(r.arena.qs, Quantize(x))
 }
 
 // Leak records the leakage of one intermediate value.
@@ -150,280 +123,4 @@ func (r *Recorder) Leak(v uint32) {
 	}
 	r.prev = v
 	r.record(sig*p.Gain + p.Noise.Sample())
-}
-
-// Trace is one captured measurement.
-type Trace []float64
-
-// TraceSet is a matrix of traces (rows) by sample points (columns). Traces
-// may have ragged lengths when jitter is on; statistics run over the
-// common prefix.
-type TraceSet struct {
-	Traces []Trace
-	// Inputs holds per-trace public data (e.g. plaintexts).
-	Inputs [][]byte
-
-	// cols caches the hypothesis-independent per-point sums the CPA
-	// distinguisher reuses across all 256 key guesses; Add invalidates it.
-	cols *colSums
-}
-
-// colSums are the per-point trace sums Σy and Σy² over the common prefix,
-// plus the trace count they were computed at. They depend only on the
-// trace matrix — never on a key hypothesis — so one computation serves
-// every Pearson query until the set grows.
-type colSums struct {
-	n   int
-	pts int
-	sy  []float64
-	syy []float64
-}
-
-// Add appends a trace with its associated public input.
-func (ts *TraceSet) Add(tr Trace, input []byte) {
-	ts.Traces = append(ts.Traces, tr)
-	ts.Inputs = append(ts.Inputs, input)
-	ts.cols = nil
-}
-
-// colSums returns the cached per-point sums, computing them on first use.
-// Accumulation runs in trace order per point, exactly like the direct
-// Pearson loop, so cached and uncached statistics are bit-identical.
-func (ts *TraceSet) colSums() *colSums {
-	if ts.cols != nil && ts.cols.n == len(ts.Traces) {
-		return ts.cols
-	}
-	cs := &colSums{n: len(ts.Traces), pts: ts.Points()}
-	cs.sy = make([]float64, cs.pts)
-	cs.syy = make([]float64, cs.pts)
-	for _, tr := range ts.Traces {
-		for j := 0; j < cs.pts; j++ {
-			y := tr[j]
-			cs.sy[j] += y
-			cs.syy[j] += y * y
-		}
-	}
-	ts.cols = cs
-	return cs
-}
-
-// Len returns the number of traces.
-func (ts *TraceSet) Len() int { return len(ts.Traces) }
-
-// Points returns the number of usable sample points (minimum length).
-func (ts *TraceSet) Points() int {
-	if len(ts.Traces) == 0 {
-		return 0
-	}
-	min := len(ts.Traces[0])
-	for _, tr := range ts.Traces[1:] {
-		if len(tr) < min {
-			min = len(tr)
-		}
-	}
-	return min
-}
-
-// Pearson computes the correlation coefficient between the hypothesis
-// vector h (one value per trace) and the samples at point j.
-func (ts *TraceSet) Pearson(h []float64, j int) float64 {
-	n := float64(len(ts.Traces))
-	if n < 2 {
-		return 0
-	}
-	var sx, sy, sxx, syy, sxy float64
-	for i, tr := range ts.Traces {
-		x := h[i]
-		y := tr[j]
-		sx += x
-		sy += y
-		sxx += x * x
-		syy += y * y
-		sxy += x * y
-	}
-	num := n*sxy - sx*sy
-	den := math.Sqrt(n*sxx-sx*sx) * math.Sqrt(n*syy-sy*sy)
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// MaxAbsPearson returns the largest |correlation| across all points for the
-// hypothesis vector h — the CPA distinguisher statistic.
-//
-// It computes exactly what Pearson computes at every point, but factors
-// the per-point pass down to the one term that depends on both the
-// hypothesis and the point (Σxy): the hypothesis sums Σx/Σx² hoist out of
-// the point loop and the trace sums Σy/Σy² come from the per-set cache,
-// all accumulated in the same order as the direct loop — so the result is
-// bit-identical at roughly a third of the arithmetic.
-func (ts *TraceSet) MaxAbsPearson(h []float64) float64 {
-	n := float64(len(ts.Traces))
-	if n < 2 {
-		return 0
-	}
-	cols := ts.colSums()
-	var sx, sxx float64
-	for _, x := range h {
-		sx += x
-		sxx += x * x
-	}
-	hden := math.Sqrt(n*sxx - sx*sx)
-	best := 0.0
-	for j := 0; j < cols.pts; j++ {
-		var sxy float64
-		for i, tr := range ts.Traces {
-			sxy += h[i] * tr[j]
-		}
-		num := n*sxy - sx*cols.sy[j]
-		den := hden * math.Sqrt(n*cols.syy[j]-cols.sy[j]*cols.sy[j])
-		if den == 0 {
-			continue
-		}
-		if r := math.Abs(num / den); r > best {
-			best = r
-		}
-	}
-	return best
-}
-
-// DifferenceOfMeans partitions traces by the selector and returns the
-// maximum absolute difference of mean traces — Kocher's original DPA
-// distinguisher.
-func (ts *TraceSet) DifferenceOfMeans(selector func(i int) bool) float64 {
-	pts := ts.Points()
-	if pts == 0 {
-		return 0
-	}
-	sum0 := make([]float64, pts)
-	sum1 := make([]float64, pts)
-	var n0, n1 float64
-	for i, tr := range ts.Traces {
-		if selector(i) {
-			n1++
-			for j := 0; j < pts; j++ {
-				sum1[j] += tr[j]
-			}
-		} else {
-			n0++
-			for j := 0; j < pts; j++ {
-				sum0[j] += tr[j]
-			}
-		}
-	}
-	if n0 == 0 || n1 == 0 {
-		return 0
-	}
-	best := 0.0
-	for j := 0; j < pts; j++ {
-		d := math.Abs(sum1[j]/n1 - sum0[j]/n0)
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// ClassSums are per-class pointwise trace sums: every trace is assigned
-// one of 256 classes (for DPA, the value of one plaintext byte) and its
-// samples accumulate into that class's sum vector. A difference-of-means
-// query for a key guess then combines at most 256 presummed vectors
-// instead of re-walking every trace — the guess loop of Kocher's DPA runs
-// 256 guesses over the same trace matrix, so the grouping pass pays for
-// itself hundreds of times over.
-type ClassSums struct {
-	pts   int
-	n     int
-	count [256]int
-	sums  [256][]float64 // nil for classes with no traces
-
-	// scratch0/scratch1 are the reused partition accumulators of
-	// DifferenceOfMeans, so the 256-guess loop does not allocate.
-	scratch0, scratch1 []float64
-}
-
-// ClassSums groups the set's traces by class(i) over the common prefix.
-// Per class, samples accumulate in trace order — the same order the
-// direct DifferenceOfMeans walks them.
-func (ts *TraceSet) ClassSums(class func(i int) uint8) *ClassSums {
-	cs := &ClassSums{pts: ts.Points(), n: ts.Len()}
-	for i, tr := range ts.Traces {
-		v := class(i)
-		s := cs.sums[v]
-		if s == nil {
-			s = make([]float64, cs.pts)
-			cs.sums[v] = s
-		}
-		cs.count[v]++
-		for j := 0; j < cs.pts; j++ {
-			s[j] += tr[j]
-		}
-	}
-	return cs
-}
-
-// Points returns the number of usable sample points of the grouped set.
-func (cs *ClassSums) Points() int { return cs.pts }
-
-// DifferenceOfMeans partitions the classes with selected and returns the
-// maximum absolute difference of mean traces between the two partitions —
-// the grouped form of TraceSet.DifferenceOfMeans. Both partitions are
-// summed from the class vectors (no total-minus-selected subtraction), in
-// ascending class order.
-func (cs *ClassSums) DifferenceOfMeans(selected func(v uint8) bool) float64 {
-	if cs.pts == 0 {
-		return 0
-	}
-	if cs.scratch0 == nil {
-		cs.scratch0 = make([]float64, cs.pts)
-		cs.scratch1 = make([]float64, cs.pts)
-	}
-	sum0, sum1 := cs.scratch0, cs.scratch1
-	clear(sum0)
-	clear(sum1)
-	var n0, n1 float64
-	for v := 0; v < 256; v++ {
-		s := cs.sums[v]
-		if s == nil {
-			continue
-		}
-		if selected(uint8(v)) {
-			n1 += float64(cs.count[v])
-			for j, x := range s {
-				sum1[j] += x
-			}
-		} else {
-			n0 += float64(cs.count[v])
-			for j, x := range s {
-				sum0[j] += x
-			}
-		}
-	}
-	if n0 == 0 || n1 == 0 {
-		return 0
-	}
-	best := 0.0
-	for j := 0; j < cs.pts; j++ {
-		d := math.Abs(sum1[j]/n1 - sum0[j]/n0)
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// MeanTrace returns the pointwise mean across the set.
-func (ts *TraceSet) MeanTrace() Trace {
-	pts := ts.Points()
-	out := make(Trace, pts)
-	for _, tr := range ts.Traces {
-		for j := 0; j < pts; j++ {
-			out[j] += tr[j]
-		}
-	}
-	for j := range out {
-		out[j] /= float64(len(ts.Traces))
-	}
-	return out
 }

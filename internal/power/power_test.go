@@ -55,38 +55,49 @@ func TestNoiseStatistics(t *testing.T) {
 	}
 }
 
+// recordOne records the values as one trace on the probe and returns
+// the dequantized samples.
+func recordOne(p *Probe, vals ...uint32) []float64 {
+	a := NewArena(0)
+	rec := a.BeginTrace(p)
+	for _, v := range vals {
+		rec.Leak(v)
+	}
+	a.EndTrace(nil)
+	out := make([]float64, 0, len(vals))
+	for _, q := range a.Trace(0) {
+		out = append(out, Dequant(q))
+	}
+	return out
+}
+
 func TestRecorderModels(t *testing.T) {
 	p := &Probe{Model: ModelHW, Gain: 1, Noise: NewNoise(0, 1)}
-	r := NewRecorder(p)
-	r.Leak(0xff)
-	r.Leak(0x0f)
-	if r.Samples[0] != 8 || r.Samples[1] != 4 {
-		t.Errorf("HW samples = %v", r.Samples)
+	if s := recordOne(p, 0xff, 0x0f); s[0] != 8 || s[1] != 4 {
+		t.Errorf("HW samples = %v", s)
 	}
 	p2 := &Probe{Model: ModelHD, Gain: 1, Noise: NewNoise(0, 1)}
-	r2 := NewRecorder(p2)
-	r2.Leak(0xff) // HD(0, ff) = 8
-	r2.Leak(0x0f) // HD(ff, 0f) = 4
-	if r2.Samples[0] != 8 || r2.Samples[1] != 4 {
-		t.Errorf("HD samples = %v", r2.Samples)
+	// HD(0, ff) = 8, HD(ff, 0f) = 4.
+	if s := recordOne(p2, 0xff, 0x0f); s[0] != 8 || s[1] != 4 {
+		t.Errorf("HD samples = %v", s)
 	}
 	p3 := &Probe{Model: ModelIdentity, Gain: 2, Noise: NewNoise(0, 1)}
-	r3 := NewRecorder(p3)
-	r3.Leak(21)
-	if r3.Samples[0] != 42 {
-		t.Errorf("identity sample = %v", r3.Samples)
+	if s := recordOne(p3, 21); s[0] != 42 {
+		t.Errorf("identity sample = %v", s)
 	}
 }
 
 func TestJitterMisalignsTraces(t *testing.T) {
 	p := &Probe{Model: ModelHW, Gain: 1, Noise: NewNoise(0.1, 7), JitterMax: 3}
+	a := NewArena(0)
 	lens := map[int]bool{}
 	for i := 0; i < 20; i++ {
-		r := NewRecorder(p)
+		r := a.BeginTrace(p)
 		for k := 0; k < 10; k++ {
 			r.Leak(uint32(k))
 		}
-		lens[len(r.Samples)] = true
+		a.EndTrace(nil)
+		lens[len(a.Trace(i))] = true
 	}
 	if len(lens) < 2 {
 		t.Error("jitter produced identical trace lengths")
@@ -101,71 +112,5 @@ func TestEMProbeWeakerThanPower(t *testing.T) {
 	}
 	if em.Noise.Sigma <= pw.Noise.Sigma {
 		t.Error("EM noise not higher")
-	}
-}
-
-func TestPearsonCorrelation(t *testing.T) {
-	ts := &TraceSet{}
-	h := make([]float64, 50)
-	for i := 0; i < 50; i++ {
-		x := float64(i)
-		h[i] = x
-		// Point 0 perfectly correlated, point 1 anti-correlated, point 2
-		// constant.
-		ts.Add(Trace{2*x + 1, -x, 3}, nil)
-	}
-	if r := ts.Pearson(h, 0); math.Abs(r-1) > 1e-9 {
-		t.Errorf("corr at 0 = %v", r)
-	}
-	if r := ts.Pearson(h, 1); math.Abs(r+1) > 1e-9 {
-		t.Errorf("corr at 1 = %v", r)
-	}
-	if r := ts.Pearson(h, 2); r != 0 {
-		t.Errorf("corr at constant point = %v", r)
-	}
-	if m := ts.MaxAbsPearson(h); math.Abs(m-1) > 1e-9 {
-		t.Errorf("max |corr| = %v", m)
-	}
-}
-
-func TestDifferenceOfMeans(t *testing.T) {
-	ts := &TraceSet{}
-	for i := 0; i < 100; i++ {
-		base := 1.0
-		if i%2 == 0 {
-			base = 5.0 // group-dependent level at point 1
-		}
-		ts.Add(Trace{2.0, base}, nil)
-	}
-	d := ts.DifferenceOfMeans(func(i int) bool { return i%2 == 0 })
-	if math.Abs(d-4.0) > 1e-9 {
-		t.Errorf("DoM = %v, want 4", d)
-	}
-	// Degenerate partitions yield zero.
-	if ts.DifferenceOfMeans(func(i int) bool { return true }) != 0 {
-		t.Error("one-sided partition nonzero")
-	}
-}
-
-func TestTraceSetPointsRagged(t *testing.T) {
-	ts := &TraceSet{}
-	ts.Add(Trace{1, 2, 3}, nil)
-	ts.Add(Trace{4, 5}, nil)
-	if ts.Points() != 2 {
-		t.Errorf("points = %d", ts.Points())
-	}
-	mean := ts.MeanTrace()
-	if len(mean) != 2 || mean[0] != 2.5 || mean[1] != 3.5 {
-		t.Errorf("mean = %v", mean)
-	}
-}
-
-func TestEmptyTraceSet(t *testing.T) {
-	ts := &TraceSet{}
-	if ts.Points() != 0 || ts.Len() != 0 {
-		t.Error("empty set not empty")
-	}
-	if ts.DifferenceOfMeans(func(int) bool { return false }) != 0 {
-		t.Error("empty DoM nonzero")
 	}
 }
