@@ -538,19 +538,12 @@ func BenchmarkAttestationReport(b *testing.B) {
 			}
 		}
 	})
-	b.Run("ecdsa-quote", func(b *testing.B) {
-		qk, err := attest.NewQuotingKey()
-		if err != nil {
-			b.Fatal(err)
-		}
+	b.Run("quote", func(b *testing.B) {
+		qk := attest.NewQuotingKey(attest.DeriveKey([32]byte{}, "bench/quoting"))
 		r := attest.NewReport(keyBytes, m, []byte("nonce"), nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			q, err := qk.Sign(r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !attest.VerifyQuote(qk.Public(), q) {
+			if !attest.VerifyQuote(qk.Public(), qk.Sign(r)) {
 				b.Fatal("verify failed")
 			}
 		}

@@ -74,11 +74,7 @@ app:    li   t0, 1
 		log.Fatal(err)
 	}
 	prog := intrust.MustAssemble(".org 0\nhlt")
-	sig, err := ty.SignImage(prog.Segments[0].Data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "rt-app", Program: prog, DataSize: 64}, sig)
+	tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "rt-app", Program: prog, DataSize: 64}, ty.SignImage(prog.Segments[0].Data))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -181,7 +181,7 @@ func TestDFAStarvedByRedundancy(t *testing.T) {
 }
 
 func TestBellcoreFactorsModulus(t *testing.T) {
-	key, err := softcrypto.GenerateRSA(512)
+	key, err := softcrypto.GenerateRSAFrom(rand.New(rand.NewSource(23)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,6 @@ package transient
 
 import (
 	"bytes"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"math/big"
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/attest"
@@ -129,12 +126,10 @@ func TestForeshadowForgesAttestation(t *testing.T) {
 	if res.Correct != full {
 		t.Fatalf("extracted %d/%d key bytes", res.Correct, full)
 	}
-	// Reconstruct the ECDSA key from the stolen scalar.
-	d := new(big.Int).SetBytes(res.Recovered)
-	stolen := &ecdsa.PrivateKey{D: d}
-	stolen.PublicKey.Curve = elliptic.P256()
-	stolen.PublicKey.X, stolen.PublicKey.Y = elliptic.P256().ScalarBaseMult(res.Recovered)
-	if stolen.PublicKey.X.Cmp(s.QuotingPublic().Public().X) != 0 {
+	// The stolen bytes are the Ed25519 seed: they rebuild the platform's
+	// attestation key outright.
+	stolen := attest.NewQuotingKey([32]byte(res.Recovered))
+	if !stolen.Public().Equal(s.QuotingPublic().Public()) {
 		t.Fatal("stolen key does not match platform public key")
 	}
 	// Forge a quote for "malware" with a fresh nonce: the verifier that
@@ -143,20 +138,10 @@ func TestForeshadowForgesAttestation(t *testing.T) {
 	malware := attest.Measure([]byte("malware enclave"))
 	verifier.AllowMeasurement("genuine-app", malware) // verifier is told it's genuine
 	nonce, _ := verifier.Challenge()
-	report := attest.NewReport(nil, malware, nonce, nil)
-	forged, err := forgeQuote(stolen, report)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forged := stolen.Sign(attest.NewReport(nil, malware, nonce, nil))
 	if err := verifier.CheckQuote(s.QuotingPublic().Public(), forged); err != nil {
 		t.Fatalf("forged quote rejected: %v", err)
 	}
-}
-
-func forgeQuote(k *ecdsa.PrivateKey, r *attest.Report) (*attest.Quote, error) {
-	// Reimplements the quote signature with the stolen key: the digest
-	// layout is public (it is part of the attestation protocol).
-	return attest.SignQuoteWithKey(k, r)
 }
 
 func TestForeshadowMitigatedByL1Flush(t *testing.T) {

@@ -1,17 +1,22 @@
 // Package attest implements the attestation and sealed-storage primitives
 // every surveyed architecture builds on: code measurement (hash chains),
 // MAC-based attestation reports (SMART's HMAC over region‖params‖nonce),
-// ECDSA-signed quotes for remote attestation (SGX's quoting model), nonce
-// freshness tracking, and measurement-bound sealing (AES-GCM under a key
-// derived from the platform secret and the enclave identity).
+// Ed25519-signed quotes for remote attestation (SGX's quoting model),
+// nonce freshness tracking, key derivation from a platform's fused root
+// secret, and measurement-bound sealing (AES-GCM under a key derived from
+// the platform secret and the enclave identity).
+//
+// Every key comes from a caller-supplied secret, so a platform's keys
+// replay exactly from its fuse. crypto/rand supplies only freshness
+// values — verifier nonces and sealing IVs — whose unpredictability is
+// the property they exist for.
 package attest
 
 import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdsa"
-	"crypto/elliptic"
+	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
@@ -92,8 +97,8 @@ func VerifyReport(key []byte, r *Report) bool {
 	return hmac.Equal(mac.Sum(nil), r.MAC)
 }
 
-// Quote is a remotely verifiable report: an ECDSA signature instead of a
-// shared-key MAC, so verification needs only the platform's public key —
+// Quote is a remotely verifiable report: an Ed25519 signature instead of
+// a shared-key MAC, so verification needs only the platform's public key —
 // the SGX remote-attestation shape (Foreshadow's headline damage was
 // extracting exactly these signing keys).
 type Quote struct {
@@ -103,65 +108,47 @@ type Quote struct {
 
 // QuotingKey is the platform attestation key pair.
 type QuotingKey struct {
-	priv *ecdsa.PrivateKey
+	priv ed25519.PrivateKey
 }
 
-// NewQuotingKey generates a P-256 attestation key.
-func NewQuotingKey() (*QuotingKey, error) {
-	k, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("attest: quoting key: %w", err)
-	}
-	return &QuotingKey{priv: k}, nil
+// NewQuotingKey expands a 32-byte seed into an Ed25519 attestation key.
+// The quote digest layout is public (it is part of the attestation
+// protocol), so anyone holding the seed signs quotes the platform's
+// verifiers accept — which is exactly what the Foreshadow experiment
+// demonstrates with a stolen one.
+func NewQuotingKey(seed [32]byte) *QuotingKey {
+	return &QuotingKey{priv: ed25519.NewKeyFromSeed(seed[:])}
 }
 
 // Public returns the verification key.
-func (q *QuotingKey) Public() *ecdsa.PublicKey { return &q.priv.PublicKey }
+func (q *QuotingKey) Public() ed25519.PublicKey { return q.priv.Public().(ed25519.PublicKey) }
 
-// PrivateBytes exposes the raw scalar — used only by the Foreshadow
-// experiment to demonstrate that leaking enclave memory leaks this key.
-func (q *QuotingKey) PrivateBytes() []byte { return q.priv.D.Bytes() }
+// PrivateBytes returns the 32-byte seed the quoting enclave stores in
+// EPC — the asset the Foreshadow experiment extracts.
+func (q *QuotingKey) PrivateBytes() []byte { return q.priv.Seed() }
 
 // Sign produces a quote over the report contents.
-func (q *QuotingKey) Sign(r *Report) (*Quote, error) {
-	digest := sha256.Sum256(reportDigestInput(r.Measurement, r.Nonce, r.AppData))
-	sig, err := ecdsa.SignASN1(rand.Reader, q.priv, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("attest: sign quote: %w", err)
-	}
-	return &Quote{Report: *r, Signature: sig}, nil
-}
-
-// SignQuoteWithKey signs a report with an externally supplied ECDSA key.
-// The quote digest layout is public (it is part of the attestation
-// protocol), so anyone holding the platform scalar can produce valid
-// quotes — which is exactly what the Foreshadow experiment demonstrates
-// with a stolen key.
-func SignQuoteWithKey(k *ecdsa.PrivateKey, r *Report) (*Quote, error) {
-	digest := sha256.Sum256(reportDigestInput(r.Measurement, r.Nonce, r.AppData))
-	sig, err := ecdsa.SignASN1(rand.Reader, k, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("attest: sign quote: %w", err)
-	}
-	return &Quote{Report: *r, Signature: sig}, nil
+func (q *QuotingKey) Sign(r *Report) *Quote {
+	return &Quote{Report: *r, Signature: ed25519.Sign(q.priv, reportDigestInput(r.Measurement, r.Nonce, r.AppData))}
 }
 
 // VerifyQuote checks a quote against the platform public key.
-func VerifyQuote(pub *ecdsa.PublicKey, q *Quote) bool {
-	digest := sha256.Sum256(reportDigestInput(q.Report.Measurement, q.Report.Nonce, q.Report.AppData))
-	return ecdsa.VerifyASN1(pub, digest[:], q.Signature)
+func VerifyQuote(pub ed25519.PublicKey, q *Quote) bool {
+	return ed25519.Verify(pub, reportDigestInput(q.Report.Measurement, q.Report.Nonce, q.Report.AppData), q.Signature)
 }
 
 // Verifier is a remote challenger: it issues nonces, tracks freshness, and
 // checks reports against expected measurements.
 type Verifier struct {
 	expected map[string]Measurement
-	used     map[string]bool
+	// pending holds the nonces issued by Challenge and not yet consumed
+	// by a check.
+	pending map[string]bool
 }
 
 // NewVerifier creates a verifier with an allow-list of good measurements.
 func NewVerifier() *Verifier {
-	return &Verifier{expected: map[string]Measurement{}, used: map[string]bool{}}
+	return &Verifier{expected: map[string]Measurement{}, pending: map[string]bool{}}
 }
 
 // AllowMeasurement registers a known-good measurement under a name.
@@ -169,17 +156,19 @@ func (v *Verifier) AllowMeasurement(name string, m Measurement) {
 	v.expected[name] = m
 }
 
-// Challenge issues a fresh random nonce.
+// Challenge issues a fresh random nonce and records it as pending.
 func (v *Verifier) Challenge() ([]byte, error) {
 	n := make([]byte, 16)
 	if _, err := rand.Read(n); err != nil {
 		return nil, err
 	}
+	v.pending[string(n)] = true
 	return n, nil
 }
 
 // CheckReport validates MAC, measurement allow-list membership and nonce
-// freshness (each nonce accepted once).
+// freshness: the nonce must be one this verifier issued, and a passing
+// check consumes it, so it is accepted once.
 func (v *Verifier) CheckReport(key []byte, r *Report) error {
 	if !VerifyReport(key, r) {
 		return errors.New("attest: report MAC invalid")
@@ -188,7 +177,7 @@ func (v *Verifier) CheckReport(key []byte, r *Report) error {
 }
 
 // CheckQuote validates signature, measurement and freshness.
-func (v *Verifier) CheckQuote(pub *ecdsa.PublicKey, q *Quote) error {
+func (v *Verifier) CheckQuote(pub ed25519.PublicKey, q *Quote) error {
 	if !VerifyQuote(pub, q) {
 		return errors.New("attest: quote signature invalid")
 	}
@@ -207,11 +196,25 @@ func (v *Verifier) checkCommon(m *Measurement, nonce []byte) error {
 		return fmt.Errorf("attest: measurement %s not in allow-list", m)
 	}
 	ns := string(nonce)
-	if v.used[ns] {
-		return errors.New("attest: nonce replayed")
+	if !v.pending[ns] {
+		return errors.New("attest: nonce not issued by this verifier or already used")
 	}
-	v.used[ns] = true
+	delete(v.pending, ns)
 	return nil
+}
+
+// DeriveKey derives the 256-bit key for label from a platform's root
+// secret: HMAC-SHA256(root, "intrust-kdf-v1/" ‖ label). Every TEE model
+// keys its hardware (MEE, report and sealing secrets, attestation keys)
+// this way from platform.Platform.Fuse, so distinct labels give
+// independent keys and one fuse value replays every key of the device.
+func DeriveKey(root [32]byte, label string) [32]byte {
+	mac := hmac.New(sha256.New, root[:])
+	mac.Write([]byte("intrust-kdf-v1/"))
+	mac.Write([]byte(label))
+	var k [32]byte
+	mac.Sum(k[:0])
+	return k
 }
 
 // SealKey derives the sealing key for an identity from the platform

@@ -2,6 +2,7 @@ package attest
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,25 +59,41 @@ func TestReportMACQuick(t *testing.T) {
 }
 
 func TestQuoteSignVerify(t *testing.T) {
-	qk, err := NewQuotingKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := DeriveKey([32]byte{7}, "test/quoting")
+	qk := NewQuotingKey(seed)
 	m := Measure([]byte("enclave"))
 	r := NewReport([]byte("local"), m, []byte("n"), nil)
-	q, err := qk.Sign(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := qk.Sign(r)
 	if !VerifyQuote(qk.Public(), q) {
 		t.Fatal("genuine quote rejected")
+	}
+	// One seed, one key: a second key from the same seed signs the same
+	// bytes (Ed25519 is deterministic) and exposes the seed itself.
+	if again := NewQuotingKey(seed).Sign(r); !bytes.Equal(again.Signature, q.Signature) {
+		t.Fatal("same seed produced a different signature")
+	}
+	if !bytes.Equal(qk.PrivateBytes(), seed[:]) {
+		t.Fatalf("PrivateBytes = %x, want the seed %x", qk.PrivateBytes(), seed)
 	}
 	q.Report.AppData = []byte("evil")
 	if VerifyQuote(qk.Public(), q) {
 		t.Fatal("tampered quote accepted")
 	}
-	if len(qk.PrivateBytes()) == 0 {
-		t.Fatal("private scalar empty")
+}
+
+func TestDeriveKey(t *testing.T) {
+	root := [32]byte{1, 2, 3}
+	k := DeriveKey(root, "sgx/mee")
+	if k != DeriveKey(root, "sgx/mee") {
+		t.Fatal("derivation not deterministic")
+	}
+	for _, other := range [][32]byte{DeriveKey(root, "sgx/platform"), DeriveKey([32]byte{1, 2, 4}, "sgx/mee")} {
+		if k == other {
+			t.Fatal("distinct label or root derived the same key")
+		}
+	}
+	if k == ([32]byte{}) {
+		t.Fatal("derived key is zero")
 	}
 }
 
@@ -104,25 +121,53 @@ func TestVerifierFlow(t *testing.T) {
 	if err := v.CheckReport(key, bad); err == nil {
 		t.Fatal("unknown measurement accepted")
 	}
+	// A rejected report leaves its nonce pending for a genuine one.
+	if err := v.CheckReport(key, NewReport(key, good, nonce2, nil)); err != nil {
+		t.Fatalf("genuine report under a pending nonce rejected: %v", err)
+	}
+}
+
+// TestVerifierRejectsUnissuedNonce pins nonce freshness: a correctly
+// MACed report with an allowed measurement is still rejected when its
+// nonce was chosen by the prover (precomputed) rather than issued by this
+// verifier's Challenge.
+func TestVerifierRejectsUnissuedNonce(t *testing.T) {
+	key := []byte("shared")
+	v := NewVerifier()
+	good := Measure([]byte("good code"))
+	v.AllowMeasurement("app", good)
+	if _, err := v.Challenge(); err != nil {
+		t.Fatal(err)
+	}
+	chosen := []byte("attacker-chosen!")
+	r := NewReport(key, good, chosen, nil)
+	err := v.CheckReport(key, r)
+	if err == nil {
+		t.Fatal("report under a self-chosen nonce accepted")
+	}
+	if !strings.Contains(err.Error(), "nonce") {
+		t.Fatalf("rejected for %v, want the nonce check", err)
+	}
+	qk := NewQuotingKey([32]byte{9})
+	if err := v.CheckQuote(qk.Public(), qk.Sign(r)); err == nil {
+		t.Fatal("quote under a self-chosen nonce accepted")
+	}
 }
 
 func TestVerifierQuotePath(t *testing.T) {
-	qk, _ := NewQuotingKey()
+	qk := NewQuotingKey([32]byte{1})
 	v := NewVerifier()
 	m := Measure([]byte("enclave X"))
 	v.AllowMeasurement("x", m)
 	nonce, _ := v.Challenge()
-	q, err := qk.Sign(NewReport(nil, m, nonce, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := qk.Sign(NewReport(nil, m, nonce, nil))
 	if err := v.CheckQuote(qk.Public(), q); err != nil {
 		t.Fatalf("quote rejected: %v", err)
 	}
 	// A different key cannot impersonate the platform.
-	qk2, _ := NewQuotingKey()
+	qk2 := NewQuotingKey([32]byte{2})
 	nonce2, _ := v.Challenge()
-	forged, _ := qk2.Sign(NewReport(nil, m, nonce2, nil))
+	forged := qk2.Sign(NewReport(nil, m, nonce2, nil))
 	if err := v.CheckQuote(qk.Public(), forged); err == nil {
 		t.Fatal("forged quote accepted")
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
 func TestFigure1ReproducesPaperShape(t *testing.T) {
@@ -108,6 +111,48 @@ func TestTable2MatchesPaperClaims(t *testing.T) {
 		if row[col("OS access")] == "LEAKS" && name != "SMART (model)" {
 			t.Errorf("%s leaks to OS access", name)
 		}
+	}
+}
+
+// TestArchProbesReplayKeys pins the fused-root contract TAB2 renders
+// from: every probe assembles a fresh platform (zero fuse), and every key
+// it carries derives from that fuse, so building a probe twice yields the
+// same key material — the attestation key, the report MAC of the probe
+// enclave (Sancus's module key has no other window), and SGX's quoting
+// seed.
+func TestArchProbesReplayKeys(t *testing.T) {
+	keys := func(ap *archProbe) []byte {
+		k := append([]byte{}, ap.attestKey...)
+		if ap.enclave != nil {
+			r, err := ap.enclave.Attest([]byte("replay"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k = append(k, r.MAC...)
+		}
+		if s, ok := ap.arch.(*sgx.SGX); ok {
+			k = append(k, s.QuotingPublic().PrivateBytes()...)
+		}
+		return k
+	}
+	for _, b := range archBuilders() {
+		t.Run(b.key, func(t *testing.T) {
+			var got [2][]byte
+			for i := range got {
+				ap, err := b.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = keys(ap)
+				ap.arch.Platform().Mem.Release()
+			}
+			if len(got[0]) == 0 {
+				t.Fatal("probe exposes no key material")
+			}
+			if !bytes.Equal(got[0], got[1]) {
+				t.Fatalf("rebuilt probe keys differ:\n%x\n%x", got[0], got[1])
+			}
+		})
 	}
 }
 

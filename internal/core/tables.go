@@ -175,11 +175,7 @@ func archBuilders() []archBuilder {
 				return nil, err
 			}
 			p := prog()
-			sig, err := ty.SignImage(p.Segments[0].Data)
-			if err != nil {
-				return nil, err
-			}
-			tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "probe", Program: p, DataSize: 64}, sig)
+			tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "probe", Program: p, DataSize: 64}, ty.SignImage(p.Segments[0].Data))
 			if err != nil {
 				return nil, err
 			}
@@ -345,7 +341,7 @@ func Table4Transient(samples int) (*Table, error) {
 		"TAB4 — transient-execution attacks vs platform configurations",
 		"configuration", table4Rows, samples,
 		"SGX abort-page semantics stop plain Meltdown; Foreshadow bypasses them via a cleared present bit",
-		"the Foreshadow rows extract the platform's ECDSA attestation scalar from the quoting enclave's EPC memory",
+		"the Foreshadow rows extract the platform's Ed25519 attestation seed from the quoting enclave's EPC memory",
 		"each row is the named scenario/architecture/defense cell of `intrust sweep`")
 }
 
@@ -483,8 +479,8 @@ func table5Experiments(quick bool) []engine.Experiment {
 				}, nil
 			}},
 		{Name: "tab5/bellcore", Attack: "physical",
-			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				rsaKey, err := softcrypto.GenerateRSA(512)
+			Run: func(ctx *engine.Ctx) (engine.Outcome, error) {
+				rsaKey, err := softcrypto.GenerateRSAFrom(ctx.RNG, 512)
 				if err != nil {
 					return engine.Outcome{}, err
 				}

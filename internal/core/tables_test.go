@@ -14,21 +14,19 @@ import (
 )
 
 // TestPaperTablesAreGridCells pins the one-measurement-path contract:
-// every TAB3/TAB4 row reports exactly the verdict its named grid cell
-// computes through RunCell, the serve layer's cell entry point. TAB3's
-// measurements must match byte for byte as well; TAB4's Foreshadow rows
-// count bytes of a quoting key the SGX model draws from crypto/rand, so
-// only its verdicts are reproducible.
+// every TAB3/TAB4 row reports exactly the verdict and the measurement its
+// named grid cell computes through RunCell, the serve layer's cell entry
+// point, byte for byte. (TAB4's Foreshadow rows count bytes of a quoting
+// key derived from the cell seed, so they replay too.)
 func TestPaperTablesAreGridCells(t *testing.T) {
 	const samples = 64
 	for _, tc := range []struct {
-		name        string
-		render      func(int) (*Table, error)
-		rows        []gridRow
-		measurement bool
+		name   string
+		render func(int) (*Table, error)
+		rows   []gridRow
 	}{
-		{"TAB3", Table3CacheSCA, table3Rows, true},
-		{"TAB4", Table4Transient, table4Rows, false},
+		{"TAB3", Table3CacheSCA, table3Rows},
+		{"TAB4", Table4Transient, table4Rows},
 	} {
 		tab, err := tc.render(samples)
 		if err != nil {
@@ -53,7 +51,7 @@ func TestPaperTablesAreGridCells(t *testing.T) {
 			if row[3] != res.Verdict {
 				t.Errorf("%s row %q/%q verdict %q, grid cell %s says %q", tc.name, row[0], row[1], row[3], row[4], res.Verdict)
 			}
-			if tc.measurement && row[2] != res.Rows[0][2] {
+			if row[2] != res.Rows[0][2] {
 				t.Errorf("%s row %q/%q measured %q, grid cell %s measured %q", tc.name, row[0], row[1], row[2], row[4], res.Rows[0][2])
 			}
 		}

@@ -105,6 +105,12 @@ type Platform struct {
 	ROMBase, ROMSize uint32
 	// ScratchBase is free RAM for workloads and experiments.
 	ScratchBase uint32
+
+	// Fuse is the device's root secret, burned once at manufacture: every
+	// TEE model derives all of its keys from it (attest.DeriveKey), so a
+	// device's keys replay exactly from this one value. A freshly
+	// assembled platform carries the zero fuse; Reset leaves it alone.
+	Fuse [32]byte
 }
 
 // Core returns core i.

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -361,9 +363,18 @@ func (e *Env) PowerProbe(sigma float64, seed int64) *power.Probe {
 // SGX builds the SGX instance for scenarios that target the EPC
 // (Foreshadow). It errors on any other architecture — callers should have
 // reported n/a through Applicable instead.
+//
+// The platform's fuse — and so the MEE key, platform secret and quoting
+// key — derives from the cell's seed alone (SHA-256 over a label and the
+// seed), never from the cell RNG, so a cell's keys replay exactly and no
+// other draw in the cell shifts.
 func (e *Env) SGX() (*sgx.SGX, error) {
 	if e.Arch != "sgx" {
 		return nil, fmt.Errorf("scenario: SGX instance requested for architecture %q", e.Arch)
 	}
-	return sgx.New(platform.NewServer())
+	p := platform.NewServer()
+	var seed [8]byte
+	binary.LittleEndian.PutUint64(seed[:], uint64(e.Seed))
+	p.Fuse = sha256.Sum256(append([]byte("intrust/scenario/fuse/"), seed[:]...))
+	return sgx.New(p)
 }

@@ -138,10 +138,11 @@ func transientScenarios() []Scenario {
 				if err != nil {
 					return Outcome{}, err
 				}
-				// The SGX instance is rebuilt per pass (its MEE key and
-				// quoting identity come from crypto/rand, so it cannot be
-				// pooled); release the server DRAM backing once the attack
-				// result — which only copies bytes out — is in hand.
+				// The SGX instance is rebuilt per pass (its keys derive
+				// from the cell seed, so a pooled instance would measure
+				// the same, but nothing pools it yet); release the server
+				// DRAM backing once the attack result — which only copies
+				// bytes out — is in hand.
 				defer s.Platform().Mem.Release()
 				// The l1tf-flush defense (§4.2) turns on SGX's microcode
 				// L1 flush on enclave exits.

@@ -1,8 +1,6 @@
 package softcrypto
 
 import (
-	"crypto/rand"
-	"crypto/rsa"
 	"fmt"
 	"io"
 	"math/big"
@@ -107,24 +105,6 @@ type RSAKey struct {
 	P, Q    *big.Int
 	DP, DQ  *big.Int // d mod p-1, d mod q-1
 	QInv    *big.Int // q^-1 mod p
-}
-
-// GenerateRSA creates an RSA key of the given bit size.
-func GenerateRSA(bits int) (*RSAKey, error) {
-	k, err := rsa.GenerateKey(rand.Reader, bits)
-	if err != nil {
-		return nil, fmt.Errorf("softcrypto: rsa keygen: %w", err)
-	}
-	p, q := k.Primes[0], k.Primes[1]
-	pm1 := new(big.Int).Sub(p, big.NewInt(1))
-	qm1 := new(big.Int).Sub(q, big.NewInt(1))
-	return &RSAKey{
-		N: k.N, E: big.NewInt(int64(k.E)), D: k.D,
-		P: p, Q: q,
-		DP:   new(big.Int).Mod(k.D, pm1),
-		DQ:   new(big.Int).Mod(k.D, qm1),
-		QInv: new(big.Int).ModInverse(q, p),
-	}, nil
 }
 
 // primeFrom draws random odd candidates of exactly the given bit length

@@ -82,7 +82,7 @@ func TestSquareMultiplyTimingVariesAcrossMessages(t *testing.T) {
 }
 
 func TestRSACRTSignVerify(t *testing.T) {
-	key, err := GenerateRSA(512)
+	key, err := GenerateRSAFrom(rand.New(rand.NewSource(21)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRSACRTSignVerify(t *testing.T) {
 }
 
 func TestRSACRTFaultBreaksSignature(t *testing.T) {
-	key, err := GenerateRSA(512)
+	key, err := GenerateRSAFrom(rand.New(rand.NewSource(22)), 512)
 	if err != nil {
 		t.Fatal(err)
 	}

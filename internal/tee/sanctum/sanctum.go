@@ -17,7 +17,6 @@
 package sanctum
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attest"
@@ -76,10 +75,7 @@ func New(p *platform.Platform) (*Sanctum, error) {
 	if numColors < 2 {
 		return nil, fmt.Errorf("sanctum: LLC too small for page coloring")
 	}
-	secret := make([]byte, 32)
-	if _, err := rand.Read(secret); err != nil {
-		return nil, err
-	}
+	secret := attest.DeriveKey(p.Fuse, "sanctum/platform")
 	s := &Sanctum{
 		plat:           p,
 		colorStride:    setsBytes,
@@ -90,7 +86,7 @@ func New(p *platform.Platform) (*Sanctum, error) {
 		enclaves:       map[int]*Enclave{},
 		nextID:         1,
 		monitorKey:     secret[16:],
-		platformSecret: secret,
+		platformSecret: secret[:],
 	}
 	p.Ctrl.AddFilter(mem.FuncFilter{FilterName: "sanctum-region", Fn: s.regionCheck})
 	return s, nil

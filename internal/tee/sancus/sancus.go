@@ -19,7 +19,6 @@ package sancus
 
 import (
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"fmt"
 
@@ -60,15 +59,12 @@ type Module struct {
 	destroyed bool
 }
 
-// New initializes the node with a fresh node key and installs the
-// bus-arbiter filter.
+// New initializes the node with a node key derived from the platform fuse
+// and installs the bus-arbiter filter.
 func New(p *platform.Platform) (*Sancus, error) {
-	nk := make([]byte, 32)
-	if _, err := rand.Read(nk); err != nil {
-		return nil, err
-	}
+	nk := attest.DeriveKey(p.Fuse, "sancus/node")
 	s := &Sancus{
-		plat: p, nodeKey: nk,
+		plat: p, nodeKey: nk[:],
 		modules:   map[int]*Module{},
 		nextID:    1,
 		arenaNext: 0x10000,

@@ -1,7 +1,7 @@
 // Package sgx implements the Intel SGX model from Section 3.1: user-space
 // enclaves in a processor-reserved, MEE-encrypted page cache (EPC) with
 // per-page ownership checks (EPCM), abort-page semantics for outside
-// accesses, local reports and ECDSA quotes, sealed storage, and secure
+// accesses, local reports and Ed25519 quotes, sealed storage, and secure
 // page swapping (EWB/ELD) — including ELD's property of decrypting enclave
 // pages into the L1 cache, which Foreshadow abuses.
 //
@@ -13,7 +13,6 @@
 package sgx
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 
@@ -68,14 +67,12 @@ type Enclave struct {
 }
 
 // New reserves the EPC on the platform, keys the MEE over it, and installs
-// the EPCM access filter.
+// the EPCM access filter. The MEE key, the platform secret and the
+// attestation key all derive from the platform's fuse.
 func New(p *platform.Platform) (*SGX, error) {
 	const epcBase, epcSize = 0x1000000, 0x200000 // 2 MiB EPC at 16 MiB
-	meeKey := make([]byte, 16)
-	if _, err := rand.Read(meeKey); err != nil {
-		return nil, err
-	}
-	mee, err := mem.NewMEE(p.Mem, epcBase, epcSize, meeKey)
+	meeKey := attest.DeriveKey(p.Fuse, "sgx/mee")
+	mee, err := mem.NewMEE(p.Mem, epcBase, epcSize, meeKey[:16])
 	if err != nil {
 		return nil, fmt.Errorf("sgx: attach MEE: %w", err)
 	}
@@ -84,30 +81,24 @@ func New(p *platform.Platform) (*SGX, error) {
 	}
 	p.Ctrl.AttachMEE(mee)
 
-	secret := make([]byte, 32)
-	if _, err := rand.Read(secret); err != nil {
-		return nil, err
-	}
-	qk, err := attest.NewQuotingKey()
-	if err != nil {
-		return nil, err
-	}
+	secret := attest.DeriveKey(p.Fuse, "sgx/platform")
+	qk := attest.NewQuotingKey(attest.DeriveKey(p.Fuse, "sgx/quoting"))
 	s := &SGX{
 		plat: p, mee: mee,
 		epcBase: epcBase, epcSize: epcSize,
 		epcm:           map[uint32]int{},
 		enclaves:       map[int]*Enclave{},
 		nextID:         1,
-		platformSecret: secret,
-		reportKey:      attest.SealKey(secret, attest.Measure([]byte("sgx-report-key"))),
+		platformSecret: secret[:],
+		reportKey:      attest.SealKey(secret[:], attest.Measure([]byte("sgx-report-key"))),
 		swapKey:        secret[:16],
 		qk:             qk,
 	}
 	p.Ctrl.AddFilter(mem.FuncFilter{FilterName: "sgx-epcm", Fn: s.epcmCheck})
 
-	// The architectural quoting enclave: its data region holds the ECDSA
-	// attestation scalar, in EPC, like the real quoting enclave's sealed
-	// key material.
+	// The architectural quoting enclave: its data region holds the
+	// Ed25519 attestation seed, in EPC, like the real quoting enclave's
+	// sealed key material.
 	qe, err := s.CreateEnclave(tee.EnclaveConfig{
 		Name:     "quoting-enclave",
 		Program:  isa.MustAssemble(".org 0\nhlt"),
@@ -332,14 +323,10 @@ func (e *Enclave) Attest(nonce []byte) (*attest.Report, error) {
 	return attest.NewReport(e.sgx.reportKey, e.meas, nonce, nil), nil
 }
 
-// Quote upgrades a local report to a remotely verifiable ECDSA quote via
+// Quote upgrades a local report to a remotely verifiable Ed25519 quote via
 // the quoting enclave.
-func (e *Enclave) Quote(nonce []byte) (*attest.Quote, error) {
-	r, _ := e.Attest(nonce)
-	if !attest.VerifyReport(e.sgx.reportKey, r) {
-		return nil, fmt.Errorf("sgx: local report verification failed")
-	}
-	return e.sgx.qk.Sign(r)
+func (e *Enclave) Quote(nonce []byte) *attest.Quote {
+	return e.sgx.qk.Sign(attest.NewReport(e.sgx.reportKey, e.meas, nonce, nil))
 }
 
 // ReportKey exposes the local-attestation key to verifiers on the same

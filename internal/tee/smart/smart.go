@@ -25,7 +25,6 @@
 package smart
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attest"
@@ -88,16 +87,14 @@ attest: csrw status, zero      ; step 1: disable interrupts
 `
 
 // New provisions a SMART device on an embedded platform: burns the ROM
-// routine, installs the crypto engine, and fuses a fresh key.
+// routine, installs the crypto engine, and derives its attestation key
+// from the platform fuse.
 func New(p *platform.Platform) (*SMART, error) {
 	if p.ROMSize == 0 {
 		return nil, fmt.Errorf("smart: platform has no ROM")
 	}
-	key := make([]byte, 32)
-	if _, err := rand.Read(key); err != nil {
-		return nil, err
-	}
-	s := &SMART{plat: p, key: key, ROMBase: romEntry, ROMEnd: romEntry + 0x100}
+	key := attest.DeriveKey(p.Fuse, "smart/attest")
+	s := &SMART{plat: p, key: key[:], ROMBase: romEntry, ROMEnd: romEntry + 0x100}
 	prog := isa.MustAssemble(romRoutine)
 	if err := p.Mem.LoadProgram(prog); err != nil {
 		return nil, fmt.Errorf("smart: burn ROM: %w", err)

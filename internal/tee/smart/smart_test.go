@@ -46,7 +46,12 @@ func nonce16(b byte) []byte {
 func TestAttestationEndToEnd(t *testing.T) {
 	s, p := newSMART(t)
 	base, size := installTarget(t, p)
-	res, err := s.Attest(base, size, nonce16(1), base)
+	v := attest.NewVerifier()
+	nonce, err := v.Challenge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Attest(base, size, nonce, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +60,6 @@ func TestAttestationEndToEnd(t *testing.T) {
 		t.Fatal("attestation report MAC invalid")
 	}
 	// And through a full verifier with nonce freshness.
-	v := attest.NewVerifier()
 	v.AllowMeasurement("target", res.Report.Measurement)
 	if err := v.CheckReport(s.Key(), res.Report); err != nil {
 		t.Fatal(err)

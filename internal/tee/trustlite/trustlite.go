@@ -14,7 +14,6 @@
 package trustlite
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attest"
@@ -57,13 +56,10 @@ func New(p *platform.Platform) (*TrustLite, error) {
 	if p.Core(0).MPU == nil {
 		return nil, fmt.Errorf("trustlite: platform core has no MPU")
 	}
-	key := make([]byte, 32)
-	if _, err := rand.Read(key); err != nil {
-		return nil, err
-	}
+	key := attest.DeriveKey(p.Fuse, "trustlite/platform")
 	return &TrustLite{
 		plat: p, mpu: p.Core(0).MPU,
-		platformKey: key,
+		platformKey: key[:],
 		trustlets:   map[int]*Trustlet{},
 		nextID:      1,
 		arenaNext:   0x10000,

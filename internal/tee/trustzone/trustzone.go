@@ -13,7 +13,6 @@
 package trustzone
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attest"
@@ -39,8 +38,7 @@ type TrustZone struct {
 	secBase, secSize uint32
 	secureMMIO       []mem.Region
 
-	vendorKey *attest.QuotingKey // vendor image-signing key (public part used at boot)
-	deviceKey []byte             // device-unique attestation secret
+	deviceKey []byte // device-unique attestation secret
 
 	services map[int]Service
 	// MonitorCalls counts world switches.
@@ -59,23 +57,20 @@ type Enclave struct {
 	data  uint32
 }
 
+// vendorKey is the SoC vendor's image-signing key (its public part
+// verifies secure-world images at boot). It is the vendor's, not the
+// device's, so it derives from a fixed vendor label, not a platform fuse.
+var vendorKey = attest.NewQuotingKey(attest.DeriveKey([32]byte{}, "vendor/trustzone"))
+
 // New installs TrustZone on a (mobile) platform: secure memory window and
 // the TZASC filter, plus the monitor on every core.
 func New(p *platform.Platform) (*TrustZone, error) {
-	secret := make([]byte, 32)
-	if _, err := rand.Read(secret); err != nil {
-		return nil, err
-	}
-	vk, err := attest.NewQuotingKey()
-	if err != nil {
-		return nil, err
-	}
+	secret := attest.DeriveKey(p.Fuse, "trustzone/device")
 	tz := &TrustZone{
 		plat:      p,
 		secBase:   24 << 20, // top 8 MiB of DRAM is secure-world memory
 		secSize:   8 << 20,
-		vendorKey: vk,
-		deviceKey: secret,
+		deviceKey: secret[:],
 		services:  map[int]Service{},
 	}
 	p.Ctrl.AddFilter(mem.FuncFilter{FilterName: "tzasc", Fn: tz.tzascCheck})
@@ -134,17 +129,9 @@ func (tz *TrustZone) monitor(c *cpu.CPU, code int32) bool {
 // RegisterService installs a secure-world service under an SMC code.
 func (tz *TrustZone) RegisterService(code int, s Service) { tz.services[code] = s }
 
-// VendorPublic returns the vendor's image verification key.
-func (tz *TrustZone) VendorPublic() *attest.QuotingKey { return tz.vendorKey }
-
 // SignImage signs a secure-world image (vendor provisioning step).
-func (tz *TrustZone) SignImage(img []byte) ([]byte, error) {
-	r := attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil)
-	q, err := tz.vendorKey.Sign(r)
-	if err != nil {
-		return nil, err
-	}
-	return q.Signature, nil
+func (tz *TrustZone) SignImage(img []byte) []byte {
+	return vendorKey.Sign(attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil)).Signature
 }
 
 // SecureBoot verifies the image signature and, only on success, installs
@@ -153,7 +140,7 @@ func (tz *TrustZone) SignImage(img []byte) ([]byte, error) {
 func (tz *TrustZone) SecureBoot(img, sig []byte) error {
 	r := attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil)
 	q := &attest.Quote{Report: *r, Signature: sig}
-	if !attest.VerifyQuote(tz.vendorKey.Public(), q) {
+	if !attest.VerifyQuote(vendorKey.Public(), q) {
 		return fmt.Errorf("trustzone: secure boot: signature verification failed")
 	}
 	if uint32(len(img)) > tz.secSize {
@@ -216,10 +203,7 @@ func (tz *TrustZone) CreateEnclave(cfg tee.EnclaveConfig) (tee.Enclave, error) {
 		return nil, fmt.Errorf("trustzone: enclave needs a single-segment program")
 	}
 	img := cfg.Program.Segments[0].Data
-	sig, err := tz.SignImage(img) // vendor signs admitted apps
-	if err != nil {
-		return nil, err
-	}
+	sig := tz.SignImage(img) // vendor signs admitted apps
 	if err := tz.SecureBoot(img, sig); err != nil {
 		return nil, err
 	}

@@ -59,11 +59,7 @@ func TestSecureBootRequiredBeforeEnclave(t *testing.T) {
 	}
 	// Oversized image rejected even with a valid signature.
 	big := make([]byte, int(tz.secSize)+1)
-	sig, err := tz.SignImage(big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tz.SecureBoot(big, sig); err == nil {
+	if err := tz.SecureBoot(big, tz.SignImage(big)); err == nil {
 		t.Fatal("oversized image booted")
 	}
 }

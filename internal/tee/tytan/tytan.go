@@ -23,9 +23,6 @@ import (
 type TyTAN struct {
 	tl *trustlite.TrustLite
 
-	// vendor key verifies trustlet images at load (secure boot).
-	vendorKey *attest.QuotingKey
-
 	// ipcKeys holds pairwise MAC keys for authenticated IPC.
 	ipcKeys map[[2]int][]byte
 
@@ -35,17 +32,19 @@ type TyTAN struct {
 	AttestChunk int
 }
 
+// vendorKey is the trustlet vendor's image-signing key; its public part
+// verifies trustlet images at load (secure boot). It is the vendor's, not
+// the device's, so it derives from a fixed vendor label, not a platform
+// fuse.
+var vendorKey = attest.NewQuotingKey(attest.DeriveKey([32]byte{}, "vendor/tytan"))
+
 // New builds TyTAN on a fresh TrustLite instance.
 func New(p *platform.Platform) (*TyTAN, error) {
 	tl, err := trustlite.New(p)
 	if err != nil {
 		return nil, err
 	}
-	vk, err := attest.NewQuotingKey()
-	if err != nil {
-		return nil, err
-	}
-	return &TyTAN{tl: tl, vendorKey: vk, ipcKeys: map[[2]int][]byte{}, AttestChunk: 256}, nil
+	return &TyTAN{tl: tl, ipcKeys: map[[2]int][]byte{}, AttestChunk: 256}, nil
 }
 
 // TrustLite exposes the underlying loader for trustlet management.
@@ -70,13 +69,8 @@ func (t *TyTAN) Capabilities() tee.Capabilities {
 }
 
 // SignImage is the vendor provisioning step for secure boot.
-func (t *TyTAN) SignImage(img []byte) ([]byte, error) {
-	r := attest.NewReport(nil, attest.Measure(img), []byte("tytan-boot"), nil)
-	q, err := t.vendorKey.Sign(r)
-	if err != nil {
-		return nil, err
-	}
-	return q.Signature, nil
+func (t *TyTAN) SignImage(img []byte) []byte {
+	return vendorKey.Sign(attest.NewReport(nil, attest.Measure(img), []byte("tytan-boot"), nil)).Signature
 }
 
 // CreateEnclave implements tee.Architecture. TyTAN requires signed images:
@@ -94,7 +88,7 @@ func (t *TyTAN) LoadSignedTrustlet(cfg tee.EnclaveConfig, sig []byte) (*Trustlet
 	img := cfg.Program.Segments[0].Data
 	r := attest.NewReport(nil, attest.Measure(img), []byte("tytan-boot"), nil)
 	q := &attest.Quote{Report: *r, Signature: sig}
-	if !attest.VerifyQuote(t.vendorKey.Public(), q) {
+	if !attest.VerifyQuote(vendorKey.Public(), q) {
 		return nil, fmt.Errorf("tytan: secure boot rejected trustlet %q (bad signature)", cfg.Name)
 	}
 	tr, err := t.tl.LoadTrustlet(cfg)

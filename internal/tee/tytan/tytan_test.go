@@ -24,10 +24,7 @@ const appProg = ".org 0\nmv a0, a1\nhlt"
 func signedLoad(t *testing.T, ty *TyTAN, name string) *Trustlet {
 	t.Helper()
 	prog := isa.MustAssemble(appProg)
-	sig, err := ty.SignImage(prog.Segments[0].Data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sig := ty.SignImage(prog.Segments[0].Data)
 	tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: name, Program: prog, DataSize: 256}, sig)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +48,7 @@ func TestSecureBootAcceptsSignedRejectsUnsigned(t *testing.T) {
 	}
 	// Signature for different code refused.
 	other := isa.MustAssemble(".org 0\nnop\nhlt")
-	sig, _ := ty.SignImage(prog.Segments[0].Data)
+	sig := ty.SignImage(prog.Segments[0].Data)
 	if _, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "swap", Program: other}, sig); err == nil {
 		t.Fatal("signature/image mismatch accepted")
 	}

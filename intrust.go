@@ -85,7 +85,7 @@ var (
 type (
 	// EnclaveConfig describes an enclave to create.
 	EnclaveConfig = tee.EnclaveConfig
-	// Quote is an ECDSA-signed remote attestation report.
+	// Quote is an Ed25519-signed remote attestation report.
 	Quote = attest.Quote
 )
 
