@@ -10,7 +10,6 @@
 //	intrust serve [-addr :8089] [-cache N] [-cache-bytes N] [-cache-dir d] [-cache-secret s] [-warm] [-maxinflight N] [-queue N] [-seed N] [-drain 30s] [-deadline 0] [-fault plan] [-fault-seed N]
 //	intrust attacks [-family f] [-markdown] [-o file]
 //	intrust defenses [-family f] [-markdown] [-o file]
-//	intrust bench [-o BENCH_sweep.json] [-baseline file] [-maxregress 0.25] [-parallel N] [-gomaxprocs N]
 //	intrust attest <measure|quote|verify|tcb|policy> [-arch a] [-config none|stock] [-tcb N] [-nonce hex] [-quote b64url] [-seed N] [-revoke-arch a,b] [-revoke-attack x,y] [-revoke-samples N]
 //
 // The sweep's -attack flag accepts individual scenario names
@@ -37,16 +36,6 @@
 // repeated queries are O(1) — with bounded admission (429 + Retry-After
 // under overload), NDJSON streaming for grid selections, Prometheus
 // metrics at /metrics, and graceful drain on SIGINT/SIGTERM.
-//
-// The bench mode runs the canonical sweep configurations (the none+stock
-// grid, fixed and adaptive) through internal/perf and folds the result
-// into the multi-environment BENCH_sweep.json throughput artifact (one
-// entry per Go release × core count × GOMAXPROCS × pool size); with
-// -baseline it also fails when cells/sec regresses past -maxregress
-// against the baseline entry matching this environment — the CI gate
-// that tracks substrate performance across PRs. When the artifact holds
-// a GOMAXPROCS=1/8 pair, bench also prints the derived scaling_x metric
-// the checked-in-artifact test gates on.
 //
 // The attest mode drives the remote attestation lifecycle
 // (internal/attestsvc) from the command line: measure prints canonical
@@ -77,7 +66,6 @@ import (
 	"github.com/intrust-sim/intrust/internal/diskcache"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/fault"
-	"github.com/intrust-sim/intrust/internal/perf"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/serve"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -101,9 +89,6 @@ func main() {
 	}
 	if what == "defenses" {
 		os.Exit(runDefenses(flag.Args()[1:]))
-	}
-	if what == "bench" {
-		os.Exit(runBench(flag.Args()[1:]))
 	}
 	if what == "attest" {
 		os.Exit(runAttest(flag.Args()[1:]))
@@ -183,7 +168,7 @@ func main() {
 		})
 	}
 	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (want sweep|serve|attacks|defenses|bench|attest|fig1|arch|cachesca|transient|physical|all)\n", what)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (want sweep|serve|attacks|defenses|attest|fig1|arch|cachesca|transient|physical|all)\n", what)
 		os.Exit(2)
 	}
 }
@@ -536,93 +521,6 @@ func runDefenses(args []string) int {
 		return 0
 	}
 	fmt.Print(rendering)
-	return 0
-}
-
-// runBench measures the canonical sweep configurations through
-// internal/perf, folds the report into the multi-environment
-// BENCH_sweep.json artifact, and (with -baseline) gates cells/sec
-// against the baseline entry matching this environment — the CI bench
-// job's substance.
-func runBench(args []string) int {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	outPath := fs.String("o", "BENCH_sweep.json", "fold the throughput report into this file (other environments' entries are kept)")
-	baseline := fs.String("baseline", "", "compare cells/sec against this environment's entry in the checked-in report and fail on regression")
-	maxRegress := fs.Float64("maxregress", 0.25, "maximum tolerated cells/sec regression vs the baseline (fraction)")
-	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	maxProcs := fs.Int("gomaxprocs", 0, "set GOMAXPROCS before measuring (0 = leave as-is); selects which baseline environment the run records and gates against")
-	fs.Parse(args)
-
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
-	rep, err := perf.Run(*parallel, perf.CanonicalConfigs())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	for i := range rep.Configs {
-		fmt.Println(rep.Configs[i].String())
-	}
-	fmt.Printf("allocs/access: %g (%s)\n", rep.AllocsPerAccess, rep.EnvironmentString())
-
-	// Fold this environment's numbers into the artifact without
-	// disturbing entries measured elsewhere.
-	art := &perf.File{}
-	if prior, err := perf.ReadBaseline(*outPath); err == nil {
-		art = prior
-	} else if !os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	art.Upsert(rep)
-	f, err := os.Create(*outPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	defer f.Close()
-	if err := art.WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		return 1
-	}
-	fmt.Printf("[throughput report written to %s (%d environments)]\n", *outPath, len(art.Environments))
-	// When the artifact now holds a GOMAXPROCS=1/8 pair, surface the
-	// derived multi-core scaling so a refresher sees the number the
-	// checked-in-artifact gate (internal/perf TestCheckedInScalingGate)
-	// will hold it to. Informational here: the artifact test is the gate.
-	if scal, err := art.ScalingX(); err == nil {
-		for _, s := range scal {
-			for _, name := range s.Names() {
-				fmt.Printf("scaling_x %-20s %.3f (numcpu=%d, floor %.2f)\n", name, s.X[name], s.NumCPU, s.Floor())
-			}
-			if err := s.Check(); err != nil {
-				fmt.Printf("[warning: %v — rerun bench for this environment before committing %s]\n", err, *outPath)
-			}
-		}
-	}
-	if *baseline != "" {
-		baseFile, err := perf.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		base := baseFile.Match(rep)
-		if base == nil {
-			// Cells/sec is hardware-relative: a baseline from a different
-			// environment can neither prove nor disprove a regression, so
-			// the gate degrades to a notice and the fresh report (kept as
-			// a build artifact) carries the trajectory instead.
-			fmt.Printf("[baseline %s has no entry for this environment (%s); cells/sec gate skipped — run bench from this environment with -o %s to record one]\n",
-				*baseline, rep.EnvironmentString(), *baseline)
-			return 0
-		}
-		if err := perf.Compare(base, rep, *maxRegress); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("[no regression past %.0f%% vs %s (%s)]\n", *maxRegress*100, *baseline, rep.EnvironmentString())
-	}
 	return 0
 }
 

@@ -182,11 +182,31 @@ type CellOptions struct {
 // defaultCellSamples mirrors SweepExperimentsWith's fallback budget.
 const defaultCellSamples = 256
 
+// maxCellSamples caps a cell's requested budget and adaptive sample
+// cap. It sits above every scenario floor and every in-tree budget, and
+// bounds the worst physical cell (4x escalation: ~65k traces of 344 B,
+// 160 int16 points plus a 16-byte input and two int32 offsets) to ~28 MB
+// of trace arena. An unbounded budget lets a single request grow the
+// arena until the runtime dies of out-of-memory, a fatal error no
+// handler can recover.
+const maxCellSamples = 1 << 14
+
+// checkBudget rejects a budget or adaptive cap above maxCellSamples.
+func checkBudget(samples, maxSamples int) error {
+	if samples > maxCellSamples || maxSamples > maxCellSamples {
+		return fmt.Errorf("samples and maxsamples must be at most %d (got %d and %d)", maxCellSamples, samples, maxSamples)
+	}
+	return nil
+}
+
 // norm validates and canonicalizes the options against one scenario.
 func (o CellOptions) norm(sc scenario.Scenario) (CellOptions, error) {
 	if math.IsNaN(o.Confidence) || math.IsInf(o.Confidence, 0) ||
 		(o.Confidence != 0 && (o.Confidence < 0.5 || o.Confidence >= 1)) {
 		return o, fmt.Errorf("confidence must be in [0.5,1), or 0 for fixed budgets (got %v)", o.Confidence)
+	}
+	if err := checkBudget(o.Samples, o.MaxSamples); err != nil {
+		return o, err
 	}
 	if o.Samples <= 0 {
 		o.Samples = defaultCellSamples

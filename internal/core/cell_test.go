@@ -122,6 +122,8 @@ func TestResolveCellErrors(t *testing.T) {
 		{"all defenses", "dpa", "sgx", "all", CellOptions{}},
 		{"low confidence", "dpa", "sgx", "none", CellOptions{Confidence: 0.3}},
 		{"confidence one", "dpa", "sgx", "none", CellOptions{Confidence: 1}},
+		{"oversized budget", "dpa", "smart", "none", CellOptions{Samples: maxCellSamples + 1}},
+		{"oversized cap", "dpa", "smart", "none", CellOptions{Samples: 64, Confidence: 0.9, MaxSamples: maxCellSamples + 1}},
 	} {
 		if _, err := ResolveCell(tc.scen, tc.arch, tc.def, tc.opt); err == nil {
 			t.Errorf("%s: ResolveCell(%q,%q,%q) accepted", tc.name, tc.scen, tc.arch, tc.def)
@@ -231,6 +233,7 @@ func TestCellExperimentRejectsNonCanonical(t *testing.T) {
 		{Scenario: "flush+reload", Arch: "sgx", Defense: "none", Samples: 64, MaxSamples: 9}, // cap without confidence
 		{Scenario: "nope", Arch: "sgx", Defense: "none", Samples: 64},
 		{Scenario: "flush+reload", Arch: "sgx", Defense: "fortress", Samples: 64},
+		{Scenario: "dpa", Arch: "smart", Defense: "none", Samples: maxCellSamples + 1}, // over the budget cap
 	} {
 		if _, err := k.Experiment(); err == nil {
 			t.Errorf("Experiment accepted non-canonical key %+v", k)

@@ -77,6 +77,13 @@ func SweepExperimentsWith(archs, attacks, defenses []string, opt SweepOptions) (
 	if err != nil {
 		return nil, err
 	}
+	maxSamples := 0
+	if opt.Adaptive != nil {
+		maxSamples = opt.Adaptive.MaxSamples
+	}
+	if err := checkBudget(opt.Samples, maxSamples); err != nil {
+		return nil, err
+	}
 	if opt.Samples <= 0 {
 		opt.Samples = 256
 	}

@@ -10,6 +10,7 @@ import (
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/scenario"
+	"github.com/intrust-sim/intrust/internal/stats"
 )
 
 func sweepResults(t *testing.T, parallel int, defenses ...string) []engine.Result {
@@ -357,6 +358,14 @@ func TestSweepRejectsUnknownAxes(t *testing.T) {
 	}
 	if _, err := SweepExperiments(nil, nil, []string{"all", "moat"}, 10); err == nil {
 		t.Error("unknown defense accepted when riding along with all")
+	}
+	// The CLI sweep honours the same budget cap as a single cell.
+	if _, err := SweepExperiments(nil, []string{"dpa"}, nil, maxCellSamples+1); err == nil {
+		t.Error("oversized budget accepted")
+	}
+	if _, err := SweepExperimentsWith(nil, []string{"dpa"}, nil,
+		SweepOptions{Samples: 64, Adaptive: &stats.Policy{MaxSamples: maxCellSamples + 1}}); err == nil {
+		t.Error("oversized adaptive cap accepted")
 	}
 	exps, err := SweepExperiments([]string{"sgx", "sancus"}, []string{"meltdown"}, nil, 10)
 	if err != nil || len(exps) != 2 {

@@ -1,145 +1,20 @@
-// Package perf is the cross-PR performance-tracking subsystem: it runs
-// the canonical sweep configurations end to end on the engine, measures
-// throughput (grid cells per second), realized sample cost and the
-// allocation count of the cache hot path, and renders the measurements as
-// the machine-readable BENCH_sweep.json artifact the CI bench job tracks
-// against the checked-in baseline.
+// Package perf holds AllocsPerAccess, the allocation probe of the
+// cache hot path: the flattened hierarchy allocates nothing per access,
+// and perfbench reports the measured figure as its
+// cache.allocs_per_access layer number so a regression shows as a
+// number rather than as slower sweeps.
 //
-// The point is trajectory, not absolutes: cells/sec is hardware-relative,
-// so the artifact records the environment next to every number and
-// Compare flags relative regressions only. Allocations per access, by
-// contrast, are an absolute property of the substrate — the flattened
-// cache path allocates nothing, and the tracked number makes that rot
-// visibly instead of silently.
-//
-// See docs/PERFORMANCE.md for how to read and refresh the artifact.
+// Throughput is measured elsewhere: BenchmarkSweepDefenseAxis times the
+// canonical none+stock grid, internal/core's exact-count test pins that
+// grid's cell and sample counts, and perfbench times every layer (see
+// docs/PERFORMANCE.md).
 package perf
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"runtime"
-	"time"
 
-	"github.com/intrust-sim/intrust/internal/core"
-	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/platform"
-	"github.com/intrust-sim/intrust/internal/stats"
 )
-
-// Schema identifies the report layout; bump it when fields change
-// incompatibly so Compare can refuse mismatched baselines. Schema 2
-// added NumCPU to the environment header: a GOMAXPROCS=8 entry measured
-// on a single physical core (oversubscription) and one measured on
-// eight real cores (parallel scaling) are different experiments, and
-// the scaling gate needs to tell them apart.
-const Schema = 2
-
-// Config names one sweep configuration the bench runs: an axis selection
-// (empty axes mean "all", as in the sweep CLI) at a sample budget, in
-// fixed or adaptive sampling mode.
-type Config struct {
-	Name     string   `json:"name"`
-	Archs    []string `json:"archs,omitempty"`
-	Attacks  []string `json:"attacks,omitempty"`
-	Defenses []string `json:"defenses,omitempty"`
-	Samples  int      `json:"samples"`
-	Adaptive bool     `json:"adaptive"`
-}
-
-// CanonicalConfigs returns the tracked sweep configurations: the
-// none+stock defense grid over the full scenario × architecture registry
-// — the same cells BenchmarkSweepDefenseAxis times — in both sampling
-// modes, at the benchmark's reference budget.
-func CanonicalConfigs() []Config {
-	defenses := []string{"none", "stock"}
-	return []Config{
-		{Name: "none+stock/fixed", Defenses: defenses, Samples: 64},
-		{Name: "none+stock/adaptive", Defenses: defenses, Samples: 64, Adaptive: true},
-	}
-}
-
-// Result is the measured outcome of one configuration.
-type Result struct {
-	Name        string  `json:"name"`
-	Cells       int     `json:"cells"`
-	WallNS      int64   `json:"wall_ns"`
-	CellsPerSec float64 `json:"cells_per_sec"`
-	// TotalSamples and SamplesPerCell state the realized sample cost
-	// (adaptive SamplesUsed where cells carry a sampling decision, the
-	// nominal budget otherwise; n/a and one-shot cells count zero).
-	TotalSamples   int64   `json:"total_samples"`
-	SamplesPerCell float64 `json:"samples_per_cell"`
-	EarlyStopped   int     `json:"early_stopped,omitempty"`
-	Escalated      int     `json:"escalated,omitempty"`
-}
-
-// Report is the BENCH_sweep.json artifact: the environment the numbers
-// were measured in, the substrate's allocation count, and one Result per
-// configuration.
-type Report struct {
-	Schema    int    `json:"schema"`
-	GoVersion string `json:"go_version"`
-	// NumCPU is the machine's physical parallelism (runtime.NumCPU),
-	// recorded separately from GOMAXPROCS: an 8-worker run on one core
-	// measures oversubscription overhead, not multi-core scaling, and
-	// the scaling gate calibrates its floor accordingly.
-	NumCPU          int      `json:"numcpu"`
-	GOMAXPROCS      int      `json:"gomaxprocs"`
-	Parallel        int      `json:"parallel"`
-	AllocsPerAccess float64  `json:"allocs_per_access"`
-	Configs         []Result `json:"configs"`
-}
-
-// Run measures every configuration on a worker pool of the given size
-// (<= 0 means GOMAXPROCS) and the substrate's allocations per access.
-func Run(parallel int, configs []Config) (*Report, error) {
-	eng := engine.New(parallel)
-	rep := &Report{
-		Schema:          Schema,
-		GoVersion:       runtime.Version(),
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Parallel:        eng.Parallel,
-		AllocsPerAccess: AllocsPerAccess(),
-	}
-	for _, c := range configs {
-		opt := core.SweepOptions{Samples: c.Samples}
-		if c.Adaptive {
-			opt.Adaptive = &stats.Policy{}
-		}
-		exps, err := core.SweepExperimentsWith(c.Archs, c.Attacks, c.Defenses, opt)
-		if err != nil {
-			return nil, fmt.Errorf("perf: config %s: %w", c.Name, err)
-		}
-		start := time.Now()
-		results, err := eng.Run(context.Background(), exps)
-		wall := time.Since(start)
-		if err != nil {
-			return nil, fmt.Errorf("perf: config %s: %w", c.Name, err)
-		}
-		s := engine.Summarize(results, wall)
-		r := Result{
-			Name:         c.Name,
-			Cells:        len(results),
-			WallNS:       wall.Nanoseconds(),
-			TotalSamples: s.TotalSamples,
-			EarlyStopped: s.EarlyStopped,
-			Escalated:    s.Escalated,
-		}
-		if secs := wall.Seconds(); secs > 0 {
-			r.CellsPerSec = float64(r.Cells) / secs
-		}
-		if r.Cells > 0 {
-			r.SamplesPerCell = float64(s.TotalSamples) / float64(r.Cells)
-		}
-		rep.Configs = append(rep.Configs, r)
-	}
-	return rep, nil
-}
 
 // AllocsPerAccess measures heap allocations per hierarchy access on the
 // server platform over a mixed hit/miss/flush workload — the zero the
@@ -166,72 +41,4 @@ func AllocsPerAccess() float64 {
 	runtime.ReadMemStats(&m1)
 	accesses := float64(rounds) * (lines + lines/8)
 	return float64(m1.Mallocs-m0.Mallocs) / accesses
-}
-
-// SameEnvironment reports whether two reports were measured in
-// comparable environments: same Go release, same physical core count,
-// same GOMAXPROCS, same worker-pool size. Cells/sec is
-// hardware-relative, so regressing-gate comparisons are only meaningful
-// between matching environments — the bench CLI downgrades the gate to
-// informational when they differ, instead of failing (or passing) on a
-// hardware change.
-func SameEnvironment(a, b *Report) bool {
-	return a.GoVersion == b.GoVersion && a.NumCPU == b.NumCPU &&
-		a.GOMAXPROCS == b.GOMAXPROCS && a.Parallel == b.Parallel
-}
-
-// Compare checks a current report against the checked-in baseline: every
-// configuration present in both must not regress its cells/sec by more
-// than maxRegress (a fraction: 0.25 allows a 25% drop). Configurations
-// new to the current report pass — they have no baseline yet — and a
-// schema mismatch fails loudly rather than comparing numbers that mean
-// different things. Callers should gate on SameEnvironment first;
-// Compare itself only compares the numbers it is given.
-func Compare(baseline, current *Report, maxRegress float64) error {
-	if baseline.Schema != current.Schema {
-		return fmt.Errorf("perf: baseline schema %d != current schema %d (refresh the baseline)",
-			baseline.Schema, current.Schema)
-	}
-	base := make(map[string]Result, len(baseline.Configs))
-	for _, r := range baseline.Configs {
-		base[r.Name] = r
-	}
-	for _, cur := range current.Configs {
-		b, ok := base[cur.Name]
-		if !ok || b.CellsPerSec <= 0 {
-			continue
-		}
-		floor := b.CellsPerSec * (1 - maxRegress)
-		if cur.CellsPerSec < floor {
-			return fmt.Errorf("perf: %s regressed to %.2f cells/sec, floor %.2f (baseline %.2f, max regression %.0f%%)",
-				cur.Name, cur.CellsPerSec, floor, b.CellsPerSec, maxRegress*100)
-		}
-	}
-	return nil
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadFile loads a report from disk.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("perf: %s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// String renders the one-line human summary the bench CLI prints.
-func (r *Result) String() string {
-	return fmt.Sprintf("%-20s %4d cells in %8v  %7.2f cells/sec  %6.1f samples/cell",
-		r.Name, r.Cells, time.Duration(r.WallNS).Round(time.Millisecond), r.CellsPerSec, r.SamplesPerCell)
 }

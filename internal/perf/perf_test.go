@@ -1,40 +1,6 @@
 package perf
 
-import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-// TestRunSmallConfig measures one tiny real configuration end to end and
-// checks the report carries coherent numbers.
-func TestRunSmallConfig(t *testing.T) {
-	cfg := []Config{{
-		Name:    "smoke",
-		Archs:   []string{"sgx"},
-		Attacks: []string{"spectre-v1", "flush+reload"},
-		Samples: 16,
-	}}
-	rep, err := Run(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != Schema || rep.GoVersion == "" || rep.Parallel != 1 {
-		t.Errorf("report header incomplete: %+v", rep)
-	}
-	if len(rep.Configs) != 1 {
-		t.Fatalf("got %d config results, want 1", len(rep.Configs))
-	}
-	r := rep.Configs[0]
-	if r.Cells != 2 {
-		t.Errorf("cells = %d, want 2 (one scenario x one arch x stock)", r.Cells)
-	}
-	if r.WallNS <= 0 || r.CellsPerSec <= 0 {
-		t.Errorf("throughput not measured: %+v", r)
-	}
-}
+import "testing"
 
 // raceDetectorEnabled is set by race_test.go under `go test -race`.
 var raceDetectorEnabled bool
@@ -47,96 +13,5 @@ func TestAllocsPerAccessIsZero(t *testing.T) {
 	}
 	if a := AllocsPerAccess(); a != 0 {
 		t.Errorf("AllocsPerAccess = %v, want 0", a)
-	}
-}
-
-// TestReportRoundTrip writes and re-reads the JSON artifact.
-func TestReportRoundTrip(t *testing.T) {
-	rep := &Report{
-		Schema: Schema, GoVersion: "go-test", GOMAXPROCS: 2, Parallel: 2,
-		Configs: []Result{{Name: "a", Cells: 10, WallNS: 1e9, CellsPerSec: 10, TotalSamples: 100, SamplesPerCell: 10}},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != rep.Schema || len(got.Configs) != 1 || got.Configs[0] != rep.Configs[0] {
-		t.Errorf("round trip changed the report: %+v", got)
-	}
-}
-
-// TestCompare exercises the regression gate: pass within the budget, fail
-// beyond it, ignore configs without a baseline, reject schema drift.
-func TestCompare(t *testing.T) {
-	base := &Report{Schema: Schema, Configs: []Result{
-		{Name: "grid", CellsPerSec: 100},
-	}}
-	ok := &Report{Schema: Schema, Configs: []Result{
-		{Name: "grid", CellsPerSec: 80},
-		{Name: "new-config", CellsPerSec: 1},
-	}}
-	if err := Compare(base, ok, 0.25); err != nil {
-		t.Errorf("20%% drop within a 25%% budget failed: %v", err)
-	}
-	bad := &Report{Schema: Schema, Configs: []Result{{Name: "grid", CellsPerSec: 70}}}
-	if err := Compare(base, bad, 0.25); err == nil {
-		t.Error("30% drop passed a 25% budget")
-	}
-	drift := &Report{Schema: Schema + 1}
-	if err := Compare(base, drift, 0.25); err == nil {
-		t.Error("schema mismatch passed")
-	}
-}
-
-// TestSameEnvironment pins the gate-arming predicate: cells/sec only
-// compares across identical (Go release, core count, GOMAXPROCS, pool
-// size) environments.
-func TestSameEnvironment(t *testing.T) {
-	a := &Report{GoVersion: "go1.24.0", NumCPU: 1, GOMAXPROCS: 1, Parallel: 1}
-	if !SameEnvironment(a, &Report{GoVersion: "go1.24.0", NumCPU: 1, GOMAXPROCS: 1, Parallel: 1}) {
-		t.Error("identical environments reported as different")
-	}
-	for _, b := range []*Report{
-		{GoVersion: "go1.23.0", NumCPU: 1, GOMAXPROCS: 1, Parallel: 1},
-		{GoVersion: "go1.24.0", NumCPU: 8, GOMAXPROCS: 1, Parallel: 1},
-		{GoVersion: "go1.24.0", NumCPU: 1, GOMAXPROCS: 4, Parallel: 1},
-		{GoVersion: "go1.24.0", NumCPU: 1, GOMAXPROCS: 1, Parallel: 4},
-	} {
-		if SameEnvironment(a, b) {
-			t.Errorf("environment %+v reported as matching %+v", b, a)
-		}
-	}
-}
-
-// TestCanonicalConfigsEnumerate sanity-checks the tracked configurations
-// without running them (the CI bench job runs them for real).
-func TestCanonicalConfigsEnumerate(t *testing.T) {
-	cfgs := CanonicalConfigs()
-	if len(cfgs) != 2 {
-		t.Fatalf("got %d canonical configs, want 2", len(cfgs))
-	}
-	seen := map[string]bool{}
-	for _, c := range cfgs {
-		if c.Name == "" || seen[c.Name] {
-			t.Errorf("bad or duplicate config name %q", c.Name)
-		}
-		seen[c.Name] = true
-		if c.Samples <= 0 {
-			t.Errorf("%s: no sample budget", c.Name)
-		}
-		if _, err := json.Marshal(c); err != nil {
-			t.Errorf("%s: not serializable: %v", c.Name, err)
-		}
-	}
-	if !seen["none+stock/fixed"] || !seen["none+stock/adaptive"] {
-		t.Errorf("canonical configs miss the none+stock pair: %v", seen)
 	}
 }

@@ -5,5 +5,5 @@ package perf
 // The race runtime allocates sporadically on its own account, which the
 // MemStats-based allocation measurement cannot distinguish from substrate
 // allocations; the exact-zero pin only holds (and only matters) in the
-// uninstrumented build the bench artifact is produced from.
+// uninstrumented build perfbench measures.
 func init() { raceDetectorEnabled = true }

@@ -18,7 +18,6 @@ import (
 	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
-	"github.com/intrust-sim/intrust/internal/perf"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
@@ -534,46 +533,6 @@ func (s *Server) handleAttacks(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDefenses(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(s.defenses)
-}
-
-// handleBench serves the internal/perf throughput report for this
-// process's environment. The full canonical measurement costs seconds,
-// so it computes at most once (under admission, deduplicated across
-// concurrent requests) and is then served from memory; ?refresh=1
-// forces a re-measurement.
-func (s *Server) handleBench(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("refresh") == "1" {
-		s.bench.Store(nil)
-	}
-	if b := s.bench.Load(); b != nil {
-		writeCell(w, *b, "hit")
-		return
-	}
-	ctx, cancel := s.computeCtx(r)
-	defer cancel()
-	release, err := s.adm.acquire(ctx)
-	if err != nil {
-		s.writeAdmissionError(w, err)
-		return
-	}
-	defer release()
-	body, err, _ := s.benchFlight.do("bench", func() ([]byte, error) {
-		if b := s.bench.Load(); b != nil {
-			return *b, nil
-		}
-		rep, err := perf.Run(0, s.opts.BenchConfigs)
-		if err != nil {
-			return nil, err
-		}
-		b := marshalLine(rep)
-		s.bench.Store(&b)
-		return b, nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeCell(w, body, "miss")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -28,8 +28,6 @@
 //	           warm cells flowing immediately, plus a summary line
 //	/attacks   the scenario catalog as JSON
 //	/defenses  the mitigation catalog as JSON
-//	/bench     the internal/perf throughput report (computed once,
-//	           ?refresh=1 recomputes)
 //	/attest/quote   a signed attestation quote for (arch, config, tcb)
 //	/attest/verify  verify a wire quote under the sweep-driven policy
 //	/attest/tcb     per-arch TCB revocation state and its grid evidence
@@ -62,7 +60,6 @@ import (
 	"github.com/intrust-sim/intrust/internal/diskcache"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/fault"
-	"github.com/intrust-sim/intrust/internal/perf"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
 
@@ -98,9 +95,6 @@ type Options struct {
 	// quoting keys, so a CLI `intrust attest` run with the same seed
 	// mints quotes this server verifies.
 	Seed int64
-	// BenchConfigs are the sweep configurations /bench measures
-	// (nil selects perf.CanonicalConfigs()).
-	BenchConfigs []perf.Config
 	// RevocationArchs and RevocationAttacks select the none-defense
 	// grid slice TCB revocation derives from (nil selects "all"). The
 	// slice computes lazily on the first /attest/verify or /attest/tcb
@@ -154,10 +148,8 @@ type Server struct {
 	faults   *fault.Plane // nil unless Options.Faults armed the chaos plane
 	draining atomic.Bool
 
-	benchFlight *flightGroup
-	bench       atomic.Pointer[[]byte]
-	attacks     []byte
-	defenses    []byte
+	attacks  []byte
+	defenses []byte
 
 	attest *attestState
 }
@@ -179,9 +171,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	if opts.BenchConfigs == nil {
-		opts.BenchConfigs = perf.CanonicalConfigs()
 	}
 	switch {
 	case opts.DiskRetries == 0:
@@ -206,16 +195,15 @@ func New(opts Options) (*Server, error) {
 	// the chaos suite (one server at a time).
 	engine.SetFaultPlane(opts.Faults)
 	s := &Server{
-		opts:        opts,
-		cache:       newCellCache(opts.CacheEntries, opts.CacheBytes),
-		disk:        disk,
-		adm:         newAdmission(opts.MaxInFlight, opts.QueueDepth),
-		met:         newMetrics(),
-		flight:      newFlightGroup(),
-		benchFlight: newFlightGroup(),
-		mux:         http.NewServeMux(),
-		brk:         newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
-		faults:      opts.Faults,
+		opts:   opts,
+		cache:  newCellCache(opts.CacheEntries, opts.CacheBytes),
+		disk:   disk,
+		adm:    newAdmission(opts.MaxInFlight, opts.QueueDepth),
+		met:    newMetrics(),
+		flight: newFlightGroup(),
+		mux:    http.NewServeMux(),
+		brk:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+		faults: opts.Faults,
 	}
 	s.attest = newAttestState(opts)
 	s.buildCatalogs()
@@ -225,7 +213,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("/sweep", s.instrument("/sweep", s.handleSweep))
 	s.mux.HandleFunc("/attacks", s.instrument("/attacks", s.handleAttacks))
 	s.mux.HandleFunc("/defenses", s.instrument("/defenses", s.handleDefenses))
-	s.mux.HandleFunc("/bench", s.instrument("/bench", s.handleBench))
 	s.mux.HandleFunc("/attest/quote", s.instrument("/attest/quote", s.handleAttestQuote))
 	s.mux.HandleFunc("/attest/verify", s.instrument("/attest/verify", s.handleAttestVerify))
 	s.mux.HandleFunc("/attest/tcb", s.instrument("/attest/tcb", s.handleAttestTCB))

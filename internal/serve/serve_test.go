@@ -13,7 +13,6 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/engine"
-	"github.com/intrust-sim/intrust/internal/perf"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
 
@@ -21,13 +20,6 @@ import (
 var raceDetectorEnabled bool
 
 func newTestServer(opts Options) *Server {
-	if opts.BenchConfigs == nil {
-		// Never let a test accidentally run the full canonical bench.
-		opts.BenchConfigs = []perf.Config{{
-			Name: "tiny", Archs: []string{"sgx"}, Attacks: []string{"spectre-v1"},
-			Defenses: []string{"none"}, Samples: 8,
-		}}
-	}
 	s, err := New(opts)
 	if err != nil {
 		panic("newTestServer: " + err.Error())
@@ -165,6 +157,10 @@ func TestCellBadRequest(t *testing.T) {
 		{"inf confidence", "/cell?scenario=dpa&arch=sgx&confidence=%2BInf"},
 		{"bad maxsamples", "/cell?scenario=dpa&arch=sgx&maxsamples=1e3"},
 		{"bad seed", "/cell?scenario=dpa&arch=sgx&seed=0x10"},
+		// An unbounded budget would grow the trace arena until the
+		// runtime dies of out-of-memory, a fatal no handler recovers.
+		{"oversized samples", "/cell?scenario=dpa&arch=smart&defense=none&confidence=0&samples=2000000000"},
+		{"oversized maxsamples", "/cell?scenario=dpa&arch=smart&confidence=0.9&maxsamples=2000000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -184,12 +180,14 @@ func TestCellBadRequest(t *testing.T) {
 		"/sweep?defense=moat",
 		"/sweep?samples=many",
 		"/sweep?confidence=0.2",
+		"/sweep?attack=dpa&samples=2000000000",
 	} {
 		rec := get(t, s, tc)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s = %d, want 400", tc, rec.Code)
 		}
 	}
+	mustContain(t, metricsBody(t, s), "intrust_cells_computed_total 0")
 }
 
 // TestCellMatchesGoldenGrid samples the checked-in golden grid fixture
@@ -381,28 +379,6 @@ func TestCatalogs(t *testing.T) {
 	}
 	if len(defenses) < 10 {
 		t.Errorf("defense catalog incomplete: %d entries", len(defenses))
-	}
-}
-
-func TestBenchEndpoint(t *testing.T) {
-	s := newTestServer(Options{})
-	cold := get(t, s, "/bench")
-	if cold.Code != http.StatusOK {
-		t.Fatalf("/bench = %d %s", cold.Code, cold.Body.String())
-	}
-	if cold.Header().Get("X-Cache") != "miss" {
-		t.Errorf("cold /bench X-Cache = %q", cold.Header().Get("X-Cache"))
-	}
-	var rep perf.Report
-	if err := json.Unmarshal(cold.Body.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Configs) != 1 || rep.Configs[0].Cells == 0 {
-		t.Errorf("bench report %+v lacks the tiny config's cells", rep)
-	}
-	warm := get(t, s, "/bench")
-	if warm.Header().Get("X-Cache") != "hit" || !bytes.Equal(warm.Body.Bytes(), cold.Body.Bytes()) {
-		t.Errorf("warm /bench not served from memory")
 	}
 }
 
