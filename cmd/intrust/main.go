@@ -61,6 +61,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/diskcache"
@@ -195,10 +196,10 @@ func runAttacks(args []string) int {
 		}
 		rendering = scenario.CatalogMarkdown(scenario.Default)
 	} else {
-		scens := scenario.All()
+		scens := scenario.Default.All()
 		if *family != "" {
-			if scens = scenario.ByFamily(*family); len(scens) == 0 {
-				fmt.Fprintf(os.Stderr, "attacks: unknown family %q (want %s)\n", *family, strings.Join(scenario.Families(), "|"))
+			if scens = scenario.Default.ByFamily(*family); len(scens) == 0 {
+				fmt.Fprintf(os.Stderr, "attacks: unknown family %q (want %s)\n", *family, strings.Join(scenario.Default.Families(), "|"))
 				return 2
 			}
 		}
@@ -207,10 +208,9 @@ func runAttacks(args []string) int {
 			Columns: []string{"scenario", "family", "paper §", "applicable architectures"},
 		}
 		for _, s := range scens {
-			section, summary := scenario.DescriptionOf(s)
-			t.Rows = append(t.Rows, []string{s.Name(), s.Family(), section, scenario.ApplicableCell(s)})
-			if summary != "" {
-				t.Notes = append(t.Notes, s.Name()+": "+summary)
+			t.Rows = append(t.Rows, []string{s.Name(), s.Family(), s.Section, axis.ApplicableCell(s.Applicable)})
+			if s.Summary != "" {
+				t.Notes = append(t.Notes, s.Name()+": "+s.Summary)
 			}
 		}
 		rendering = t.String()
@@ -472,7 +472,7 @@ func runServe(args []string) int {
 // redirects either rendering to a file.
 func runDefenses(args []string) int {
 	fs := flag.NewFlagSet("defenses", flag.ExitOnError)
-	family := fs.String("family", "", "restrict the listing to one countered family ("+strings.Join(defense.FamilyOrder, "|")+")")
+	family := fs.String("family", "", "restrict the listing to one countered family ("+strings.Join(axis.FamilyOrder, "|")+")")
 	markdown := fs.Bool("markdown", false, "emit the docs/DEFENSES.md handbook instead of the table")
 	outPath := fs.String("o", "", "write to this file instead of stdout")
 	fs.Parse(args)
@@ -488,10 +488,10 @@ func runDefenses(args []string) int {
 		}
 		rendering = defense.CatalogMarkdown(defense.Default)
 	} else {
-		defs := defense.All()
+		defs := defense.Default.All()
 		if *family != "" {
-			if defs = defense.ByFamily(*family); len(defs) == 0 {
-				fmt.Fprintf(os.Stderr, "defenses: unknown family %q (want %s)\n", *family, strings.Join(defense.Families(), "|"))
+			if defs = defense.Default.ByFamily(*family); len(defs) == 0 {
+				fmt.Fprintf(os.Stderr, "defenses: unknown family %q (want %s)\n", *family, strings.Join(defense.Default.Families(), "|"))
 				return 2
 			}
 		}
@@ -500,15 +500,14 @@ func runDefenses(args []string) int {
 			Columns: []string{"defense", "vs family", "paper §", "blocks", "stock on", "applicable architectures"},
 		}
 		for _, d := range defs {
-			section, summary := defense.DescriptionOf(d)
-			stock := strings.Join(defense.StockOnOf(d), ",")
+			stock := strings.Join(d.Stock, ",")
 			if stock == "" {
 				stock = "-"
 			}
-			t.Rows = append(t.Rows, []string{d.Name(), d.Family(), section,
-				strings.Join(defense.BlocksOf(d), ","), stock, defense.ApplicableCell(d)})
-			if summary != "" {
-				t.Notes = append(t.Notes, d.Name()+": "+summary)
+			t.Rows = append(t.Rows, []string{d.Name(), d.Family(), d.Section,
+				strings.Join(d.BlocksList, ","), stock, axis.ApplicableCell(d.Applicable)})
+			if d.Summary != "" {
+				t.Notes = append(t.Notes, d.Name()+": "+d.Summary)
 			}
 		}
 		rendering = t.String()

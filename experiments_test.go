@@ -50,7 +50,7 @@ func TestDefensesIndexInSync(t *testing.T) {
 		if !strings.Contains(string(disk), "`"+d.Name()+"`") {
 			t.Errorf("docs/DEFENSES.md does not mention defense %q", d.Name())
 		}
-		for _, blocked := range defense.BlocksOf(d) {
+		for _, blocked := range d.BlocksList {
 			if _, ok := LookupScenario(blocked); !ok {
 				t.Errorf("defense %q claims to block unknown scenario %q", d.Name(), blocked)
 			}
@@ -77,7 +77,7 @@ func TestFacadeDefenseAPI(t *testing.T) {
 	if !ok {
 		t.Fatal("flush+reload not registered")
 	}
-	env, err := NewScenarioEnvWithDefenses("sgx", 48, 1, nil, []Defense{d})
+	env, err := NewScenarioEnvWithDefenses("sgx", 48, 1, nil, []*Defense{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,8 +119,8 @@ func TestFacadeScenarioAPI(t *testing.T) {
 	if out.Verdict != "blocked" {
 		t.Errorf("spectre-v1 on the in-order embedded core = %q, want blocked", out.Verdict)
 	}
-	// A custom registry accepts downstream scenarios without touching the
-	// default catalog.
+	// A private registry, checked by the catalog's rules, is independent
+	// of the default catalog.
 	reg := NewScenarioRegistry()
 	if err := reg.Register(&ScenarioSpec{
 		ID: "rowhammer", In: "physical",

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -124,14 +125,14 @@ func TestAdaptiveOneShotScenarios(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRunOnlySpecMountsOnce pins the two-kind sampling model
-// for downstream scenarios: a Spec with only Run set is one-shot, so the
-// adaptive engine settles it in exactly one mount with no sample
-// dimension, never re-mounting it in full-budget passes.
+// TestAdaptiveRunOnlySpecMountsOnce pins the two-kind sampling model:
+// a Spec with only Run set is one-shot, so the adaptive engine settles
+// it in exactly one mount with no sample dimension, never re-mounting it
+// in full-budget passes.
 func TestAdaptiveRunOnlySpecMountsOnce(t *testing.T) {
 	mounts := 0
 	sc := &scenario.Spec{
-		ID: "run-only", In: scenario.FamilyPhysical,
+		ID: "run-only", In: axis.FamilyPhysical,
 		Run: func(env *scenario.Env) (scenario.Outcome, error) {
 			mounts++
 			return scenario.Outcome{Rows: scenario.Cell("run-only", env.Arch, "-", "blocked"), Verdict: "blocked"}, nil

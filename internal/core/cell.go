@@ -179,7 +179,7 @@ type CellOptions struct {
 	Seed int64
 }
 
-// defaultCellSamples mirrors SweepExperimentsWith's fallback budget.
+// defaultCellSamples is the per-cell budget when none is requested.
 const defaultCellSamples = 256
 
 // maxCellSamples caps a cell's requested budget and adaptive sample
@@ -200,7 +200,7 @@ func checkBudget(samples, maxSamples int) error {
 }
 
 // norm validates and canonicalizes the options against one scenario.
-func (o CellOptions) norm(sc scenario.Scenario) (CellOptions, error) {
+func (o CellOptions) norm(sc *scenario.Spec) (CellOptions, error) {
 	if math.IsNaN(o.Confidence) || math.IsInf(o.Confidence, 0) ||
 		(o.Confidence != 0 && (o.Confidence < 0.5 || o.Confidence >= 1)) {
 		return o, fmt.Errorf("confidence must be in [0.5,1), or 0 for fixed budgets (got %v)", o.Confidence)
@@ -211,8 +211,8 @@ func (o CellOptions) norm(sc scenario.Scenario) (CellOptions, error) {
 	if o.Samples <= 0 {
 		o.Samples = defaultCellSamples
 	}
-	if floor := scenario.MinSamplesOf(sc); o.Samples < floor {
-		o.Samples = floor
+	if o.Samples < sc.Floor {
+		o.Samples = sc.Floor
 	}
 	if o.Confidence == 0 {
 		o.MaxSamples = 0
@@ -275,15 +275,7 @@ func ResolveCell(scenarioTok, archTok, defenseTok string, opt CellOptions) (Cell
 // /sweep endpoint and the CLI sweep walk the same cells in the same
 // order because both resolve through this one expansion path.
 func EnumerateCells(archs, attacks, defenses []string, opt CellOptions) ([]CellKey, error) {
-	archList, err := expandAxis(archs, AllArchitectures, "architecture")
-	if err != nil {
-		return nil, err
-	}
-	scens, err := expandScenarios(attacks)
-	if err != nil {
-		return nil, err
-	}
-	sels, err := expandDefenses(defenses)
+	archList, scens, sels, err := resolveAxes(archs, attacks, defenses)
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +309,7 @@ func EnumerateCells(archs, attacks, defenses []string, opt CellOptions) ([]CellK
 // string) are rejected rather than silently re-canonicalized: a cache
 // keyed on them would alias distinct addresses to one result.
 func (k CellKey) Experiment() (engine.Experiment, error) {
-	sc, ok := scenario.Lookup(k.Scenario)
+	sc, ok := scenario.Default.Lookup(k.Scenario)
 	if !ok || sc.Name() != k.Scenario {
 		return engine.Experiment{}, fmt.Errorf("cell key: unknown or non-canonical scenario %q", k.Scenario)
 	}

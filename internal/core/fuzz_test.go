@@ -70,7 +70,7 @@ func FuzzExpandScenarios(f *testing.F) {
 		}
 		seen := map[string]bool{}
 		for _, s := range out {
-			if _, ok := scenario.Lookup(s.Name()); !ok {
+			if _, ok := scenario.Default.Lookup(s.Name()); !ok {
 				t.Fatalf("expandScenarios(%q) emitted unregistered scenario %q", raw, s.Name())
 			}
 			if seen[s.Name()] {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -102,7 +103,7 @@ func TestGoldenGrid(t *testing.T) {
 	results := goldenGrid(t, SweepOptions{Samples: goldenSamples, Adaptive: &stats.Policy{}})
 	gotLines := goldenLines(results)
 
-	nScen, nArch, nDef := len(scenario.All()), len(AllArchitectures), len(AllDefenseNames())
+	nScen, nArch, nDef := scenario.Default.Len(), len(AllArchitectures), defense.Default.Len()
 	if wantCells := nScen * nArch * nDef; len(gotLines) != wantCells {
 		t.Errorf("grid covers %d cells, want %d (%d scenarios x %d architectures x %d defenses)",
 			len(gotLines), wantCells, nScen, nArch, nDef)
@@ -178,8 +179,8 @@ func TestGoldenGridFixedRows(t *testing.T) {
 		t.Skip("skipping the fixed-row replay under the race detector; the concurrent sweep tests cover the engine's synchronization")
 	}
 	var seq []string
-	for _, s := range scenario.All() {
-		if scenario.CanMountSeq(s) {
+	for _, s := range scenario.Default.All() {
+		if s.RunSeq != nil {
 			seq = append(seq, s.Name())
 		}
 	}

@@ -21,11 +21,6 @@ var AllArchitectures = scenario.Architectures
 // and Section 5 (classical physical).
 var AllAttackFamilies = scenario.FamilyOrder
 
-// AllDefenseNames lists the registered mitigation names in the defense
-// registry's deterministic order — the named values of the sweep's
-// -defense axis (alongside the axis tokens "none", "stock" and "all").
-func AllDefenseNames() []string { return defense.Default.Names() }
-
 // SweepExperiments enumerates the scenario × architecture × defense grid
 // as engine jobs: for every requested (scenario, architecture, defense
 // selection) triple, one experiment that mounts the registered scenario
@@ -65,15 +60,7 @@ type SweepOptions struct {
 // SweepExperimentsWith is SweepExperiments with explicit options (the
 // adaptive sequential-sampling engine lives behind Adaptive).
 func SweepExperimentsWith(archs, attacks, defenses []string, opt SweepOptions) ([]engine.Experiment, error) {
-	archs, err := expandAxis(archs, AllArchitectures, "architecture")
-	if err != nil {
-		return nil, err
-	}
-	scens, err := expandScenarios(attacks)
-	if err != nil {
-		return nil, err
-	}
-	sels, err := expandDefenses(defenses)
+	archs, scens, sels, err := resolveAxes(archs, attacks, defenses)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +72,7 @@ func SweepExperimentsWith(archs, attacks, defenses []string, opt SweepOptions) (
 		return nil, err
 	}
 	if opt.Samples <= 0 {
-		opt.Samples = 256
+		opt.Samples = defaultCellSamples
 	}
 	var exps []engine.Experiment
 	for _, sc := range scens {
@@ -96,6 +83,26 @@ func SweepExperimentsWith(archs, attacks, defenses []string, opt SweepOptions) (
 		}
 	}
 	return exps, nil
+}
+
+// resolveAxes resolves the three axes of a grid selection — the one
+// expansion path SweepExperimentsWith and EnumerateCells share, so the
+// sweep, the CLI and the serve layer walk the same cells in the same
+// order.
+func resolveAxes(archs, attacks, defenses []string) ([]string, []*scenario.Spec, []defenseSel, error) {
+	archs, err := expandAxis(archs, AllArchitectures, "architecture")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	scens, err := expandScenarios(attacks)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sels, err := expandDefenses(defenses)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return archs, scens, sels, nil
 }
 
 // expandAxis resolves one requested axis against its full set: empty
@@ -140,15 +147,15 @@ func expandAxis(req, all []string, what string) ([]string, error) {
 // the family) or individual scenario names, case-insensitively; "all"
 // anywhere selects the whole registry. Duplicates collapse while
 // preserving selection order.
-func expandScenarios(req []string) ([]scenario.Scenario, error) {
+func expandScenarios(req []string) ([]*scenario.Spec, error) {
 	families := map[string]bool{}
-	for _, f := range scenario.Families() {
+	for _, f := range scenario.Default.Families() {
 		families[strings.ToLower(f)] = true
 	}
 	useAll := len(req) == 0
 	seen := map[string]bool{}
-	var out []scenario.Scenario
-	add := func(s scenario.Scenario) {
+	var out []*scenario.Spec
+	add := func(s *scenario.Spec) {
 		if !seen[s.Name()] {
 			seen[s.Name()] = true
 			out = append(out, s)
@@ -161,20 +168,20 @@ func expandScenarios(req []string) ([]scenario.Scenario, error) {
 		case tok == "all":
 			useAll = true
 		case families[tok]:
-			for _, s := range scenario.ByFamily(tok) {
+			for _, s := range scenario.Default.ByFamily(tok) {
 				add(s)
 			}
 		default:
-			s, ok := scenario.Lookup(tok)
+			s, ok := scenario.Default.Lookup(tok)
 			if !ok {
 				return nil, fmt.Errorf("unknown attack %q (want a family [%s], a scenario name from `intrust attacks`, or all)",
-					r, strings.Join(scenario.Families(), "|"))
+					r, strings.Join(scenario.Default.Families(), "|"))
 			}
 			add(s)
 		}
 	}
 	if useAll || len(out) == 0 {
-		return scenario.All(), nil
+		return scenario.Default.All(), nil
 	}
 	return out, nil
 }
@@ -188,13 +195,13 @@ type defenseSel struct {
 	// "ct-aes+clock-jitter".
 	label string
 	stock bool
-	defs  []defense.Defense // nil for none and stock
+	defs  []*defense.Spec // nil for none and stock
 }
 
 // forArch resolves the selection against one architecture, returning the
 // defenses to mount and the display label for the table's defense column
 // (stock shows what it resolved to, so labels cannot drift from wiring).
-func (s defenseSel) forArch(arch string) ([]defense.Defense, string) {
+func (s defenseSel) forArch(arch string) ([]*defense.Spec, string) {
 	if s.stock {
 		ds := defense.StockFor(arch)
 		if len(ds) == 0 {
@@ -247,8 +254,8 @@ func expandDefenses(req []string) ([]defenseSel, error) {
 		}
 	}
 	if useAll {
-		for _, d := range defense.All() {
-			add(defenseSel{label: strings.ToLower(d.Name()), defs: []defense.Defense{d}})
+		for _, d := range defense.Default.All() {
+			add(defenseSel{label: strings.ToLower(d.Name()), defs: []*defense.Spec{d}})
 		}
 	}
 	if len(out) == 0 {
@@ -263,14 +270,14 @@ func expandDefenses(req []string) ([]defenseSel, error) {
 // running the same wiring twice under different labels and seeds.
 func namedDefenseSel(tok string) (defenseSel, error) {
 	parts := strings.Split(tok, "+")
-	var ds []defense.Defense
+	var ds []*defense.Spec
 	seen := map[string]bool{}
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {
 			continue
 		}
-		d, ok := defense.Lookup(p)
+		d, ok := defense.Default.Lookup(p)
 		if !ok {
 			return defenseSel{}, fmt.Errorf("unknown defense %q (want one of %s; none; stock; all; or a +combination)",
 				p, strings.Join(defense.Default.Names(), "|"))
@@ -291,7 +298,7 @@ func namedDefenseSel(tok string) (defenseSel, error) {
 
 // resolvedKey canonically names a resolved defense set: "none" for the
 // empty set, else the sorted lower-cased names joined with "+".
-func resolvedKey(ds []defense.Defense) string {
+func resolvedKey(ds []*defense.Spec) string {
 	if len(ds) == 0 {
 		return "none"
 	}
@@ -309,7 +316,7 @@ func resolvedKey(ds []defense.Defense) string {
 // embedded one per sample. One-shot scenarios settle in a single mount
 // regardless of budget and cost only the class weight. The estimate
 // shapes scheduling exclusively; results never depend on it.
-func sweepCost(sc scenario.Scenario, arch string, samples int) int {
+func sweepCost(sc *scenario.Spec, arch string, samples int) int {
 	weight := 1
 	switch scenario.ClassOf(arch) {
 	case scenario.ClassServer:
@@ -317,7 +324,7 @@ func sweepCost(sc scenario.Scenario, arch string, samples int) int {
 	case scenario.ClassMobile:
 		weight = 2
 	}
-	if scenario.IsOneShot(sc) {
+	if sc.RunSeq == nil {
 		return weight
 	}
 	return samples * weight
@@ -325,13 +332,13 @@ func sweepCost(sc scenario.Scenario, arch string, samples int) int {
 
 // sweepExperiment builds the engine job for one (scenario, architecture,
 // defense selection) cell of the grid.
-func sweepExperiment(sc scenario.Scenario, arch string, sel defenseSel, opt SweepOptions) engine.Experiment {
+func sweepExperiment(sc *scenario.Spec, arch string, sel defenseSel, opt SweepOptions) engine.Experiment {
 	// Raise the budget to the scenario's declared floor so the
 	// Experiment's (and the JSON report's) Samples field states the
 	// cell's reference cost.
 	samples := opt.Samples
-	if floor := scenario.MinSamplesOf(sc); samples < floor {
-		samples = floor
+	if samples < sc.Floor {
+		samples = sc.Floor
 	}
 	defs, display := sel.forArch(arch)
 	exp := engine.Experiment{
@@ -368,7 +375,7 @@ func sweepExperiment(sc scenario.Scenario, arch string, sel defenseSel, opt Swee
 		return naCell(reason)
 	}
 	for _, d := range defs {
-		if ok, reason := d.AppliesTo(arch); !ok {
+		if ok, reason := d.Applicable(arch); !ok {
 			return naCell(fmt.Sprintf("defense %s not applicable on %s: %s", d.Name(), arch, reason))
 		}
 	}
@@ -407,8 +414,8 @@ func sweepExperiment(sc scenario.Scenario, arch string, sel defenseSel, opt Swee
 // deadline — stops extending its sample set within one SPRT checkpoint
 // and surfaces the context's error instead of a truncated measurement. Cancellation never produces a partial
 // verdict: the interrupted pass's outcome is discarded wholesale.
-func adaptiveCell(ctx context.Context, sc scenario.Scenario, base *scenario.Env, pol stats.Policy, reference int) (engine.Outcome, error) {
-	if scenario.IsOneShot(sc) {
+func adaptiveCell(ctx context.Context, sc *scenario.Spec, base *scenario.Env, pol stats.Policy, reference int) (engine.Outcome, error) {
+	if sc.RunSeq == nil {
 		out, err := sc.Mount(base)
 		if err != nil {
 			return out, err
@@ -425,7 +432,7 @@ func adaptiveCell(ctx context.Context, sc scenario.Scenario, base *scenario.Env,
 			return engine.Outcome{}, cerr
 		}
 		plan := stats.NewPlan(t.Policy(), reference).Bind(ctx)
-		out, err = scenario.MountSeq(sc, base.Batch(t.Passes(), reference), plan)
+		out, err = sc.RunSeq(base.Batch(t.Passes(), reference), plan)
 		if plan.Cancelled() {
 			return engine.Outcome{}, ctx.Err()
 		}

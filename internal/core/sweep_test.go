@@ -56,7 +56,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 // the paper's qualitative shapes hold on the grid.
 func TestSweepCoversRegistryGrid(t *testing.T) {
 	results := sweepResults(t, 0)
-	nScen := len(scenario.All())
+	nScen := scenario.Default.Len()
 	if nScen < 15 {
 		t.Fatalf("registry holds %d scenarios, want >= 15", nScen)
 	}
@@ -75,7 +75,7 @@ func TestSweepCoversRegistryGrid(t *testing.T) {
 	}
 	// Every registered scenario is reachable from SweepExperiments, on
 	// every architecture, under the default stock layer.
-	for _, sc := range scenario.All() {
+	for _, sc := range scenario.Default.All() {
 		for _, arch := range AllArchitectures {
 			name := "sweep/" + sc.Family() + "/" + sc.Name() + "/" + arch + "/stock"
 			r, ok := byName[name]
@@ -99,7 +99,11 @@ func TestSweepCoversRegistryGrid(t *testing.T) {
 			// The defense column derives from the registry's stock
 			// metadata, never a parallel table.
 			wantDef := "stock (none)"
-			if names := defense.StockNames(arch); len(names) > 0 {
+			if ds := defense.StockFor(arch); len(ds) > 0 {
+				names := make([]string, len(ds))
+				for i, d := range ds {
+					names[i] = d.Name()
+				}
 				wantDef = "stock (" + strings.Join(names, "+") + ")"
 			}
 			if r.Experiment.Defense != wantDef {
@@ -171,7 +175,7 @@ func TestSweepDefenseAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(defense.All()); len(exps) != want {
+	if want := defense.Default.Len(); len(exps) != want {
 		t.Errorf("-defense all produced %d experiments, want %d", len(exps), want)
 	}
 
@@ -318,7 +322,7 @@ func TestSweepSampleFloors(t *testing.T) {
 }
 
 func TestSweepAxisExpansion(t *testing.T) {
-	nScen := len(scenario.All())
+	nScen := scenario.Default.Len()
 	// "all" is honored anywhere in the list, not only as the sole entry.
 	exps, err := SweepExperiments([]string{"sgx", "all"}, []string{"spectre-v1"}, nil, 10)
 	if err != nil || len(exps) != len(AllArchitectures) {
@@ -334,13 +338,13 @@ func TestSweepAxisExpansion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScen := len(scenario.ByFamily("physical")) + 1
+	wantScen := len(scenario.Default.ByFamily("physical")) + 1
 	if len(exps) != wantScen*2 {
 		t.Errorf("case-insensitive mixed selection produced %d experiments, want %d", len(exps), wantScen*2)
 	}
 	// Family + member variant dedupes; duplicates collapse.
 	exps, err = SweepExperiments([]string{"sgx", "sgx"}, []string{"cachesca", "prime+probe"}, nil, 10)
-	if err != nil || len(exps) != len(scenario.ByFamily("cachesca")) {
+	if err != nil || len(exps) != len(scenario.Default.ByFamily("cachesca")) {
 		t.Errorf("dedup selection produced %d experiments (err=%v)", len(exps), err)
 	}
 }
@@ -394,7 +398,7 @@ func TestSweepJSONReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sweep JSON does not parse: %v", err)
 	}
-	want := len(scenario.ByFamily("transient")) * 2 * 2
+	want := len(scenario.Default.ByFamily("transient")) * 2 * 2
 	if rep.Summary.Experiments != want || len(rep.Results) != want {
 		t.Errorf("report covers %d/%d experiments, want %d", rep.Summary.Experiments, len(rep.Results), want)
 	}
@@ -411,6 +415,70 @@ func TestSweepJSONReport(t *testing.T) {
 	for _, wantStr := range []string{"sgx", "trustlite", "spectre-v1", "foreshadow", "meltdown", "spec-barrier", "mitigated"} {
 		if !strings.Contains(rendered, wantStr) {
 			t.Errorf("sweep table missing %q", wantStr)
+		}
+	}
+}
+
+// TestNACellsIndependentOfBudget is the metamorphic invariant that a
+// cell's n/a verdict depends only on the scenario and defense records'
+// Applicable methods, never on the sample budget: the full
+// none,stock,all grid enumerated at 16 and at 96 samples has the same
+// n/a cells, with identical rows, verdicts and details. Every Run
+// closure is called under a cancelled context, so applicable cells
+// return the context's error before building anything and only the n/a
+// closures, which return at once, produce an outcome.
+func TestNACellsIndependentOfBudget(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	naCells := func(samples int) map[string]engine.Outcome {
+		exps, err := SweepExperiments(nil, nil, []string{"none", "stock", "all"}, samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]engine.Outcome{}
+		for _, e := range exps {
+			o, err := e.Run(&engine.Ctx{Context: ctx, Samples: e.Samples, Seed: e.Seed})
+			if err == context.Canceled {
+				continue
+			}
+			if err != nil || o.Verdict != "n/a" {
+				t.Fatalf("%s: under a cancelled context got %q, %v; want n/a or the context error", e.Name, o.Verdict, err)
+			}
+			out[e.Name] = o
+		}
+		return out
+	}
+	small, large := naCells(16), naCells(96)
+	if len(small) == 0 {
+		t.Fatal("the full grid has no n/a cells")
+	}
+	if !reflect.DeepEqual(small, large) {
+		t.Errorf("n/a cells differ between budgets 16 and 96 (%d vs %d cells)", len(small), len(large))
+	}
+	// The n/a set is exactly the cells whose scenario or one of whose
+	// resolved defenses is not applicable on the architecture.
+	exps, err := SweepExperiments(nil, nil, []string{"none", "stock", "all"}, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range exps {
+		sc, ok := scenario.Default.Lookup(sweepScenarioName(e.Name))
+		if !ok {
+			t.Fatalf("%s: unknown scenario", e.Name)
+		}
+		sel, err := defenseSelForLabel(sweepDefenseLabel(e.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := sc.Applicable(e.Arch)
+		defs, _ := sel.forArch(e.Arch)
+		for _, d := range defs {
+			if ok, _ := d.Applicable(e.Arch); !ok {
+				want = false
+			}
+		}
+		if _, na := small[e.Name]; na == want {
+			t.Errorf("%s: n/a = %v, but the records say applicable = %v", e.Name, na, want)
 		}
 	}
 }

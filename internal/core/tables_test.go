@@ -100,9 +100,9 @@ func TestBlocksClaimsHoldInGoldenGrid(t *testing.T) {
 		class[[3]string{f[0], f[1], f[2]}] = f[3]
 	}
 	counts := map[string]int{}
-	for _, d := range defense.All() {
+	for _, d := range defense.Default.All() {
 		label := strings.ToLower(d.Name())
-		for _, sc := range defense.BlocksOf(d) {
+		for _, sc := range d.BlocksList {
 			for _, arch := range AllArchitectures {
 				got, ok := class[[3]string{sc, arch, label}]
 				if !ok {

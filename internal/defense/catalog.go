@@ -1,6 +1,7 @@
 package defense
 
 import (
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/cache"
 	"github.com/intrust-sim/intrust/internal/platform"
 )
@@ -9,17 +10,17 @@ import (
 // the §4.2 speculation controls, and the §5 side-channel and fault
 // countermeasures. Each entry is a pure config transform; the stock
 // wiring of the surveyed architectures (Sanctum's LLC partitioning,
-// Sanctuary's cache exclusion/coloring) lives here as StockOn metadata
+// Sanctuary's cache exclusion/coloring) lives here as Stock metadata
 // instead of a hard-coded block in the scenario environment.
 
 func init() {
 	for _, d := range catalog() {
-		MustRegister(d)
+		Default.MustRegister(d)
 	}
 }
 
 // classOf returns an architecture's platform class (ClassEmbedded for
-// unknown keys never arises: AppliesTo rejects unknown keys first).
+// unknown keys never arises: Applicable rejects unknown keys first).
 func classOf(arch string) platform.Class {
 	c, _ := platform.ArchClass(arch)
 	return c
@@ -76,11 +77,11 @@ func sgxOnly(arch string) (bool, string) {
 // cells deterministic; the attacker never learns it.
 const randomIndexKey = 0xdecafbad
 
-func catalog() []Defense {
-	return []Defense{
+func catalog() []*Spec {
+	return []*Spec{
 		// --- §4.1 cache side-channel defenses -------------------------
-		&Spec{
-			ID: "way-partition", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "way-partition", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "DAWG-style way partitioning of every shared cache level between victim and attacker domains " +
 				"(models Sanctum's cache-isolation goal)",
 			BlocksList: []string{"flush+reload", "prime+probe"},
@@ -97,8 +98,8 @@ func catalog() []Defense {
 				})
 			},
 		},
-		&Spec{
-			ID: "cache-coloring", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "cache-coloring", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "page-coloring exclusion: the victim's table pages are confined to the private L1, " +
 				"never reaching the shared levels (models Sanctuary's cache exclusion)",
 			BlocksList: []string{"prime+probe"},
@@ -116,8 +117,8 @@ func catalog() []Defense {
 				})
 			},
 		},
-		&Spec{
-			ID: "randomized-index", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "randomized-index", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "CEASER-style randomized cache indexing: the victim's addresses map to LLC sets through " +
 				"a keyed scramble, so the attacker cannot build eviction sets for the victim's lines",
 			BlocksList: []string{"prime+probe"},
@@ -129,16 +130,16 @@ func catalog() []Defense {
 				})
 			},
 		},
-		&Spec{
-			ID: "flush-on-switch", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "flush-on-switch", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "random-fill/flush-on-switch family: the core's whole cache hierarchy is invalidated " +
 				"on every enclave exit, denying the attacker any residual victim state",
 			BlocksList: []string{"flush+reload", "prime+probe"},
 			Applies:    needsSharedCache,
 			Apply:      func(c *Config) { c.FlushOnSwitch = true },
 		},
-		&Spec{
-			ID: "tlb-partition", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "tlb-partition", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "TLB way partitioning between address spaces, the TLBleed countermeasure: " +
 				"the victim's translations can no longer evict the attacker's entries",
 			BlocksList: []string{"tlb-channel"},
@@ -157,39 +158,39 @@ func catalog() []Defense {
 				})
 			},
 		},
-		&Spec{
-			ID: "ct-aes", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "ct-aes", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "constant-time AES: the S-box is computed instead of looked up, so no secret-dependent " +
 				"memory access reaches the cache hierarchy",
 			BlocksList: []string{"flush+reload", "prime+probe", "evict+time"},
 			Apply:      func(c *Config) { c.ConstantTimeAES = true },
 		},
 		// --- §4.2 transient-execution defenses ------------------------
-		&Spec{
-			ID: "spec-barrier", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "spec-barrier", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "lfence-style speculation barrier after bounds checks: the bounds-check-bypass window " +
 				"closes before the secret-dependent load can execute transiently",
 			BlocksList: []string{"spectre-v1"},
 			Apply:      func(c *Config) { c.SpecBarrier = true },
 		},
-		&Spec{
-			ID: "btb-flush", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "btb-flush", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "IBPB-style predictor flush on context switch: BTB/PHT state trained by one domain " +
 				"is invalidated before another runs",
 			BlocksList: []string{"spectre-btb", "branch-shadow"},
 			Applies:    needsPredictor,
 			Apply:      func(c *Config) { c.PredictorFlush = true },
 		},
-		&Spec{
-			ID: "no-fault-forwarding", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "no-fault-forwarding", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "fixed silicon: a faulting load returns no data to the transient instructions behind it, " +
 				"so the Meltdown window has nothing to encode",
 			BlocksList: []string{"meltdown"},
 			Applies:    needsMMU,
 			Apply:      func(c *Config) { c.NoFaultForwarding = true },
 		},
-		&Spec{
-			ID: "l1tf-flush", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "l1tf-flush", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Foreshadow microcode fix: the L1 data cache is flushed on every enclave exit, " +
 				"so no EPC line is left for an L1 terminal fault to read",
 			BlocksList: []string{"foreshadow"},
@@ -197,22 +198,22 @@ func catalog() []Defense {
 			Apply:      func(c *Config) { c.L1TFFlush = true },
 		},
 		// --- §5 physical-attack defenses ------------------------------
-		&Spec{
-			ID: "masked-aes", In: FamilyPhysical, Section: "5",
+		{
+			ID: "masked-aes", In: axis.FamilyPhysical, Section: "5",
 			Summary: "first-order boolean masking: every intermediate is carried under a fresh random mask, " +
 				"decorrelating power traces from the processed secrets",
 			BlocksList: []string{"dpa", "cpa"},
 			Apply:      func(c *Config) { c.MaskedAES = true },
 		},
-		&Spec{
-			ID: "crt-check", In: FamilyPhysical, Section: "5",
+		{
+			ID: "crt-check", In: axis.FamilyPhysical, Section: "5",
 			Summary: "RSA-CRT fault check (Shamir/infective family): signatures are verified before release, " +
 				"so a faulty half-exponentiation is never observable",
 			BlocksList: []string{"bellcore"},
 			Apply:      func(c *Config) { c.CRTCheck = true },
 		},
-		&Spec{
-			ID: "clock-jitter", In: FamilyPhysical, Section: "5",
+		{
+			ID: "clock-jitter", In: axis.FamilyPhysical, Section: "5",
 			Summary: "randomized clock (hiding): random delays misalign power traces and displace injected " +
 				"faults away from the targeted round",
 			BlocksList: []string{"dpa", "cpa", "clkscrew"},
@@ -226,22 +227,22 @@ func catalog() []Defense {
 		// microarchitectural knobs, so they apply to every surveyed
 		// architecture (all eight implement remote attestation) and none
 		// ships them stock: the baseline protocol flow is the victim.
-		&Spec{
-			ID: "quote-freshness", In: FamilyAttestation, Section: "3",
+		{
+			ID: "quote-freshness", In: axis.FamilyAttestation, Section: "3",
 			Summary: "single-use challenge nonces: the verifier records every accepted nonce and rejects " +
 				"re-presentation, so a captured quote cannot be replayed into a later session",
 			BlocksList: []string{"quote-replay"},
 			Apply:      func(c *Config) { c.QuoteFreshness = true },
 		},
-		&Spec{
-			ID: "measurement-lock", In: FamilyAttestation, Section: "3",
+		{
+			ID: "measurement-lock", In: axis.FamilyAttestation, Section: "3",
 			Summary: "measure-at-quote: the quoting path re-measures the live enclave image instead of " +
 				"signing the load-time ledger entry, closing the measure→use TOCTOU window",
 			BlocksList: []string{"measure-toctou"},
 			Apply:      func(c *Config) { c.MeasurementLock = true },
 		},
-		&Spec{
-			ID: "tcb-refresh", In: FamilyAttestation, Section: "3",
+		{
+			ID: "tcb-refresh", In: axis.FamilyAttestation, Section: "3",
 			Summary: "verifiers pull the sweep-driven revocation state before accepting: a broken undefended " +
 				"cell raises the arch's minimum TCB, so stale-TCB quotes are rejected until quotes claim the stock defense",
 			BlocksList: []string{"stale-tcb"},

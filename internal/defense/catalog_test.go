@@ -2,8 +2,10 @@ package defense
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/platform"
 )
 
@@ -29,18 +31,17 @@ func TestCatalogNamesStable(t *testing.T) {
 }
 
 func TestCatalogMetadataComplete(t *testing.T) {
-	for _, d := range All() {
-		section, summary := DescriptionOf(d)
-		if section == "" || summary == "" {
-			t.Errorf("%s: missing catalog metadata (section=%q summary=%q)", d.Name(), section, summary)
+	for _, d := range Default.All() {
+		if d.Section == "" || d.Summary == "" {
+			t.Errorf("%s: missing catalog metadata (section=%q summary=%q)", d.Name(), d.Section, d.Summary)
 		}
-		if len(BlocksOf(d)) == 0 {
+		if len(d.BlocksList) == 0 {
 			t.Errorf("%s: declares no blocked scenarios — a defense that stops nothing is not a defense", d.Name())
 		}
-		if rank := familyRank(d.Family()); rank >= len(FamilyOrder) {
+		if !slices.Contains(axis.FamilyOrder, d.Family()) {
 			t.Errorf("%s: unknown family %q", d.Name(), d.Family())
 		}
-		for _, arch := range StockOnOf(d) {
+		for _, arch := range d.Stock {
 			if _, ok := platform.ArchClass(arch); !ok {
 				t.Errorf("%s: stock-on unknown architecture %q", d.Name(), arch)
 			}
@@ -60,13 +61,13 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 	highEnd := []string{"sgx", "sanctum", "trustzone", "sanctuary"}
 	applicableSet := func(name string) map[string]bool {
 		t.Helper()
-		d, ok := Lookup(name)
+		d, ok := Default.Lookup(name)
 		if !ok {
 			t.Fatalf("defense %s not registered", name)
 		}
 		out := map[string]bool{}
 		for _, arch := range platform.Architectures {
-			ok, reason := d.AppliesTo(arch)
+			ok, reason := d.Applicable(arch)
 			if !ok && reason == "" {
 				t.Errorf("%s/%s: not applicable but no reason given", name, arch)
 			}
@@ -102,8 +103,8 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 		}
 	}
 	// Unknown architectures are never applicable.
-	for _, d := range All() {
-		if ok, _ := d.AppliesTo("enigma"); ok {
+	for _, d := range Default.All() {
+		if ok, _ := d.Applicable("enigma"); ok {
 			t.Errorf("%s applicable on unknown architecture", d.Name())
 		}
 	}
@@ -118,12 +119,12 @@ func TestStockWiringMatchesPaper(t *testing.T) {
 		"sgx": nil, "trustzone": nil, "smart": nil, "sancus": nil, "trustlite": nil, "tytan": nil,
 	}
 	for arch, names := range want {
-		got := StockNames(arch)
-		if len(got) == 0 && len(names) == 0 {
-			continue
+		var got []string
+		for _, d := range StockFor(arch) {
+			got = append(got, d.Name())
 		}
 		if !reflect.DeepEqual(got, names) {
-			t.Errorf("StockNames(%s) = %v, want %v", arch, got, names)
+			t.Errorf("StockFor(%s) = %v, want %v", arch, got, names)
 		}
 	}
 }
@@ -132,7 +133,7 @@ func TestStockWiringMatchesPaper(t *testing.T) {
 // the Config handed to it: two configs configured independently end up
 // equivalent, and the zero config stays undefended.
 func TestConfigureIsPureConfigTransform(t *testing.T) {
-	d, _ := Lookup("ct-aes")
+	d, _ := Default.Lookup("ct-aes")
 	c1, err := NewConfig("sgx", 5, 9, 1, 2, 0x40000, 0x2000)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,7 @@ func TestConfigureIsPureConfigTransform(t *testing.T) {
 	}
 	// The two AES knobs are independent: layering masked-aes on top must
 	// not revert the cache victim to the leaky T-table implementation.
-	if m, ok := Lookup("masked-aes"); ok {
+	if m, ok := Default.Lookup("masked-aes"); ok {
 		m.Configure(c1)
 	} else {
 		t.Fatal("masked-aes not registered")
@@ -157,5 +158,39 @@ func TestConfigureIsPureConfigTransform(t *testing.T) {
 	}
 	if _, err := NewConfig("enigma", 5, 9, 1, 2, 0, 0); err == nil {
 		t.Error("unknown architecture accepted by NewConfig")
+	}
+}
+
+// TestApplicableDefensesChangeWiring pins that an applicable defense is
+// never a silent no-op: on every architecture where a catalog defense
+// applies, Configure turns on a knob or installs a platform hook, and
+// the hooks run cleanly on a freshly assembled platform of that class.
+func TestApplicableDefensesChangeWiring(t *testing.T) {
+	for _, d := range Default.All() {
+		for _, arch := range platform.Architectures {
+			if ok, _ := d.Applicable(arch); !ok {
+				continue
+			}
+			base, err := NewConfig(arch, 5, 9, 1, 2, 0x40000, 0x2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := *base
+			d.Configure(&c)
+			if len(c.PlatformHooks) == 0 && reflect.DeepEqual(c, *base) {
+				t.Errorf("%s on %s: Configure changed nothing", d.Name(), arch)
+				continue
+			}
+			var p *platform.Platform
+			switch c.Class {
+			case platform.ClassServer:
+				p = platform.NewServer()
+			case platform.ClassMobile:
+				p = platform.NewMobile()
+			default:
+				p = platform.NewEmbedded()
+			}
+			c.Apply(p)
+		}
 	}
 }

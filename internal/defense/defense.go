@@ -1,20 +1,20 @@
-// Package defense is the mitigation axis of the simulator: every
+// Package defense is the mitigation axis of the efficacy grid: every
 // hardware or software countermeasure the paper surveys — the cache
 // isolation mechanisms of Section 4.1, the speculation controls of
-// Section 4.2 and the side-channel/fault countermeasures of Section 5 —
-// is a first-class, enumerable Defense registered in a process-wide
-// catalog, exactly mirroring the attack-scenario registry in
-// internal/scenario.
+// Section 4.2, the side-channel/fault countermeasures of Section 5 and
+// the §3 attestation-protocol policies — is one Spec record in a
+// process-wide catalog, kept in the same registry type (internal/axis)
+// as the attack scenarios.
 //
-// A Defense is a pure configuration transform: Configure edits a Config —
+// A defense is a pure configuration transform: Configure edits a Config —
 // platform assembly hooks plus victim-construction knobs — and the
 // scenario environment (scenario.Env) applies the resulting Config when
 // it builds platforms and victims. Nothing about an architecture's
-// defense wiring is hard-coded anymore: the per-architecture stock
-// defenses of Env.NewPlatform became catalog entries with StockOn
-// metadata, so the sweep can run any architecture with its stock
-// defenses, with none, or with any mitigation the paper discusses —
-// the scenario × architecture × defense efficacy grid.
+// defense wiring is hard-coded: the per-architecture stock defenses are
+// catalog entries whose Stock field names the architectures, so the
+// sweep can run any architecture with its stock defenses, with none, or
+// with any mitigation the paper discusses — the scenario × architecture
+// × defense efficacy grid.
 //
 // The package sits below internal/scenario (which consumes it) and above
 // internal/platform / internal/cache (whose knobs it turns); it never
@@ -22,37 +22,16 @@
 package defense
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/cache"
 	"github.com/intrust-sim/intrust/internal/platform"
 )
 
-// Family names a defense counters, in the paper's section order. They
-// deliberately equal the scenario family keys so the efficacy grid pairs
-// each mitigation with the attack family it targets.
-const (
-	// FamilyCacheSCA marks defenses against the §4.1 cache side channels.
-	FamilyCacheSCA = "cachesca"
-	// FamilyTransient marks defenses against the §4.2 transient-execution
-	// attacks.
-	FamilyTransient = "transient"
-	// FamilyPhysical marks defenses against the §5 classical physical
-	// attacks.
-	FamilyPhysical = "physical"
-	// FamilyAttestation marks defenses against attacks on the §3 remote
-	// attestation protocol flow (quote replay, measure/use TOCTOU,
-	// stale-TCB acceptance).
-	FamilyAttestation = "attestation"
-)
-
-// FamilyOrder ranks the countered families in the paper's section order
-// (§4.1, §4.2, §5, then the §3 attestation lifecycle, which the survey
-// introduces first but this codebase grew last). The deterministic
-// ordering used by Registry.All.
-var FamilyOrder = []string{FamilyCacheSCA, FamilyTransient, FamilyPhysical, FamilyAttestation}
-
-// Config is the wiring a Defense transforms: everything the scenario
+// Config is the wiring a defense transforms: everything the scenario
 // environment consults when it assembles a platform and constructs
 // victims. The geometry fields are inputs filled by the environment
 // before any Configure call; the knob fields start at their undefended
@@ -149,81 +128,47 @@ func (c *Config) Apply(p *platform.Platform) {
 	}
 }
 
-// Defense is one mitigation as an enumerable unit. Implementations must
-// be pure config transforms: Configure edits the Config and touches no
-// other state, so the same Defense value is safe to use from concurrent
-// sweep jobs.
-type Defense interface {
-	// Name uniquely identifies the defense in the registry
-	// (e.g. "way-partition", "ct-aes").
-	Name() string
-	// Family is the attack family the defense primarily counters (one of
-	// FamilyCacheSCA, FamilyTransient, FamilyPhysical).
-	Family() string
-	// AppliesTo reports whether the defense is meaningful on the given
-	// architecture; when it is not, reason states why in the paper's
-	// terms (e.g. "no shared LLC to partition on the embedded platform").
-	AppliesTo(arch string) (ok bool, reason string)
-	// Configure applies the defense to the wiring.
-	Configure(c *Config)
-}
-
-// Describer is an optional Defense extension providing catalog metadata
-// for `intrust defenses` and the generated docs/DEFENSES.md.
-type Describer interface {
-	// Describe returns the paper section the defense comes from
-	// (e.g. "4.1") and a one-line summary of what it configures.
-	Describe() (section, summary string)
-}
-
-// Blocker is an optional Defense extension declaring which attack
-// scenarios the mitigation is designed to stop — the paper's
-// defense-efficacy matrix, pinned by tests against measured sweep cells.
-type Blocker interface {
-	// Blocks returns the scenario names the defense stops.
-	Blocks() []string
-}
-
-// Stocker is an optional Defense extension declaring the architectures
-// that ship the mitigation by default (the paper's §4.1 wiring: LLC
-// partitioning on Sanctum, cache exclusion/coloring on Sanctuary).
-type Stocker interface {
-	// StockOn returns the architecture keys with the defense stock-on.
-	StockOn() []string
-}
-
-// Spec is the standard Defense implementation: a declarative record
-// wrapping a config transform. All catalog defenses are Specs, and
-// downstream users can register their own.
+// Spec is one mitigation as an enumerable, toggleable record. Every
+// catalog entry is a Spec. Apply must be a pure config transform: it
+// edits the Config and touches no other state, so the same Spec is safe
+// to use from concurrent sweep jobs.
 type Spec struct {
-	// ID is the unique defense name.
+	// ID is the unique defense name (e.g. "way-partition", "ct-aes").
 	ID string
-	// In is the attack family the defense primarily counters.
+	// In is the attack family the defense primarily counters (one of
+	// the axis.Family* keys).
 	In string
 	// Section is the paper section the defense comes from (e.g. "4.1").
 	Section string
 	// Summary is a one-line description for the catalog listing.
 	Summary string
-	// BlocksList names the scenarios the defense is designed to stop.
+	// BlocksList names the scenarios the defense is designed to stop —
+	// the paper's defense-efficacy matrix, pinned by tests against
+	// measured sweep cells.
 	BlocksList []string
-	// Stock lists the architectures that ship the defense by default.
+	// Stock lists the architectures that ship the defense by default
+	// (the paper's §4.1 wiring: LLC partitioning on Sanctum, cache
+	// exclusion/coloring on Sanctuary).
 	Stock []string
-	// Applies decides per-architecture applicability; nil means the
-	// defense applies to every known architecture.
+	// Applies decides per-architecture applicability, with the paper's
+	// reason when the defense is not meaningful (e.g. "no shared LLC to
+	// partition on the embedded platform"); nil means every known
+	// architecture.
 	Applies func(arch string) (bool, string)
 	// Apply performs the config transform.
 	Apply func(c *Config)
 }
 
-// Name implements Defense.
+// Name returns the defense's registry name.
 func (s *Spec) Name() string { return s.ID }
 
-// Family implements Defense.
+// Family returns the attack family the defense counters.
 func (s *Spec) Family() string { return s.In }
 
-// AppliesTo implements Defense. Unknown architectures are never
-// applicable.
-func (s *Spec) AppliesTo(arch string) (bool, string) {
+// Applicable reports whether the defense is meaningful on the given
+// architecture, and why not when it is not. Unknown architectures are
+// never applicable.
+func (s *Spec) Applicable(arch string) (bool, string) {
 	if _, ok := platform.ArchClass(arch); !ok {
 		return false, fmt.Sprintf("unknown architecture %q", arch)
 	}
@@ -233,47 +178,53 @@ func (s *Spec) AppliesTo(arch string) (bool, string) {
 	return s.Applies(arch)
 }
 
-// Configure implements Defense.
+// Configure applies the defense to the wiring.
 func (s *Spec) Configure(c *Config) {
 	if s.Apply != nil {
 		s.Apply(c)
 	}
 }
 
-// Describe implements Describer.
-func (s *Spec) Describe() (string, string) { return s.Section, s.Summary }
-
-// Blocks implements Blocker.
-func (s *Spec) Blocks() []string { return s.BlocksList }
-
-// StockOn implements Stocker.
-func (s *Spec) StockOn() []string { return s.Stock }
-
-// DescriptionOf returns a defense's paper section and summary, or empty
-// strings when it provides none.
-func DescriptionOf(d Defense) (section, summary string) {
-	if dd, ok := d.(Describer); ok {
-		return dd.Describe()
-	}
-	return "", ""
+// NewRegistry returns an empty defense registry. Besides the shared
+// registry rules, a name may not be one of the -defense axis tokens
+// "none", "stock" and "all", and may not contain an axis separator: the
+// axis splits selections on ',' and combinations on '+', and the
+// defense label becomes a '/'-separated experiment-name segment, so such
+// a name would be unselectable or would corrupt cell-name parsing.
+func NewRegistry() *axis.Registry[*Spec] {
+	return axis.New("defense", func(s *Spec) error {
+		switch strings.ToLower(s.ID) {
+		case "none", "stock", "all":
+			return errors.New("name is a reserved axis token")
+		}
+		if strings.ContainsAny(s.ID, "+,/") {
+			return errors.New("name contains an axis separator (one of \"+,/\")")
+		}
+		return nil
+	})
 }
 
-// BlocksOf returns the scenario names a defense declares it stops, or
-// nil when it declares none.
-func BlocksOf(d Defense) []string {
-	if b, ok := d.(Blocker); ok {
-		return b.Blocks()
-	}
-	return nil
-}
+// Default is the process-wide registry the catalog self-registers into
+// and the sweep's -defense axis resolves against.
+var Default = NewRegistry()
 
-// StockOnOf returns the architectures a defense declares itself stock-on,
-// or nil when it declares none.
-func StockOnOf(d Defense) []string {
-	if s, ok := d.(Stocker); ok {
-		return s.StockOn()
+// StockFor returns the defenses that ship by default on the given
+// architecture, derived from the catalog's Stock fields so labels can
+// never drift from the actual configuration, in the registry's
+// deterministic order.
+func StockFor(arch string) []*Spec { return stockFor(Default, arch) }
+
+func stockFor(r *axis.Registry[*Spec], arch string) []*Spec {
+	var out []*Spec
+	for _, d := range r.All() {
+		for _, a := range d.Stock {
+			if strings.EqualFold(a, arch) {
+				out = append(out, d)
+				break
+			}
+		}
 	}
-	return nil
+	return out
 }
 
 // halfWayMasks splits a cache's ways between the victim (lower half) and

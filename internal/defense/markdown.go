@@ -4,48 +4,23 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // familyHeading maps a countered-family key to its handbook heading.
 func familyHeading(family string) string {
 	switch family {
-	case FamilyCacheSCA:
+	case axis.FamilyCacheSCA:
 		return "Against cache side channels (paper §4.1)"
-	case FamilyTransient:
+	case axis.FamilyTransient:
 		return "Against transient execution (paper §4.2)"
-	case FamilyPhysical:
+	case axis.FamilyPhysical:
 		return "Against classical physical attacks (paper §5)"
-	case FamilyAttestation:
+	case axis.FamilyAttestation:
 		return "Against attestation-lifecycle attacks (paper §3)"
 	}
 	return "Against family `" + family + "`"
-}
-
-// ApplicableArchitectures splits the architecture axis for one defense:
-// the architectures it can be configured on, and the not-applicable ones
-// with their reasons.
-func ApplicableArchitectures(d Defense) (applicable []string, na map[string]string) {
-	na = map[string]string{}
-	for _, arch := range platform.Architectures {
-		if ok, reason := d.AppliesTo(arch); ok {
-			applicable = append(applicable, arch)
-		} else {
-			na[arch] = reason
-		}
-	}
-	return applicable, na
-}
-
-// ApplicableCell renders a defense's architecture axis as one catalog
-// cell — "all N" or the comma-separated applicable list. The CLI table
-// and docs/DEFENSES.md share this so their renderings cannot diverge.
-func ApplicableCell(d Defense) string {
-	applicable, na := ApplicableArchitectures(d)
-	if len(na) == 0 {
-		return fmt.Sprintf("all %d", len(platform.Architectures))
-	}
-	return strings.Join(applicable, ", ")
 }
 
 // joinOrDash renders a string list for a table cell, with "—" for empty.
@@ -61,7 +36,7 @@ func joinOrDash(vs []string) string {
 // attack scenarios the defense blocks, the architectures that ship it
 // stock, and the architectures it can be configured on. Regenerate with
 // `go generate ./...`.
-func CatalogMarkdown(r *Registry) string {
+func CatalogMarkdown(r *axis.Registry[*Spec]) string {
 	var b strings.Builder
 	b.WriteString(`# DEFENSES — the mitigation catalog, as a handbook
 
@@ -90,13 +65,13 @@ measure layered mitigations as one grid cell.
 		b.WriteString("|---|---|---|---|---|---|\n")
 		var notes []string
 		for _, d := range r.ByFamily(family) {
-			section, summary := DescriptionOf(d)
+			section := d.Section
 			if section == "" {
 				section = "—"
 			}
 			// One representative n/a reason per defense keeps the table
 			// readable; the sweep reports the reason per cell.
-			if _, na := ApplicableArchitectures(d); len(na) > 0 {
+			if _, na := axis.ApplicableArchitectures(d.Applicable); len(na) > 0 {
 				for _, arch := range platform.Architectures {
 					if reason, ok := na[arch]; ok {
 						notes = append(notes, fmt.Sprintf("`%s` n/a elsewhere: %s", d.Name(), reason))
@@ -105,7 +80,7 @@ measure layered mitigations as one grid cell.
 				}
 			}
 			fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n",
-				d.Name(), section, summary, joinOrDash(BlocksOf(d)), joinOrDash(StockOnOf(d)), ApplicableCell(d))
+				d.Name(), section, d.Summary, joinOrDash(d.BlocksList), joinOrDash(d.Stock), axis.ApplicableCell(d.Applicable))
 		}
 		for _, n := range notes {
 			b.WriteString("\n> " + n + "\n")

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"github.com/intrust-sim/intrust/internal/axis"
 )
 
 func testSpec(name, family string) *Spec {
@@ -17,40 +19,40 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	if err := r.Register(nil); err == nil {
 		t.Error("nil defense accepted")
 	}
-	if err := r.Register(testSpec("", FamilyCacheSCA)); err == nil {
+	if err := r.Register(testSpec("", axis.FamilyCacheSCA)); err == nil {
 		t.Error("empty name accepted")
 	}
 	if err := r.Register(testSpec("x", "")); err == nil {
 		t.Error("empty family accepted")
 	}
 	for _, reserved := range []string{"none", "stock", "all", "None", "ALL"} {
-		if err := r.Register(testSpec(reserved, FamilyCacheSCA)); err == nil {
+		if err := r.Register(testSpec(reserved, axis.FamilyCacheSCA)); err == nil {
 			t.Errorf("reserved axis token %q accepted as a defense name", reserved)
 		}
 	}
 	// Axis separators make a name unselectable ('+' splits combinations,
 	// ',' splits the flag list) or corrupt experiment-name parsing ('/').
 	for _, sep := range []string{"ct+mask", "a,b", "a/b"} {
-		if err := r.Register(testSpec(sep, FamilyCacheSCA)); err == nil {
+		if err := r.Register(testSpec(sep, axis.FamilyCacheSCA)); err == nil {
 			t.Errorf("name %q containing an axis separator accepted", sep)
 		}
 	}
-	if err := r.Register(testSpec("dup", FamilyCacheSCA)); err != nil {
+	if err := r.Register(testSpec("dup", axis.FamilyCacheSCA)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(testSpec("dup", FamilyCacheSCA)); err == nil {
+	if err := r.Register(testSpec("dup", axis.FamilyCacheSCA)); err == nil {
 		t.Error("duplicate name accepted")
 	}
 	// Case-insensitive uniqueness: the CLI resolves the axis
 	// case-insensitively, so "DUP" would be ambiguous.
-	if err := r.Register(testSpec("DUP", FamilyCacheSCA)); err == nil {
+	if err := r.Register(testSpec("DUP", axis.FamilyCacheSCA)); err == nil {
 		t.Error("case-variant duplicate accepted")
 	}
 }
 
 func TestRegistryLookupCaseInsensitive(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(testSpec("Way-Partition", FamilyCacheSCA))
+	r.MustRegister(testSpec("Way-Partition", axis.FamilyCacheSCA))
 	for _, q := range []string{"way-partition", "WAY-PARTITION", "Way-Partition"} {
 		if _, ok := r.Lookup(q); !ok {
 			t.Errorf("Lookup(%q) missed", q)
@@ -59,16 +61,16 @@ func TestRegistryLookupCaseInsensitive(t *testing.T) {
 }
 
 // TestRegistryDeterministicOrder pins the enumeration contract: family in
-// FamilyOrder ranking, then name — independent of registration order.
+// axis.FamilyOrder ranking, then name — independent of registration order.
 func TestRegistryDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	// Register in scrambled order.
 	for _, d := range []*Spec{
-		testSpec("z-phys", FamilyPhysical),
-		testSpec("b-cache", FamilyCacheSCA),
-		testSpec("a-trans", FamilyTransient),
-		testSpec("a-cache", FamilyCacheSCA),
-		testSpec("a-phys", FamilyPhysical),
+		testSpec("z-phys", axis.FamilyPhysical),
+		testSpec("b-cache", axis.FamilyCacheSCA),
+		testSpec("a-trans", axis.FamilyTransient),
+		testSpec("a-cache", axis.FamilyCacheSCA),
+		testSpec("a-phys", axis.FamilyPhysical),
 	} {
 		r.MustRegister(d)
 	}
@@ -76,7 +78,7 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Names() = %v, want %v", got, want)
 	}
-	if got := r.Families(); !reflect.DeepEqual(got, []string{FamilyCacheSCA, FamilyTransient, FamilyPhysical}) {
+	if got := r.Families(); !reflect.DeepEqual(got, []string{axis.FamilyCacheSCA, axis.FamilyTransient, axis.FamilyPhysical}) {
 		t.Errorf("Families() = %v", got)
 	}
 	if got := len(r.ByFamily("cachesca")); got != 2 {
@@ -94,10 +96,10 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r.MustRegister(testSpec(fmt.Sprintf("d%02d", i), FamilyOrder[i%3]))
+			r.MustRegister(testSpec(fmt.Sprintf("d%02d", i), axis.FamilyOrder[i%3]))
 			r.Lookup("d00")
 			r.All()
-			r.StockFor("sanctum")
+			stockFor(r, "sanctum")
 			r.Len()
 		}(i)
 	}
@@ -105,33 +107,28 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	if r.Len() != 16 {
 		t.Errorf("registry holds %d defenses, want 16", r.Len())
 	}
-	names := r.Names()
-	if !sort.StringsAreSorted(namesWithinFamily(r)) {
-		t.Errorf("enumeration not deterministic: %v", names)
+	var cache []string
+	for _, d := range r.ByFamily(axis.FamilyCacheSCA) {
+		cache = append(cache, d.Name())
 	}
-}
-
-func namesWithinFamily(r *Registry) []string {
-	var out []string
-	for _, d := range r.ByFamily(FamilyCacheSCA) {
-		out = append(out, d.Name())
+	if !sort.StringsAreSorted(cache) {
+		t.Errorf("enumeration not deterministic: %v", r.Names())
 	}
-	return out
 }
 
 func TestStockForDerivesFromMetadata(t *testing.T) {
 	r := NewRegistry()
-	wp := testSpec("wp", FamilyCacheSCA)
+	wp := testSpec("wp", axis.FamilyCacheSCA)
 	wp.Stock = []string{"sanctum"}
-	cc := testSpec("cc", FamilyCacheSCA)
+	cc := testSpec("cc", axis.FamilyCacheSCA)
 	cc.Stock = []string{"sanctuary"}
 	r.MustRegister(wp)
 	r.MustRegister(cc)
-	r.MustRegister(testSpec("free", FamilyPhysical))
-	if got := r.StockFor("sanctum"); len(got) != 1 || got[0].Name() != "wp" {
-		t.Errorf("StockFor(sanctum) = %v", got)
+	r.MustRegister(testSpec("free", axis.FamilyPhysical))
+	if got := stockFor(r, "sanctum"); len(got) != 1 || got[0].Name() != "wp" {
+		t.Errorf("stockFor(sanctum) = %v", got)
 	}
-	if got := r.StockFor("sgx"); len(got) != 0 {
-		t.Errorf("StockFor(sgx) = %v, want none", got)
+	if got := stockFor(r, "sgx"); len(got) != 0 {
+		t.Errorf("stockFor(sgx) = %v, want none", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attestsvc"
+	"github.com/intrust-sim/intrust/internal/axis"
 )
 
 // The §3 attestation-lifecycle attacks. Unlike the microarchitectural
@@ -17,7 +18,7 @@ import (
 
 func init() {
 	for _, s := range attestationScenarios() {
-		MustRegister(s)
+		Default.MustRegister(s)
 	}
 }
 
@@ -48,10 +49,10 @@ func brokenEvidenceFor(arch string) string {
 	return "prime+probe"
 }
 
-func attestationScenarios() []Scenario {
-	return []Scenario{
-		&Spec{
-			ID: "quote-replay", In: FamilyAttestation, Section: "3",
+func attestationScenarios() []*Spec {
+	return []*Spec{
+		{
+			ID: "quote-replay", In: axis.FamilyAttestation, Section: "3",
 			Summary: "captured quotes replayed into later verification sessions against a verifier " +
 				"that does not enforce nonce single-use",
 			Run: func(env *Env) (Outcome, error) {
@@ -97,8 +98,8 @@ func attestationScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "measure-toctou", In: FamilyAttestation, Section: "3",
+		{
+			ID: "measure-toctou", In: axis.FamilyAttestation, Section: "3",
 			Summary: "time-of-measure/time-of-quote gap: the enclave image is tampered after the load-time " +
 				"measurement is ledgered, and the quote attests the stale digest",
 			Applies: func(arch string) (bool, string) {
@@ -157,8 +158,8 @@ func attestationScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "stale-tcb", In: FamilyAttestation, Section: "3",
+		{
+			ID: "stale-tcb", In: axis.FamilyAttestation, Section: "3",
 			Summary: "quotes claiming a sweep-revoked baseline TCB presented to a verifier that never " +
 				"refreshes its revocation state",
 			Run: func(env *Env) (Outcome, error) {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 
 	"github.com/intrust-sim/intrust/internal/attack/cachesca"
+	"github.com/intrust-sim/intrust/internal/axis"
+	"github.com/intrust-sim/intrust/internal/cpu"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
 
@@ -15,7 +17,7 @@ import (
 
 func init() {
 	for _, s := range cacheScenarios() {
-		MustRegister(s)
+		Default.MustRegister(s)
 	}
 }
 
@@ -89,21 +91,14 @@ func secretBytesFor(samples int) int {
 	return 1
 }
 
-// cacheRun is the resumable-attack contract the cachesca package's
-// *Run types share: extend the cumulative sample set, grade what has
-// been gathered.
-type cacheRun interface {
-	Extend(n int, rng *rand.Rand)
-	Result() cachesca.Result
-}
-
-// seqCacheResult drives one resumable key-recovery attack through the
-// plan's checkpoint ladder: extend to each checkpoint, grade the
-// cumulative scoreboard, stop on a full recovery. Sub-reference
+// seqCacheResult drives one resumable key-recovery attack (the Extend
+// and Result methods of a cachesca *Run) through the plan's checkpoint
+// ladder: extend to each checkpoint, grade the cumulative scoreboard,
+// stop on a full recovery. Sub-reference
 // checkpoints grade on Success alone — a partial leak at a starved
 // budget is not evidence the cell is broken — while a pass that drains
 // the plan ends on exactly the fixed-budget statistic.
-func seqCacheResult(run cacheRun, plan *stats.Plan, env *Env) cachesca.Result {
+func seqCacheResult(extend func(n int, rng *rand.Rand), result func() cachesca.Result, plan *stats.Plan, env *Env) cachesca.Result {
 	done := 0
 	var res cachesca.Result
 	for {
@@ -111,9 +106,9 @@ func seqCacheResult(run cacheRun, plan *stats.Plan, env *Env) cachesca.Result {
 		if !ok {
 			break
 		}
-		run.Extend(n-done, env.RNG)
+		extend(n-done, env.RNG)
 		done = n
-		res = run.Result()
+		res = result()
 		plan.Grade(res.Success)
 	}
 	return res
@@ -166,10 +161,7 @@ func bitOutcome(name string, env *Env, correct, total int, detail string) Outcom
 // victim, and the switch flushes BTB/PHT/RSB state (IBPB), so shadow
 // queries only ever observe reset predictions.
 type switchFlushPredictor struct {
-	p interface {
-		cachesca.BranchPredictor
-		Flush()
-	}
+	p *cpu.Predictor
 }
 
 // UpdateBranch trains the underlying predictor (the victim's own
@@ -182,10 +174,10 @@ func (f *switchFlushPredictor) PredictBranch(pc uint32) bool {
 	return f.p.PredictBranch(pc)
 }
 
-func cacheScenarios() []Scenario {
-	return []Scenario{
-		&Spec{
-			ID: "flush+reload", In: FamilyCacheSCA, Section: "4.1",
+func cacheScenarios() []*Spec {
+	return []*Spec{
+		{
+			ID: "flush+reload", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "Flush+Reload (Yarom-Falkner) key recovery against T-table AES via shared table pages",
 			Applies: noSharedCache,
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
@@ -194,12 +186,13 @@ func cacheScenarios() []Scenario {
 				if err != nil {
 					return Outcome{}, err
 				}
-				res := seqCacheResult(cachesca.NewFlushReloadRun(v, AttackerDomain), plan, env)
+				run := cachesca.NewFlushReloadRun(v, AttackerDomain)
+				res := seqCacheResult(run.Extend, run.Result, plan, env)
 				return cacheOutcome("flush+reload", env, res, "flush+reload vs "+defenseName(env)), nil
 			},
 		},
-		&Spec{
-			ID: "prime+probe", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "prime+probe", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "Prime+Probe (Osvik-Shamir-Tromer) through the shared LLC, no shared memory needed",
 			Applies: noSharedCache,
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
@@ -208,12 +201,13 @@ func cacheScenarios() []Scenario {
 				if err != nil {
 					return Outcome{}, err
 				}
-				res := seqCacheResult(cachesca.NewPrimeProbeRun(v, p.LLC, AttackerDomain), plan, env)
+				run := cachesca.NewPrimeProbeRun(v, p.LLC, AttackerDomain)
+				res := seqCacheResult(run.Extend, run.Result, plan, env)
 				return cacheOutcome("prime+probe", env, res, "prime+probe vs "+defenseName(env)), nil
 			},
 		},
-		&Spec{
-			ID: "evict+time", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "evict+time", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "Evict+Time whole-encryption timing correlation (statistical; needs a large sample floor)",
 			Applies: noSharedCache,
 			// The published attack is slower and noisier than the
@@ -227,12 +221,13 @@ func cacheScenarios() []Scenario {
 				if err != nil {
 					return Outcome{}, err
 				}
-				res := seqCacheResult(cachesca.NewEvictTimeRun(v), plan, env)
+				run := cachesca.NewEvictTimeRun(v)
+				res := seqCacheResult(run.Extend, run.Result, plan, env)
 				return cacheOutcome("evict+time", env, res, "evict+time vs "+defenseName(env)), nil
 			},
 		},
-		&Spec{
-			ID: "tlb-channel", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "tlb-channel", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "TLB Prime+Probe (TLBleed): secret-dependent page translations observed via shared TLB sets",
 			Applies: noSharedTLB,
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
@@ -245,8 +240,8 @@ func cacheScenarios() []Scenario {
 					"TLB prime+probe vs "+defenseName(env)), nil
 			},
 		},
-		&Spec{
-			ID: "branch-shadow", In: FamilyCacheSCA, Section: "4.1",
+		{
+			ID: "branch-shadow", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "BTB/PHT branch shadowing (Lee et al.): secret-dependent branches via the shared predictor",
 			Applies: noPredictor,
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -31,12 +32,11 @@ func TestCatalogNamesStable(t *testing.T) {
 }
 
 func TestCatalogMetadataComplete(t *testing.T) {
-	for _, s := range All() {
-		section, summary := DescriptionOf(s)
-		if section == "" || summary == "" {
-			t.Errorf("%s: missing catalog metadata (section=%q summary=%q)", s.Name(), section, summary)
+	for _, s := range Default.All() {
+		if s.Section == "" || s.Summary == "" {
+			t.Errorf("%s: missing catalog metadata (section=%q summary=%q)", s.Name(), s.Section, s.Summary)
 		}
-		if rank := familyRank(s.Family()); rank >= len(FamilyOrder) {
+		if !slices.Contains(FamilyOrder, s.Family()) {
 			t.Errorf("%s: unknown family %q", s.Name(), s.Family())
 		}
 	}
@@ -53,7 +53,7 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 	highEnd := []string{"sgx", "sanctum", "trustzone", "sanctuary"}
 	applicableSet := func(name string) map[string]bool {
 		t.Helper()
-		s, ok := Lookup(name)
+		s, ok := Default.Lookup(name)
 		if !ok {
 			t.Fatalf("scenario %s not registered", name)
 		}
@@ -111,7 +111,7 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 		}
 	}
 	// Unknown architectures are never applicable.
-	for _, s := range All() {
+	for _, s := range Default.All() {
 		if ok, _ := s.Applicable("enigma"); ok {
 			t.Errorf("%s applicable on unknown architecture", s.Name())
 		}
@@ -139,7 +139,7 @@ func TestNewEnvValidatesAndDefaults(t *testing.T) {
 func TestMountSmoke(t *testing.T) {
 	mount := func(name, arch string, samples int) Outcome {
 		t.Helper()
-		s, ok := Lookup(name)
+		s, ok := Default.Lookup(name)
 		if !ok {
 			t.Fatalf("scenario %s not registered", name)
 		}

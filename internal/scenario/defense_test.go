@@ -11,13 +11,13 @@ import (
 // defense set and returns the outcome.
 func mountWith(t *testing.T, name, arch string, samples int, defenses ...string) Outcome {
 	t.Helper()
-	s, ok := Lookup(name)
+	s, ok := Default.Lookup(name)
 	if !ok {
 		t.Fatalf("scenario %s not registered", name)
 	}
-	var ds []defense.Defense
+	var ds []*defense.Spec
 	for _, dn := range defenses {
-		d, ok := defense.Lookup(dn)
+		d, ok := defense.Default.Lookup(dn)
 		if !ok {
 			t.Fatalf("defense %s not registered", dn)
 		}
@@ -120,7 +120,7 @@ func TestDefenseDoesNotOverreach(t *testing.T) {
 
 // TestStockEnvMatchesRegistry pins the bugfix for the old hard-coded
 // defenseName switch: the stock environment's label derives from the
-// defense registry's StockOn metadata, so Sanctum reports way-partition,
+// defense records' Stock fields, so Sanctum reports way-partition,
 // Sanctuary reports cache-coloring, and everything else reports none.
 func TestStockEnvMatchesRegistry(t *testing.T) {
 	want := map[string]string{
@@ -149,11 +149,11 @@ func TestStockEnvMatchesRegistry(t *testing.T) {
 // defense with no substrate on the architecture instead of silently
 // mounting a no-op.
 func TestNewEnvRejectsInapplicableDefense(t *testing.T) {
-	d, ok := defense.Lookup("way-partition")
+	d, ok := defense.Default.Lookup("way-partition")
 	if !ok {
 		t.Fatal("way-partition not registered")
 	}
-	if _, err := NewEnvWithDefenses("sancus", 8, 1, nil, []defense.Defense{d}); err == nil {
+	if _, err := NewEnvWithDefenses("sancus", 8, 1, nil, []*defense.Spec{d}); err == nil {
 		t.Error("way-partition accepted on the cacheless embedded platform")
 	}
 }

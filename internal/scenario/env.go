@@ -105,7 +105,7 @@ type Env struct {
 	RNG *rand.Rand
 	// Defenses are the mitigations in effect for this cell, already
 	// validated as applicable to Arch.
-	Defenses []defense.Defense
+	Defenses []*defense.Spec
 
 	cfg *defense.Config
 
@@ -147,7 +147,7 @@ func NewEnv(arch string, samples int, seed int64, rng *rand.Rand) (*Env, error) 
 // defense set, job) triple. Every defense must be applicable to the
 // architecture — the sweep reports non-applicable combinations as n/a
 // cells before ever constructing an environment.
-func NewEnvWithDefenses(arch string, samples int, seed int64, rng *rand.Rand, defenses []defense.Defense) (*Env, error) {
+func NewEnvWithDefenses(arch string, samples int, seed int64, rng *rand.Rand, defenses []*defense.Spec) (*Env, error) {
 	class := ClassOf(arch)
 	if class == "" {
 		return nil, fmt.Errorf("scenario: unknown architecture %q", arch)
@@ -163,7 +163,7 @@ func NewEnvWithDefenses(arch string, samples int, seed int64, rng *rand.Rand, de
 		return nil, err
 	}
 	for _, d := range defenses {
-		if ok, reason := d.AppliesTo(arch); !ok {
+		if ok, reason := d.Applicable(arch); !ok {
 			return nil, fmt.Errorf("scenario: defense %s not applicable on %s: %s", d.Name(), arch, reason)
 		}
 		d.Configure(cfg)

@@ -3,59 +3,35 @@ package scenario
 import (
 	"fmt"
 	"strings"
+
+	"github.com/intrust-sim/intrust/internal/axis"
 )
 
 // familyHeading maps a family key to its catalog heading.
 func familyHeading(family string) string {
 	switch family {
-	case FamilyCacheSCA:
+	case axis.FamilyCacheSCA:
 		return "Cache side channels (paper §4.1) — family `cachesca`"
-	case FamilyTransient:
+	case axis.FamilyTransient:
 		return "Transient execution (paper §4.2) — family `transient`"
-	case FamilyPhysical:
+	case axis.FamilyPhysical:
 		return "Classical physical attacks (paper §5) — family `physical`"
-	case FamilyAttestation:
+	case axis.FamilyAttestation:
 		return "Attestation-lifecycle attacks (paper §3) — family `attestation`"
 	}
 	return "Family `" + family + "`"
-}
-
-// ApplicableArchitectures splits the architecture axis for one scenario:
-// the architectures it can be mounted on, and the not-applicable ones
-// with their reasons.
-func ApplicableArchitectures(s Scenario) (applicable []string, na map[string]string) {
-	na = map[string]string{}
-	for _, arch := range Architectures {
-		if ok, reason := s.Applicable(arch); ok {
-			applicable = append(applicable, arch)
-		} else {
-			na[arch] = reason
-		}
-	}
-	return applicable, na
-}
-
-// ApplicableCell renders a scenario's architecture axis as one catalog
-// cell — "all N" or the comma-separated applicable list. The CLI table
-// and EXPERIMENTS.md share this so their renderings cannot diverge.
-func ApplicableCell(s Scenario) string {
-	applicable, na := ApplicableArchitectures(s)
-	if len(na) == 0 {
-		return fmt.Sprintf("all %d", len(Architectures))
-	}
-	return strings.Join(applicable, ", ")
 }
 
 // SamplingCell renders a scenario's sampling profile for the catalog:
 // how the adaptive verdict engine measures it (cumulative sequential
 // passes, with the declared floor as the reference budget, or a single
 // budget-independent mount) and what a fixed budget costs.
-func SamplingCell(s Scenario) string {
-	if IsOneShot(s) {
+func SamplingCell(s *Spec) string {
+	if s.RunSeq == nil {
 		return "one-shot"
 	}
-	if floor := MinSamplesOf(s); floor > 0 {
-		return fmt.Sprintf("sequential, floor %d", floor)
+	if s.Floor > 0 {
+		return fmt.Sprintf("sequential, floor %d", s.Floor)
 	}
 	return "sequential"
 }
@@ -64,7 +40,7 @@ func SamplingCell(s Scenario) string {
 // the CLI-mode table for the paper's fixed artifacts, then one table per
 // scenario family with name, paper section, summary, sampling profile
 // and the applicable architectures. Regenerate with `go generate ./...`.
-func CatalogMarkdown(r *Registry) string {
+func CatalogMarkdown(r *axis.Registry[*Spec]) string {
 	var b strings.Builder
 	b.WriteString(`# EXPERIMENTS — index of everything intrust can measure
 
@@ -101,13 +77,13 @@ Two kinds of experiments exist:
 		b.WriteString("|---|---|---|---|---|\n")
 		var notes []string
 		for _, s := range r.ByFamily(family) {
-			section, summary := DescriptionOf(s)
+			section := s.Section
 			if section == "" {
 				section = "—"
 			}
 			// One representative n/a reason per scenario keeps the
 			// table readable; the sweep reports the reason per cell.
-			if _, na := ApplicableArchitectures(s); len(na) > 0 {
+			if _, na := axis.ApplicableArchitectures(s.Applicable); len(na) > 0 {
 				for _, arch := range Architectures {
 					if reason, ok := na[arch]; ok {
 						notes = append(notes, fmt.Sprintf("`%s` n/a elsewhere: %s", s.Name(), reason))
@@ -115,7 +91,7 @@ Two kinds of experiments exist:
 					}
 				}
 			}
-			fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", s.Name(), section, summary, SamplingCell(s), ApplicableCell(s))
+			fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n", s.Name(), section, s.Summary, SamplingCell(s), axis.ApplicableCell(s.Applicable))
 		}
 		for _, n := range notes {
 			b.WriteString("\n> " + n + "\n")

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/intrust-sim/intrust/internal/attack/physical"
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/power"
 	"github.com/intrust-sim/intrust/internal/softcrypto"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -18,7 +19,7 @@ import (
 
 func init() {
 	for _, s := range physicalScenarios() {
-		MustRegister(s)
+		Default.MustRegister(s)
 	}
 }
 
@@ -94,10 +95,10 @@ func seqTraces(env *Env, plan *stats.Plan, sigma float64, analyze func(*power.Ar
 	return got, done, nil
 }
 
-func physicalScenarios() []Scenario {
-	return []Scenario{
-		&Spec{
-			ID: "kocher-timing", In: FamilyPhysical, Section: "5",
+func physicalScenarios() []*Spec {
+	return []*Spec{
+		{
+			ID: "kocher-timing", In: axis.FamilyPhysical, Section: "5",
 			Summary: "Kocher timing attack on square-and-multiply RSA; needs >= 600 timings to vote exponent bits",
 			// The bit-voting needs a floor of timings to be reliable;
 			// the sweep raises the cell's budget to it.
@@ -123,8 +124,8 @@ func physicalScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "dpa", In: FamilyPhysical, Section: "5",
+		{
+			ID: "dpa", In: axis.FamilyPhysical, Section: "5",
 			Summary: "Differential power analysis (difference of means) on unprotected AES traces",
 			// The difference-of-means statistic needs far more traces
 			// than CPA's correlation to separate the key hypotheses.
@@ -142,8 +143,8 @@ func physicalScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "cpa", In: FamilyPhysical, Section: "5",
+		{
+			ID: "cpa", In: axis.FamilyPhysical, Section: "5",
 			Summary: "Correlation power analysis (Pearson, Hamming-weight model) on unprotected AES traces",
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				got, traces, err := seqTraces(env, plan, 0.8, physical.CPAKeyArena)
@@ -158,8 +159,8 @@ func physicalScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "dfa-piret-quisquater", In: FamilyPhysical, Section: "5",
+		{
+			ID: "dfa-piret-quisquater", In: axis.FamilyPhysical, Section: "5",
 			Summary: "Piret-Quisquater differential fault attack: full AES key from a handful of faulty ciphertexts",
 			Run: func(env *Env) (Outcome, error) {
 				oracle, err := physical.NewFaultOracle(VictimKey())
@@ -179,8 +180,8 @@ func physicalScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "bellcore", In: FamilyPhysical, Section: "5",
+		{
+			ID: "bellcore", In: axis.FamilyPhysical, Section: "5",
 			Summary: "Bellcore RSA-CRT fault attack: one faulty half-exponentiation factors the modulus",
 			Run: func(env *Env) (Outcome, error) {
 				// Deterministic keygen from the job RNG — crypto/rsa's
@@ -223,8 +224,8 @@ func physicalScenarios() []Scenario {
 				}, nil
 			},
 		},
-		&Spec{
-			ID: "clkscrew", In: FamilyPhysical, Section: "5",
+		{
+			ID: "clkscrew", In: axis.FamilyPhysical, Section: "5",
 			Summary: "CLKSCREW: overclock via the kernel-reachable DVFS regulator to fault the TrustZone secure world",
 			Applies: mobileOnlyDVFS,
 			Run: func(env *Env) (Outcome, error) {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
 
@@ -18,36 +19,36 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	if err := r.Register(nil); err == nil {
 		t.Error("nil scenario accepted")
 	}
-	if err := r.Register(testSpec("", FamilyPhysical)); err == nil {
+	if err := r.Register(testSpec("", axis.FamilyPhysical)); err == nil {
 		t.Error("empty name accepted")
 	}
 	if err := r.Register(testSpec("x", "")); err == nil {
 		t.Error("empty family accepted")
 	}
-	if err := r.Register(testSpec("dup", FamilyPhysical)); err != nil {
+	if err := r.Register(testSpec("dup", axis.FamilyPhysical)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(testSpec("dup", FamilyPhysical)); err == nil {
+	if err := r.Register(testSpec("dup", axis.FamilyPhysical)); err == nil {
 		t.Error("duplicate name accepted")
 	}
-	if err := r.Register(testSpec("DUP", FamilyPhysical)); err == nil {
+	if err := r.Register(testSpec("DUP", axis.FamilyPhysical)); err == nil {
 		t.Error("case-colliding name accepted (lookups are case-insensitive)")
 	}
 	// A Spec is one-shot (Run) or sequential (RunSeq): both or neither
 	// leaves Mount's measurement ambiguous or absent.
-	both := testSpec("both", FamilyPhysical)
+	both := testSpec("both", axis.FamilyPhysical)
 	both.RunSeq = func(*Env, *stats.Plan) (Outcome, error) { return Outcome{}, nil }
 	if err := r.Register(both); err == nil {
 		t.Error("Spec with both Run and RunSeq accepted")
 	}
-	if err := r.Register(&Spec{ID: "neither", In: FamilyPhysical}); err == nil {
+	if err := r.Register(&Spec{ID: "neither", In: axis.FamilyPhysical}); err == nil {
 		t.Error("Spec with neither Run nor RunSeq accepted")
 	}
 }
 
 func TestRegistryLookupCaseInsensitive(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(testSpec("Flush+Reload", FamilyCacheSCA))
+	r.MustRegister(testSpec("Flush+Reload", axis.FamilyCacheSCA))
 	for _, q := range []string{"Flush+Reload", "flush+reload", "FLUSH+RELOAD"} {
 		if s, ok := r.Lookup(q); !ok || s.Name() != "Flush+Reload" {
 			t.Errorf("Lookup(%q) = %v, %v", q, s, ok)
@@ -63,11 +64,11 @@ func TestRegistryLookupCaseInsensitive(t *testing.T) {
 func TestRegistryDeterministicOrder(t *testing.T) {
 	r := NewRegistry()
 	for _, s := range []*Spec{
-		testSpec("zz", FamilyPhysical),
-		testSpec("bb", FamilyCacheSCA),
-		testSpec("mm", FamilyTransient),
-		testSpec("aa", FamilyPhysical),
-		testSpec("cc", FamilyCacheSCA),
+		testSpec("zz", axis.FamilyPhysical),
+		testSpec("bb", axis.FamilyCacheSCA),
+		testSpec("mm", axis.FamilyTransient),
+		testSpec("aa", axis.FamilyPhysical),
+		testSpec("cc", axis.FamilyCacheSCA),
 	} {
 		r.MustRegister(s)
 	}
@@ -86,16 +87,16 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 
 func TestRegistryByFamilyAndFamilies(t *testing.T) {
 	r := NewRegistry()
-	r.MustRegister(testSpec("p1", FamilyPhysical))
-	r.MustRegister(testSpec("c1", FamilyCacheSCA))
-	r.MustRegister(testSpec("c2", FamilyCacheSCA))
+	r.MustRegister(testSpec("p1", axis.FamilyPhysical))
+	r.MustRegister(testSpec("c1", axis.FamilyCacheSCA))
+	r.MustRegister(testSpec("c2", axis.FamilyCacheSCA))
 	if got := r.ByFamily("CACHESCA"); len(got) != 2 || got[0].Name() != "c1" {
-		t.Errorf("ByFamily(CACHESCA) = %v", got)
+		t.Errorf("Default.ByFamily(CACHESCA) = %v", got)
 	}
 	if got := r.ByFamily("transient"); len(got) != 0 {
 		t.Errorf("empty family returned %v", got)
 	}
-	if got := r.Families(); !reflect.DeepEqual(got, []string{FamilyCacheSCA, FamilyPhysical}) {
+	if got := r.Families(); !reflect.DeepEqual(got, []string{axis.FamilyCacheSCA, axis.FamilyPhysical}) {
 		t.Errorf("Families = %v", got)
 	}
 }
@@ -113,7 +114,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				r.MustRegister(testSpec(fmt.Sprintf("s-%d-%d", g, i), FamilyOrder[i%3]))
 				r.Lookup(fmt.Sprintf("s-%d-%d", g, i/2))
 				r.All()
-				r.ByFamily(FamilyCacheSCA)
+				r.ByFamily(axis.FamilyCacheSCA)
 			}
 		}(g)
 	}

@@ -49,24 +49,20 @@ func TestSamplingProfiles(t *testing.T) {
 		"dfa-piret-quisquater": true, "bellcore": true, "clkscrew": true,
 		"quote-replay": true, "measure-toctou": true, "stale-tcb": true,
 	}
-	for _, s := range All() {
+	for _, s := range Default.All() {
 		want := oneShot[s.Name()]
-		if got := IsOneShot(s); got != want {
-			t.Errorf("%s: IsOneShot = %v, want %v", s.Name(), got, want)
+		if got := s.RunSeq == nil; got != want {
+			t.Errorf("%s: one-shot = %v, want %v", s.Name(), got, want)
 		}
-		if got := CanMountSeq(s); got == want {
-			t.Errorf("%s: CanMountSeq = %v with IsOneShot = %v; every scenario must be exactly one",
-				s.Name(), got, want)
+		if (s.Run == nil) == (s.RunSeq == nil) {
+			t.Errorf("%s: sets both or neither of Run and RunSeq; every scenario must be exactly one", s.Name())
 		}
-	}
-	if _, err := MountSeq(&Spec{ID: "no-seq"}, nil, nil); err == nil {
-		t.Error("MountSeq on a scenario without RunSeq did not error")
 	}
 }
 
 // seqEnv builds a fresh environment for one (arch, defenses, samples)
 // cell at a fixed seed.
-func seqEnv(t *testing.T, arch string, samples int, defenses []defense.Defense) *Env {
+func seqEnv(t *testing.T, arch string, samples int, defenses []*defense.Spec) *Env {
 	t.Helper()
 	env, err := NewEnvWithDefenses(arch, samples, 99, nil, defenses)
 	if err != nil {
@@ -84,39 +80,39 @@ func seqEnv(t *testing.T, arch string, samples int, defenses []defense.Defense) 
 // a broken cell (early stop) and, where a defense can hold it, on a
 // mitigated cell (full drain).
 func TestMountSeqMatchesMountAtStoppingBudget(t *testing.T) {
-	ctAES, ok := defense.Lookup("ct-aes")
+	ctAES, ok := defense.Default.Lookup("ct-aes")
 	if !ok {
 		t.Fatal("ct-aes defense missing")
 	}
-	masked, ok := defense.Lookup("masked-aes")
+	masked, ok := defense.Default.Lookup("masked-aes")
 	if !ok {
 		t.Fatal("masked-aes defense missing")
 	}
 	for _, tc := range []struct {
 		name, arch string
-		defenses   []defense.Defense
+		defenses   []*defense.Spec
 	}{
 		{"flush+reload", "sgx", nil},
-		{"flush+reload", "sgx", []defense.Defense{ctAES}}, // mitigated: full drain
+		{"flush+reload", "sgx", []*defense.Spec{ctAES}}, // mitigated: full drain
 		{"prime+probe", "trustzone", nil},
-		{"evict+time", "sgx", []defense.Defense{ctAES}}, // mitigated at the 2048 floor
+		{"evict+time", "sgx", []*defense.Spec{ctAES}}, // mitigated at the 2048 floor
 		{"tlb-channel", "sgx", nil},
 		{"branch-shadow", "sanctum", nil},
 		{"kocher-timing", "sgx", nil},
-		{"dpa", "trustzone", []defense.Defense{masked}}, // mitigated at the 1500 floor
+		{"dpa", "trustzone", []*defense.Spec{masked}}, // mitigated at the 1500 floor
 		{"cpa", "trustzone", nil},
-		{"cpa", "trustzone", []defense.Defense{masked}},
+		{"cpa", "trustzone", []*defense.Spec{masked}},
 	} {
-		s, ok := Lookup(tc.name)
+		s, ok := Default.Lookup(tc.name)
 		if !ok {
 			t.Fatalf("scenario %s missing", tc.name)
 		}
 		ref := 64
-		if floor := MinSamplesOf(s); ref < floor {
-			ref = floor
+		if ref < s.Floor {
+			ref = s.Floor
 		}
 		plan := stats.NewPlan(stats.Policy{}, ref)
-		seq, err := MountSeq(s, seqEnv(t, tc.arch, ref, tc.defenses), plan)
+		seq, err := s.RunSeq(seqEnv(t, tc.arch, ref, tc.defenses), plan)
 		if err != nil {
 			t.Fatalf("%s/%s seq: %v", tc.name, tc.arch, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/attack/transient"
+	"github.com/intrust-sim/intrust/internal/axis"
 )
 
 // The five Section 4.2 transient-execution variants. Spectre v1 is
@@ -20,7 +21,7 @@ var sweepSecret = []byte("SWEEPSEC")
 
 func init() {
 	for _, s := range transientScenarios() {
-		MustRegister(s)
+		Default.MustRegister(s)
 	}
 }
 
@@ -71,10 +72,10 @@ func transientOutcome(name string, env *Env, r transient.Result, detail string) 
 	}
 }
 
-func transientScenarios() []Scenario {
-	return []Scenario{
-		&Spec{
-			ID: "spectre-v1", In: FamilyTransient, Section: "4.2",
+func transientScenarios() []*Spec {
+	return []*Spec{
+		{
+			ID: "spectre-v1", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Spectre-PHT bounds-check bypass; expected blocked on in-order cores (no speculation window)",
 			Run: func(env *Env) (Outcome, error) {
 				// The spec-barrier defense (§4.2) compiles an lfence-style
@@ -87,8 +88,8 @@ func transientScenarios() []Scenario {
 					r, fmt.Sprintf("Spectre v1 on the %s-class core vs %s", env.Class, env.DefenseLabel())), nil
 			},
 		},
-		&Spec{
-			ID: "spectre-btb", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "spectre-btb", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Spectre-BTB: cross-training an indirect branch to a disclosure gadget the victim never calls",
 			Applies: needsSpeculativeStructure("branch-target buffer"),
 			Run: func(env *Env) (Outcome, error) {
@@ -103,8 +104,8 @@ func transientScenarios() []Scenario {
 					r, fmt.Sprintf("BTB cross-training on the %s-class core vs %s", env.Class, env.DefenseLabel())), nil
 			},
 		},
-		&Spec{
-			ID: "ret2spec", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "ret2spec", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "ret2spec: return stack buffer poisoning redirects a victim return to the gadget",
 			Applies: needsSpeculativeStructure("return stack buffer"),
 			Run: func(env *Env) (Outcome, error) {
@@ -116,8 +117,8 @@ func transientScenarios() []Scenario {
 					r, fmt.Sprintf("RSB poisoning on the %s-class core", env.Class)), nil
 			},
 		},
-		&Spec{
-			ID: "meltdown", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "meltdown", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Meltdown: fault-deferred forwarding of supervisor data to a user-space probe",
 			Applies: needsMMU,
 			Run: func(env *Env) (Outcome, error) {
@@ -129,8 +130,8 @@ func transientScenarios() []Scenario {
 					r, fmt.Sprintf("fault-forwarding probe on the %s-class core", env.Class)), nil
 			},
 		},
-		&Spec{
-			ID: "foreshadow", In: FamilyTransient, Section: "4.2",
+		{
+			ID: "foreshadow", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Foreshadow (L1TF): extract the SGX quoting enclave's attestation key through the EPC",
 			Applies: sgxOnly,
 			Run: func(env *Env) (Outcome, error) {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
@@ -482,32 +483,30 @@ type defenseEntry struct {
 // at construction (lazy init from concurrent handlers would race).
 func (s *Server) buildCatalogs() {
 	var attacks []attackEntry
-	for _, sc := range scenario.All() {
-		section, summary := scenario.DescriptionOf(sc)
-		applicable, na := scenario.ApplicableArchitectures(sc)
+	for _, sc := range scenario.Default.All() {
+		applicable, na := axis.ApplicableArchitectures(sc.Applicable)
 		attacks = append(attacks, attackEntry{
 			Name:       sc.Name(),
 			Family:     sc.Family(),
-			Section:    section,
-			Summary:    summary,
+			Section:    sc.Section,
+			Summary:    sc.Summary,
 			Sampling:   scenario.SamplingCell(sc),
-			MinSamples: scenario.MinSamplesOf(sc),
+			MinSamples: sc.Floor,
 			Applicable: applicable,
 			NA:         na,
 		})
 	}
 	s.attacks = marshalLine(attacks)
 	var defenses []defenseEntry
-	for _, d := range defense.All() {
-		section, summary := defense.DescriptionOf(d)
-		applicable, na := defense.ApplicableArchitectures(d)
+	for _, d := range defense.Default.All() {
+		applicable, na := axis.ApplicableArchitectures(d.Applicable)
 		defenses = append(defenses, defenseEntry{
 			Name:       d.Name(),
 			Family:     d.Family(),
-			Section:    section,
-			Summary:    summary,
-			Blocks:     defense.BlocksOf(d),
-			StockOn:    defense.StockOnOf(d),
+			Section:    d.Section,
+			Summary:    d.Summary,
+			Blocks:     d.BlocksList,
+			StockOn:    d.Stock,
 			Applicable: applicable,
 			NA:         na,
 		})

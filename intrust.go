@@ -17,13 +17,13 @@
 //   - the evaluation engine regenerating the paper's Figure 1 and its
 //     implicit comparison tables from measurement.
 //
-// Every attack variant is also a registered Scenario in the
+// Every attack variant is also a registered scenario record in the
 // internal/scenario catalog (re-exported below), mountable against any
 // architecture from one typed environment; see EXPERIMENTS.md for the
 // generated index. Symmetrically, every mitigation the paper surveys is
-// a registered Defense in the internal/defense catalog — the third axis
-// of the sweep's scenario × architecture × defense efficacy grid; see
-// the generated docs/DEFENSES.md handbook.
+// a registered defense record in the internal/defense catalog — the
+// third axis of the sweep's scenario × architecture × defense efficacy
+// grid; see the generated docs/DEFENSES.md handbook.
 //
 // The facade re-exports what the runnable walkthroughs in examples/ and
 // the facade tests use; cmd/intrust is the experiment CLI over the full
@@ -182,14 +182,14 @@ var (
 // measurement.
 var Figure1 = core.Figure1
 
-// Unified attack-scenario API: every attack variant is a self-registered
-// Scenario in a process-wide catalog, mountable against any architecture
-// from one typed environment. The sweep, the CLI catalog and downstream
-// schedulers enumerate the attacks through it; the per-attack functions
-// above mount one attack directly.
+// Attack-scenario axis: every attack variant is a self-registered
+// scenario record in a process-wide catalog, mountable against any
+// architecture from one typed environment. The sweep, the CLI catalog and
+// downstream schedulers enumerate the attacks through it; the per-attack
+// functions above mount one attack directly.
 type (
-	// ScenarioSpec is the declarative Scenario implementation used by
-	// the built-in catalog (and available for custom registrations).
+	// ScenarioSpec is the record type of every catalog scenario: name,
+	// family, paper metadata, applicability and one mount function.
 	ScenarioSpec = scenario.Spec
 	// ScenarioEnv is the typed environment a scenario mounts from.
 	ScenarioEnv = scenario.Env
@@ -200,18 +200,19 @@ type (
 // Scenario registry entry points (the default process-wide catalog).
 var (
 	// LookupScenario finds a scenario by name, case-insensitively.
-	LookupScenario = scenario.Lookup
+	LookupScenario = scenario.Default.Lookup
 	// AllScenarios enumerates the catalog in deterministic order.
-	AllScenarios = scenario.All
+	AllScenarios = scenario.Default.All
 	// ScenarioFamilies lists the catalog's populated families.
-	ScenarioFamilies = scenario.Families
+	ScenarioFamilies = scenario.Default.Families
 	// NewScenarioEnv builds a mount environment with the architecture's
 	// stock defenses (the paper's §4.1 wiring).
 	NewScenarioEnv = scenario.NewEnv
 	// NewScenarioEnvWithDefenses builds a mount environment under an
 	// explicit mitigation set — the sweep's defense axis.
 	NewScenarioEnvWithDefenses = scenario.NewEnvWithDefenses
-	// NewScenarioRegistry returns an empty scenario registry.
+	// NewScenarioRegistry returns an empty scenario registry, checked by
+	// the same rules as the default catalog.
 	NewScenarioRegistry = scenario.NewRegistry
 	// ScenarioVerdictClass normalizes a cell verdict to the sweep's
 	// broken/mitigated/n-a grading.
@@ -220,22 +221,24 @@ var (
 
 // Defense axis: every mitigation the paper surveys — the §4.1 cache
 // isolation mechanisms, the §4.2 speculation controls and the §5
-// side-channel/fault countermeasures — is a self-registered Defense in a
-// process-wide catalog mirroring the scenario registry. A Defense is a
-// pure configuration transform applied at platform/victim construction;
-// the sweep toggles them per cell to measure the paper's defense-efficacy
-// matrix.
+// side-channel/fault countermeasures — is a self-registered record in a
+// process-wide catalog of the same registry type as the scenarios. A
+// defense is a pure configuration transform applied at platform/victim
+// construction; the sweep toggles them per cell to measure the paper's
+// defense-efficacy matrix.
 type (
-	// Defense is one mitigation as an enumerable, toggleable unit.
-	Defense = defense.Defense
+	// Defense is the record type of every catalog mitigation: name,
+	// countered family, paper metadata, blocked scenarios, stock
+	// architectures, applicability and the config transform.
+	Defense = defense.Spec
 )
 
 // Defense registry entry points (the default process-wide catalog).
 var (
 	// LookupDefense finds a defense by name, case-insensitively.
-	LookupDefense = defense.Lookup
+	LookupDefense = defense.Default.Lookup
 	// AllDefenses enumerates the catalog in deterministic order.
-	AllDefenses = defense.All
+	AllDefenses = defense.Default.All
 	// StockDefenses lists an architecture's paper-stock defenses,
 	// resolved from registry metadata (never hard-coded).
 	StockDefenses = defense.StockFor
