@@ -101,16 +101,12 @@ func secretBytesFor(samples int) int {
 func seqCacheResult(extend func(n int, rng *rand.Rand), result func() cachesca.Result, plan *stats.Plan, env *Env) cachesca.Result {
 	done := 0
 	var res cachesca.Result
-	for {
-		n, ok := plan.Next()
-		if !ok {
-			break
-		}
+	plan.Walk(func(n int) bool {
 		extend(n-done, env.RNG)
 		done = n
 		res = result()
-		plan.Grade(res.Success)
-	}
+		return res.Success
+	})
 	return res
 }
 
@@ -125,19 +121,15 @@ func seqBitChannel(env *Env, plan *stats.Plan, recover func(chunk []byte) (corre
 	secret := make([]byte, secretBytesFor(plan.Reference()))
 	env.RNG.Read(secret)
 	done := 0
-	for {
-		n, ok := plan.Next()
-		if !ok {
-			break
-		}
+	plan.Walk(func(n int) bool {
 		k := len(secret) * n / plan.Reference()
 		if k > done {
 			correct += recover(secret[done:k])
 			done = k
 		}
 		bits = done * 8
-		plan.Grade(bits > 0 && correct*16 >= bits*14)
-	}
+		return bits > 0 && correct*16 >= bits*14
+	})
 	return correct, bits
 }
 

@@ -109,30 +109,17 @@ type Env struct {
 
 	cfg *defense.Config
 
-	// pool recycles the cell's platform across measurement passes: the
-	// adaptive engine's escalation passes each mount the scenario afresh,
-	// and rebuilding the whole hierarchy (the server LLC alone backs
-	// 128Ki lines) per pass dwarfed the measurement on hard cells.
-	// Batch shares the pointer, so every pass of one cell reuses one
-	// platform; distinct cells (distinct Envs) never share.
-	pool *platformPool
-
-	// scratch, when bound, widens reuse from per-cell to per-worker:
-	// NewPlatform pools platforms by class and TraceArena pools the
-	// power-trace arena across every cell the worker executes. Reuse is
-	// value-invisible (platform.Reset is pinned ≡ fresh; the arena is
+	// scratch is the reuse store NewPlatform and TraceArena draw from.
+	// A fresh Env owns one, which Batch shares, so every escalation pass
+	// of one cell reuses one platform and one arena instead of
+	// rebuilding the whole hierarchy (the server LLC alone backs 128Ki
+	// lines) per pass. BindScratch widens reuse from per-cell to
+	// per-worker: platforms key by class, so consecutive cells of the
+	// same class on one worker share a hierarchy across the sweep. Reuse
+	// is value-invisible (platform.Reset is pinned ≡ fresh; the arena is
 	// Reset per cell), so a cell measures bit-identically with or
 	// without a bound scratch — the determinism matrix test enforces it.
 	scratch *engine.Scratch
-}
-
-// platformPool holds one reusable platform per cell. NewPlatform resets
-// and re-configures the pooled instance instead of assembling a new one;
-// that is safe because every scenario builds its platform at the top of a
-// mount and abandons it when the mount returns, so at most one pass uses
-// the platform at a time.
-type platformPool struct {
-	p *platform.Platform
 }
 
 // NewEnv builds the environment for one (architecture, job) pair with the
@@ -169,7 +156,7 @@ func NewEnvWithDefenses(arch string, samples int, seed int64, rng *rand.Rand, de
 		d.Configure(cfg)
 	}
 	return &Env{Arch: arch, Class: class, Samples: samples, Seed: seed, RNG: rng,
-		Defenses: defenses, cfg: cfg, pool: &platformPool{}}, nil
+		Defenses: defenses, cfg: cfg, scratch: engine.NewScratch()}, nil
 }
 
 // Batch derives the environment for sequential-sampling batch i of this
@@ -195,16 +182,16 @@ func (e *Env) Batch(i, budget int) *Env {
 	return &b
 }
 
-// BindScratch attaches the executing worker's scratch store, enabling
-// cross-cell reuse of platforms and trace arenas. The sweep binds it
-// from engine.Ctx; scenarios mounted without one (tests, the serve
-// layer's RunOne cells) keep the per-cell pool behavior.
+// BindScratch replaces the cell's own scratch store with the executing
+// worker's, enabling cross-cell reuse of platforms and trace arenas.
+// The sweep binds it from engine.Ctx.
 func (e *Env) BindScratch(s *engine.Scratch) { e.scratch = s }
 
 // TraceArena returns the power-trace arena for this cell, reset empty.
-// With a bound scratch the arena is worker-pooled: its quantized-sample
-// backing, class-sum caches and input store persist from cell to cell,
-// so steady-state trace collection and analysis never touch the heap.
+// The arena is scratch-pooled: its quantized-sample backing, class-sum
+// caches and input store persist from pass to pass (and, under a bound
+// worker scratch, from cell to cell), so steady-state trace collection
+// and analysis never touch the heap.
 func (e *Env) TraceArena() *power.Arena {
 	const key = "scenario/power/arena"
 	if a, ok := e.scratch.Get(key).(*power.Arena); ok {
@@ -263,17 +250,16 @@ func (e *Env) Features() cpu.Features {
 // TrustZone) from registry metadata instead of the hard-coded
 // per-architecture block this method used to carry.
 //
-// The first call assembles the platform; later calls on the same cell
+// The first call on a scratch store assembles the platform; later calls
 // (the adaptive engine's escalation passes reach here through Batch,
-// which shares the pool) reset the pooled instance back to its as-built
-// microarchitectural state and re-apply the same configuration, which
-// measures bit-identically to a fresh assembly without re-deriving the
-// whole hierarchy. With a bound scratch the pool widens to the worker:
-// platforms key by class, so consecutive cells of the same class on one
-// worker share a hierarchy across the whole sweep (Reset ≡ fresh is
-// what makes that value-invisible).
+// which shares the store, and with a bound worker scratch every later
+// cell of the same class) reset the pooled instance back to its
+// as-built microarchitectural state and re-apply the cell's
+// configuration, which measures bit-identically to a fresh assembly
+// without re-deriving the whole hierarchy.
 func (e *Env) NewPlatform() *platform.Platform {
-	if p := e.pooledPlatform(); p != nil {
+	key := "scenario/platform/" + e.Class
+	if p, ok := e.scratch.Get(key).(*platform.Platform); ok {
 		p.Reset()
 		e.cfg.Apply(p)
 		return p
@@ -288,32 +274,8 @@ func (e *Env) NewPlatform() *platform.Platform {
 		p = platform.NewEmbedded()
 	}
 	e.cfg.Apply(p)
-	e.storePlatform(p)
+	e.scratch.Put(key, p)
 	return p
-}
-
-// pooledPlatform returns the reusable platform for this cell, preferring
-// the worker-scratch pool (keyed by class) over the per-cell pool.
-func (e *Env) pooledPlatform() *platform.Platform {
-	if p, ok := e.scratch.Get("scenario/platform/" + e.Class).(*platform.Platform); ok {
-		return p
-	}
-	if e.pool != nil {
-		return e.pool.p
-	}
-	return nil
-}
-
-// storePlatform records a freshly assembled platform in whichever pool
-// is in effect.
-func (e *Env) storePlatform(p *platform.Platform) {
-	if e.scratch != nil {
-		e.scratch.Put("scenario/platform/"+e.Class, p)
-		return
-	}
-	if e.pool != nil {
-		e.pool.p = p
-	}
 }
 
 // AESVictim places the standard AES victim on the platform (at

@@ -81,17 +81,13 @@ func seqTraces(env *Env, plan *stats.Plan, sigma float64, analyze func(*power.Ar
 	probe := env.PowerProbe(sigma, 1)
 	a := env.TraceArena()
 	done := 0
-	for {
-		n, ok := plan.Next()
-		if !ok {
-			break
-		}
+	plan.Walk(func(n int) bool {
 		a.Grow(n-done, aesTracePoints)
 		physical.ExtendArena(a, v, probe, n-done, env.RNG)
 		done = n
 		got = physical.CorrectBytes(analyze(a), VictimKey())
-		plan.Grade(got >= 14)
-	}
+		return got >= 14
+	})
 	return got, done, nil
 }
 
@@ -107,16 +103,12 @@ func physicalScenarios() []*Spec {
 				mod, exp := kocherTarget()
 				var samples []physical.TimingSample
 				ok, done := false, 0
-				for {
-					n, more := plan.Next()
-					if !more {
-						break
-					}
+				plan.Walk(func(n int) bool {
 					samples = physical.ExtendTimingSamples(samples, exp, mod, n-done, env.RNG)
 					done = n
 					ok = physical.KocherTiming(samples, mod, exp.BitLen()).Cmp(exp) == 0
-					plan.Grade(ok)
-				}
+					return ok
+				})
 				return Outcome{
 					Rows:    Cell("kocher-timing", env.Arch, fmt.Sprintf("%d timings", done), LeakIf(ok)),
 					Verdict: LeakIf(ok),

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+
+	"github.com/intrust-sim/intrust/internal/core"
 )
 
 // errQueueFull is the admission queue's backpressure signal; handlers
@@ -60,4 +62,18 @@ func (a *admission) acquire(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// admitCold is the admission rule of every multi-cell request: one
+// compute slot when any key is missing from memory, none (a no-op
+// release) when all are warm. Consulting only memory is conservative: a
+// disk-warm selection takes a slot it will barely use, but a disk entry
+// that fails authentication never computes outside the bound.
+func (s *Server) admitCold(ctx context.Context, keys []core.CellKey) (release func(), err error) {
+	for _, k := range keys {
+		if !s.cache.peek(k.Encode()) {
+			return s.adm.acquire(ctx)
+		}
+	}
+	return func() {}, nil
 }

@@ -6,20 +6,22 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/url"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/core"
 )
 
-// attestOpts configures a one-cell revocation grid: flush+reload on
-// undefended SGX, a broken cell, so exactly one architecture revokes.
-func attestOpts() Options {
-	return Options{
-		RevocationArchs:   []string{"sgx"},
-		RevocationAttacks: []string{"flush+reload"},
-		RevocationSamples: 64,
-	}
+// newAttestServer builds a server whose revocation grid is one cell:
+// flush+reload on undefended SGX, a broken cell, so exactly one
+// architecture revokes.
+func newAttestServer(opts Options) *Server {
+	s := newTestServer(opts)
+	s.attest = newAttestState(s.opts.Seed, []string{"sgx"}, []string{"flush+reload"})
+	return s
 }
 
 func quoteFrom(t *testing.T, s *Server, target string) attestQuoteBody {
@@ -58,7 +60,7 @@ func verifyQuote(t *testing.T, s *Server, wire, nonce string) attestVerifyBody {
 // service) to reject, while a quote claiming the stock defense is
 // accepted again — and an unrevoked architecture is untouched.
 func TestAttestRevocationFlipsVerify(t *testing.T) {
-	s := newTestServer(attestOpts())
+	s := newAttestServer(Options{})
 
 	// Before the grid feeds the policy, the baseline quote verifies
 	// (checked directly against the service, pre-revocation).
@@ -128,7 +130,7 @@ func TestAttestRevocationFlipsVerify(t *testing.T) {
 // endpoints: quote and verify bodies are byte-identical cold vs warm,
 // with the X-Cache disposition flipping miss -> hit.
 func TestAttestByteIdenticalReplay(t *testing.T) {
-	s := newTestServer(attestOpts())
+	s := newAttestServer(Options{})
 	target := "/attest/quote?arch=trustzone&config=none&nonce=beef"
 	cold := get(t, s, target)
 	warm := get(t, s, target)
@@ -156,7 +158,7 @@ func TestAttestByteIdenticalReplay(t *testing.T) {
 // base64 and malformed wire bytes are client errors or clean rejections,
 // never 500s.
 func TestAttestVerifyRejectsGarbage(t *testing.T) {
-	s := newTestServer(attestOpts())
+	s := newAttestServer(Options{})
 	if rec := get(t, s, "/attest/verify?quote=%2Bnot-base64%2B"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad base64 = %d", rec.Code)
 	}
@@ -179,7 +181,7 @@ func TestAttestVerifyRejectsGarbage(t *testing.T) {
 // TestAttestMetricsMove pins the attestation counters into the /metrics
 // exposition.
 func TestAttestMetricsMove(t *testing.T) {
-	s := newTestServer(attestOpts())
+	s := newAttestServer(Options{})
 	q := quoteFrom(t, s, "/attest/quote?arch=sgx&config=none")
 	verifyQuote(t, s, q.Quote, "") // rejected: revoked
 	stock := quoteFrom(t, s, "/attest/quote?arch=sgx&config=stock")
@@ -194,5 +196,48 @@ func TestAttestMetricsMove(t *testing.T) {
 		if !bytes.Contains([]byte(body), []byte(want)) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestRevocationGridComputesInParallel pins that the revocation grid's
+// cold cells compute concurrently (fetchCells' worker pool), not one
+// after another: under GOMAXPROCS(2) two cold computes must overlap.
+// Each stalled compute waits up to ~2s for a partner, so a serial walk
+// fails with a peak of 1 instead of hanging.
+func TestRevocationGridComputesInParallel(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := newTestServer(Options{})
+	s.attest = newAttestState(s.opts.Seed, []string{"sgx"}, []string{"flush+reload", "prime+probe"})
+
+	var mu sync.Mutex
+	active, peak := 0, 0
+	testComputeStall = func(core.CellKey) {
+		mu.Lock()
+		active++
+		if active > peak {
+			peak = active
+		}
+		mu.Unlock()
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			mu.Lock()
+			p := peak
+			mu.Unlock()
+			if p >= 2 {
+				break
+			}
+		}
+		mu.Lock()
+		active--
+		mu.Unlock()
+	}
+	defer func() { testComputeStall = nil }()
+
+	if rec := get(t, s, "/attest/tcb"); rec.Code != http.StatusOK {
+		t.Fatalf("/attest/tcb = %d %s", rec.Code, rec.Body.String())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak < 2 {
+		t.Fatalf("peak concurrent revocation computes = %d, want >= 2", peak)
 	}
 }

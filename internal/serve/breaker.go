@@ -42,12 +42,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold <= 0 {
-		threshold = 5
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }
 

@@ -88,10 +88,15 @@ func TestBreakerProbeMiss(t *testing.T) {
 	}
 }
 
-// TestBreakerDefaults pins the zero-value guards.
+// TestBreakerDefaults pins the disk-tier tuning New installs: a
+// 5-failure / 5s-cooldown breaker and two write-behind retries from a
+// 5ms backoff.
 func TestBreakerDefaults(t *testing.T) {
-	b := newBreaker(0, 0)
-	if b.threshold != 5 || b.cooldown != 5*time.Second {
-		t.Fatalf("defaults = %d/%v, want 5/5s", b.threshold, b.cooldown)
+	s := newTestServer(Options{})
+	if s.brk.threshold != 5 || s.brk.cooldown != 5*time.Second {
+		t.Fatalf("breaker = %d/%v, want 5/5s", s.brk.threshold, s.brk.cooldown)
+	}
+	if s.retries != 2 || s.retryBase != 5*time.Millisecond {
+		t.Fatalf("write-behind retries = %d from %v, want 2 from 5ms", s.retries, s.retryBase)
 	}
 }

@@ -120,13 +120,6 @@ func entryBytes(key string, body []byte) int64 {
 	return int64(len(key) + len(body))
 }
 
-// len returns the current entry count.
-func (c *cellCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // size returns the current entry count and resident bytes.
 func (c *cellCache) size() (entries int, bytes int64) {
 	c.mu.Lock()

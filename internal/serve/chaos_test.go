@@ -59,13 +59,12 @@ func TestChaosDiskFaults(t *testing.T) {
 	plane.Arm(diskcache.FaultWrite, fault.Spec{Prob: 0.5})
 	plane.Arm(diskcache.FaultCorrupt, fault.Spec{Prob: 0.5})
 	s := newTestServer(Options{
-		CacheDir:         t.TempDir(),
-		CacheEntries:     2, // small LRU forces repeated disk reads
-		Faults:           plane,
-		DiskRetryBase:    time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Millisecond,
+		CacheDir:     t.TempDir(),
+		CacheEntries: 2, // small LRU forces repeated disk reads
+		Faults:       plane,
 	})
+	s.retryBase = time.Millisecond
+	s.brk = newBreaker(3, time.Millisecond)
 
 	var wg sync.WaitGroup
 	var badCode atomic503
@@ -150,13 +149,9 @@ func readyz(t *testing.T, s *Server) (int, readiness) {
 func TestChaosBreakerLifecycle(t *testing.T) {
 	plane := fault.New(chaosSeed)
 	plane.Arm(diskcache.FaultWrite, fault.Spec{Prob: 1})
-	s := newTestServer(Options{
-		CacheDir:         t.TempDir(),
-		Faults:           plane,
-		DiskRetries:      -1, // no backoff retries: each Put is one failure
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Minute,
-	})
+	s := newTestServer(Options{CacheDir: t.TempDir(), Faults: plane})
+	s.retries = 0 // no backoff retries: each Put is one failure
+	s.brk = newBreaker(2, time.Minute)
 	clock := time.Unix(1000, 0)
 	s.brk.now = func() time.Time { return clock }
 
@@ -227,23 +222,33 @@ func TestChaosEnginePanic(t *testing.T) {
 
 // TestComputeDeadline pins the deadline contract: a compute stalled
 // far past Options.ComputeDeadline answers a structured 503 about the
-// deadline — it does not hang the handler for the stall's duration.
+// deadline — it does not hang the handler for the stall's duration, nor
+// wait for the client to give up. /attest/tcb derives the revocation
+// grid under the same deadline as /cell.
 func TestComputeDeadline(t *testing.T) {
 	plane := fault.New(chaosSeed)
 	plane.Arm(engine.FaultStall, fault.Spec{Prob: 1, Delay: time.Minute})
-	s := newTestServer(Options{Faults: plane, ComputeDeadline: 100 * time.Millisecond})
+	s := newAttestServer(Options{Faults: plane, ComputeDeadline: 100 * time.Millisecond})
 
-	start := time.Now()
-	rec := get(t, s, cellTargets[0])
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("deadline did not interrupt the stall (took %v)", elapsed)
-	}
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("stalled cell = %d %s, want 503", rec.Code, rec.Body.String())
-	}
-	var e apiError
-	if json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "deadline") {
-		t.Fatalf("deadline 503 body %q does not name the deadline", rec.Body.String())
+	for _, target := range []string{cellTargets[0], "/attest/tcb"} {
+		// The client's own patience outlasts the deadline: a handler that
+		// ignores ComputeDeadline answers only when this context ends.
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx))
+		elapsed := time.Since(start)
+		cancel()
+		if elapsed > 2*time.Second {
+			t.Fatalf("%s: deadline did not interrupt the stall (took %v)", target, elapsed)
+		}
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s stalled = %d %s, want 503", target, rec.Code, rec.Body.String())
+		}
+		var e apiError
+		if json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "deadline") {
+			t.Fatalf("%s: deadline 503 body %q does not name the deadline", target, rec.Body.String())
+		}
 	}
 	if s.met.deadlineRejects.Load() == 0 {
 		t.Fatal("deadline 503 did not move intrust_deadline_rejects_total")
@@ -347,7 +352,8 @@ func TestReadyzStates(t *testing.T) {
 		t.Fatalf("diskless /readyz = %d %+v, want 200 healthy with no disk field", code, body)
 	}
 
-	s = newTestServer(Options{CacheDir: t.TempDir(), BreakerThreshold: 2})
+	s = newTestServer(Options{CacheDir: t.TempDir()})
+	s.brk = newBreaker(2, breakerCooldown)
 	if code, body := readyz(t, s); code != http.StatusOK || body.Status != "healthy" || body.Disk != "closed" {
 		t.Fatalf("disk /readyz = %d %+v, want 200 healthy/closed", code, body)
 	}
@@ -420,12 +426,9 @@ func TestRetryAfterDerived(t *testing.T) {
 func TestChaosMetricsExposed(t *testing.T) {
 	plane := fault.New(chaosSeed)
 	plane.Arm(diskcache.FaultWrite, fault.Spec{Prob: 1})
-	s := newTestServer(Options{
-		CacheDir:         t.TempDir(),
-		Faults:           plane,
-		DiskRetries:      -1,
-		BreakerThreshold: 1,
-	})
+	s := newTestServer(Options{CacheDir: t.TempDir(), Faults: plane})
+	s.retries = 0
+	s.brk = newBreaker(1, breakerCooldown)
 	if rec := get(t, s, cellTargets[0]); rec.Code != http.StatusOK {
 		t.Fatalf("cell = %d", rec.Code)
 	}

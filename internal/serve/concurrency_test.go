@@ -62,7 +62,7 @@ func TestConcurrentHammer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if got := s.cache.len(); got > 8 {
+	if got, _ := s.cache.size(); got > 8 {
 		t.Errorf("cache holds %d entries past its bound of 8", got)
 	}
 	if s.cache.evictions.Load() == 0 {

@@ -10,10 +10,8 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/core"
@@ -343,11 +341,12 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // handleSweep streams a grid selection as NDJSON, one Cell per line in
-// the CLI sweep's enumeration order, then one SweepSummary line. Warm
-// cells flow immediately; cold cells compute concurrently (bounded by
-// GOMAXPROCS inside the request's single admission slot) a batch ahead
-// of the write cursor, so a mostly-warm 1280-cell grid starts flowing
-// in microseconds instead of after the last cold cell.
+// the CLI sweep's enumeration order, then one SweepSummary line. The
+// cells come through fetchCells inside the request's single admission
+// slot: warm cells flow immediately, and cold cells compute on
+// GOMAXPROCS workers that run ahead of the write cursor, so a
+// mostly-warm 1280-cell grid starts flowing in microseconds instead of
+// after the last cold cell.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opt, err := s.cellOptions(q)
@@ -367,87 +366,53 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Admission is request-scoped and decided before the first byte:
 	// once streaming starts the status code is committed, so a
 	// selection that needs any cold compute must win its slot (or 429)
-	// up front. Fully-warm selections bypass admission entirely. The
-	// scan consults only the memory tier: a disk-warm selection takes a
-	// slot it will barely use, which is the conservative direction — a
-	// cell whose disk entry later fails authentication still computes
-	// under a held slot, never outside the admission bound.
+	// up front. Fully-warm selections bypass admission entirely.
 	ctx, cancel := s.computeCtx(r)
 	defer cancel()
-	var release func()
-	for _, k := range keys {
-		if !s.cache.peek(k.Encode()) {
-			if release, err = s.adm.acquire(ctx); err != nil {
-				s.writeAdmissionError(w, err)
-				return
-			}
-			defer release()
-			break
-		}
+	release, err := s.admitCold(ctx, keys)
+	if err != nil {
+		s.writeAdmissionError(w, err)
+		return
 	}
+	defer release()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	sum := SweepSummary{Cells: len(keys), Verdicts: map[string]int{}}
-	enc := json.NewEncoder(w)
-	workers := runtime.GOMAXPROCS(0)
-	batch := 4 * workers
-	for start := 0; start < len(keys); start += batch {
-		end := start + batch
-		if end > len(keys) {
-			end = len(keys)
+	err = s.fetchCells(ctx, keys, func(_ int, body []byte, t tier) error {
+		// The LRU counters move as /cell's would; the summary counts a
+		// disk hit as a hit.
+		if t == tierMemory {
+			s.cache.hits.Add(1)
+		} else {
+			s.cache.misses.Add(1)
 		}
-		bodies := make([][]byte, end-start)
-		errs := make([]error, end-start)
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := start; i < end; i++ {
-			addr := keys[i].Encode()
-			if b, ok := s.cache.get(addr); ok {
-				bodies[i-start] = b
-				sum.CacheHits++
-				continue
-			}
-			if b, ok := s.diskLoad(addr); ok {
-				bodies[i-start] = b
-				sum.CacheHits++
-				continue
-			}
+		if t == tierCompute {
 			sum.CacheMisses++
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				bodies[i-start], errs[i-start] = s.computeCell(ctx, keys[i])
-			}(i)
+		} else {
+			sum.CacheHits++
 		}
-		wg.Wait()
-		for i := range bodies {
-			if errs[i] != nil {
-				// Headers are long gone; surface the failure as a
-				// distinguishable NDJSON error line, then still emit
-				// the terminal summary with the error recorded — a
-				// stream that simply ends is indistinguishable from a
-				// dropped connection, a summary with an error field is
-				// a deliberate stop.
-				enc.Encode(apiError{Error: errs[i].Error()})
-				sum.Error = errs[i].Error()
-				enc.Encode(sum)
-				if flusher != nil {
-					flusher.Flush()
-				}
-				return
-			}
-			w.Write(bodies[i])
-			s.met.cellsStreamed.Add(1)
-			var c Cell
-			if json.Unmarshal(bodies[i], &c) == nil && c.Verdict != "" {
-				sum.Verdicts[c.Verdict]++
-			}
+		if _, err := w.Write(body); err != nil {
+			return err
+		}
+		s.met.cellsStreamed.Add(1)
+		var c Cell
+		if json.Unmarshal(body, &c) == nil && c.Verdict != "" {
+			sum.Verdicts[c.Verdict]++
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
+		return nil
+	})
+	enc := json.NewEncoder(w)
+	if err != nil {
+		// Headers are long gone; surface the failure as a
+		// distinguishable NDJSON error line, then still emit the
+		// terminal summary with the error recorded — a stream that
+		// simply ends is indistinguishable from a dropped connection, a
+		// summary with an error field is a deliberate stop.
+		enc.Encode(apiError{Error: err.Error()})
+		sum.Error = err.Error()
 	}
 	enc.Encode(sum)
 	if flusher != nil {

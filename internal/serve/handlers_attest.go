@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -9,7 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
+	"sync/atomic"
 
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/core"
@@ -20,7 +19,7 @@ import (
 // pure functions of their inputs (deterministic Ed25519 signing, and a
 // verifier that is stateless with respect to nonces), so both cache in
 // the same content-addressed LRU as grid cells; the revocation grid the
-// verify policy derives from computes through computeCell, so its cells
+// verify policy derives from computes through fetchCells, so its cells
 // are shared with /cell and /sweep traffic and ride admission when cold.
 
 // attestState is the server's attestation lifecycle state: the service
@@ -30,113 +29,90 @@ type attestState struct {
 	svc    *attestsvc.Service
 	keys   []core.CellKey
 	keyErr error
-
-	flight *flightGroup
-	mu     sync.RWMutex
-	ready  bool
-	fp     string
+	fp     atomic.Pointer[string] // set once the grid is folded into the policy
 }
 
-// defaultRevocationSamples is the fixed per-cell budget of the
-// revocation grid: fixed rather than adaptive so the derived TCB state
-// never depends on an adaptive policy default.
-const defaultRevocationSamples = 64
+// revocationSamples is the fixed per-cell budget of the revocation
+// grid: fixed rather than adaptive so the derived TCB state never
+// depends on an adaptive policy default.
+const revocationSamples = 64
 
-func newAttestState(opts Options) *attestState {
-	archs, attacks := opts.RevocationArchs, opts.RevocationAttacks
-	if len(archs) == 0 {
-		archs = []string{"all"}
-	}
-	if len(attacks) == 0 {
-		attacks = []string{"all"}
-	}
-	samples := opts.RevocationSamples
-	if samples <= 0 {
-		samples = defaultRevocationSamples
-	}
-	st := &attestState{
-		svc:    attestsvc.NewService(attestsvc.RootFromSeed(opts.Seed)),
-		flight: newFlightGroup(),
-	}
-	st.keys, st.keyErr = core.RevocationCellKeys(archs, attacks, core.CellOptions{Samples: samples, Seed: opts.Seed})
+// newAttestState roots the attestation authority in seed and selects the
+// none-defense grid slice revocation derives from (New selects the full
+// grid: "all" architectures and attacks). The slice computes lazily on
+// the first /attest/verify or /attest/tcb request, through the same
+// content-addressed cell cache as any /cell request, so a warm grid
+// revokes in microseconds.
+func newAttestState(seed int64, archs, attacks []string) *attestState {
+	st := &attestState{svc: attestsvc.NewService(attestsvc.RootFromSeed(seed))}
+	st.keys, st.keyErr = core.RevocationCellKeys(archs, attacks, core.CellOptions{Samples: revocationSamples, Seed: seed})
 	return st
 }
 
 // revocationReady reports whether the revocation grid has been folded
 // into the service's policy (and its fingerprint when it has).
 func (a *attestState) revocationReady() (string, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.fp, a.ready
+	if fp := a.fp.Load(); fp != nil {
+		return *fp, true
+	}
+	return "", false
 }
 
-// ensureRevocations computes (or reads warm) every revocation grid cell
-// and installs the derived TCB state. Concurrent callers collapse into
-// one flight; the caller must hold a compute slot if any cell is cold.
-func (s *Server) ensureRevocations(ctx context.Context) (string, error) {
+// revocations returns the revocation fingerprint /attest/verify and
+// /attest/tcb decide under. On first use it fetches the revocation grid
+// through fetchCells — under the request's compute deadline and, when
+// any grid cell is cold, one admission slot — and folds it into the
+// policy; concurrent first uses collapse into one flight. On failure it
+// has written the error response and reports false.
+func (s *Server) revocations(w http.ResponseWriter, r *http.Request) (string, bool) {
 	a := s.attest
 	if fp, ok := a.revocationReady(); ok {
-		return fp, nil
+		return fp, true
 	}
-	if a.keyErr != nil {
-		return "", a.keyErr
+	ctx, cancel := s.computeCtx(r)
+	defer cancel()
+	release, err := s.admitCold(ctx, a.keys)
+	if err != nil {
+		s.writeAdmissionError(w, err)
+		return "", false
 	}
-	_, err, _ := a.flight.do("revocations", func() ([]byte, error) {
-		if _, ok := a.revocationReady(); ok {
-			return nil, nil
-		}
-		cells := make([]attestsvc.Cell, 0, len(a.keys))
-		for _, k := range a.keys {
-			body, ok := s.cache.get(k.Encode())
-			if !ok {
-				var err error
-				if body, err = s.computeCell(ctx, k); err != nil {
-					return nil, err
+	defer release()
+	if err = a.keyErr; err == nil {
+		_, err, _ = s.flight.do("attest|revocations", func() ([]byte, error) {
+			if _, ok := a.revocationReady(); ok {
+				return nil, nil
+			}
+			cells := make([]attestsvc.Cell, len(a.keys))
+			err := s.fetchCells(ctx, a.keys, func(i int, body []byte, _ tier) error {
+				var c Cell
+				if err := json.Unmarshal(body, &c); err != nil {
+					return fmt.Errorf("revocation cell %s: %w", a.keys[i].Encode(), err)
+				}
+				cells[i] = attestsvc.Cell{Scenario: c.Scenario, Arch: c.Arch, Defense: c.Defense, Class: c.Class}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			rev := attestsvc.Revoke(cells)
+			a.svc.SetRevocations(rev)
+			revoked := 0
+			for _, st := range rev.Statuses() {
+				if st.Revoked {
+					revoked++
 				}
 			}
-			var c Cell
-			if err := json.Unmarshal(body, &c); err != nil {
-				return nil, fmt.Errorf("revocation cell %s: %w", k.Encode(), err)
-			}
-			cells = append(cells, attestsvc.Cell{
-				Scenario: c.Scenario, Arch: c.Arch, Defense: c.Defense, Class: c.Class,
-			})
-		}
-		rev := attestsvc.Revoke(cells)
-		a.svc.SetRevocations(rev)
-		revoked := 0
-		for _, st := range rev.Statuses() {
-			if st.Revoked {
-				revoked++
-			}
-		}
-		s.met.attestRevoked.Store(int64(revoked))
-		a.mu.Lock()
-		a.fp = rev.Fingerprint()
-		a.ready = true
-		a.mu.Unlock()
-		return nil, nil
-	})
+			s.met.attestRevoked.Store(int64(revoked))
+			fp := rev.Fingerprint()
+			a.fp.Store(&fp)
+			return nil, nil
+		})
+	}
 	if err != nil {
-		return "", err
+		s.writeComputeError(w, err)
+		return "", false
 	}
-	fp, _ := a.revocationReady()
-	return fp, nil
-}
-
-// revocationCold reports whether any revocation grid cell would need a
-// cold compute — the admission decision for /attest/verify and
-// /attest/tcb, mirroring /sweep's.
-func (s *Server) revocationCold() bool {
-	if _, ok := s.attest.revocationReady(); ok {
-		return false
-	}
-	for _, k := range s.attest.keys {
-		if !s.cache.peek(k.Encode()) {
-			return true
-		}
-	}
-	return false
+	return a.revocationReady()
 }
 
 // quoteWire is the URL-safe text encoding of a wire quote: unpadded
@@ -244,17 +220,8 @@ func (s *Server) handleAttestVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "nonce: "+err.Error())
 		return
 	}
-	if s.revocationCold() {
-		release, err := s.adm.acquire(r.Context())
-		if err != nil {
-			s.writeAdmissionError(w, err)
-			return
-		}
-		defer release()
-	}
-	fp, err := s.ensureRevocations(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+	fp, ok := s.revocations(w, r)
+	if !ok {
 		return
 	}
 	sum := sha256.Sum256(wire)
@@ -287,17 +254,8 @@ type attestTCBBody struct {
 // function of the configured slice and seed, so recomputing could never
 // change the answer within one process lifetime.
 func (s *Server) handleAttestTCB(w http.ResponseWriter, r *http.Request) {
-	if s.revocationCold() {
-		release, err := s.adm.acquire(r.Context())
-		if err != nil {
-			s.writeAdmissionError(w, err)
-			return
-		}
-		defer release()
-	}
-	fp, err := s.ensureRevocations(r.Context())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+	fp, ok := s.revocations(w, r)
+	if !ok {
 		return
 	}
 	body := marshalLine(attestTCBBody{

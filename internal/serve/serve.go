@@ -34,6 +34,11 @@
 //	/metrics   Prometheus text exposition (cells/sec, cache hit rate,
 //	           in-flight jobs, queue depth, per-endpoint latency)
 //
+// Every multi-cell caller — /sweep, WarmUp and the /attest revocation
+// grid — walks its key list through one ordered worker pool
+// (fetchCells) over the same LRU -> disk -> compute path as /cell, and
+// is admitted by one rule (admitCold).
+//
 // Backpressure: requests that need at least one cold cell pass through
 // a bounded admission queue (Options.MaxInFlight compute slots,
 // Options.QueueDepth waiters); past that the service answers 429 with
@@ -95,16 +100,6 @@ type Options struct {
 	// quoting keys, so a CLI `intrust attest` run with the same seed
 	// mints quotes this server verifies.
 	Seed int64
-	// RevocationArchs and RevocationAttacks select the none-defense
-	// grid slice TCB revocation derives from (nil selects "all"). The
-	// slice computes lazily on the first /attest/verify or /attest/tcb
-	// request, through the same content-addressed cell cache as any
-	// /cell request, so a warm grid revokes in microseconds.
-	RevocationArchs, RevocationAttacks []string
-	// RevocationSamples is the per-cell budget of the revocation grid
-	// (<= 0 selects 64; fixed-budget, so the derived state is identical
-	// across processes regardless of adaptive policy defaults).
-	RevocationSamples int
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// (internal/fault) across the stack: disk read/write/corruption
 	// faults in the persistent tier, stall/panic faults in the engine,
@@ -117,20 +112,6 @@ type Options struct {
 	// instead of hanging the handler on a stuck cell. 0 disables the
 	// deadline.
 	ComputeDeadline time.Duration
-	// BreakerThreshold is how many consecutive disk-tier IO failures
-	// open the circuit breaker over the persistent cache (<= 0 selects
-	// 5). While open the server degrades to memory-only.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker bypasses the disk
-	// before probing it again half-open (<= 0 selects 5s).
-	BreakerCooldown time.Duration
-	// DiskRetries is how many times a failed write-behind persist
-	// retries with exponential backoff before counting as a failure
-	// (0 selects 2; negative disables retries).
-	DiskRetries int
-	// DiskRetryBase is the first retry's backoff, doubling per attempt
-	// (<= 0 selects 5ms).
-	DiskRetryBase time.Duration
 }
 
 // Server is the sweep-as-a-service HTTP handler plus its cache,
@@ -148,11 +129,25 @@ type Server struct {
 	faults   *fault.Plane // nil unless Options.Faults armed the chaos plane
 	draining atomic.Bool
 
+	retries   int           // diskWrite's retry budget (diskRetries)
+	retryBase time.Duration // and first backoff (diskRetryBase)
+
 	attacks  []byte
 	defenses []byte
 
 	attest *attestState
 }
+
+// Disk-tier resilience tuning: a failed write-behind retries
+// diskRetries times from a diskRetryBase backoff (doubling) before it
+// counts as one breaker failure, and breakerThreshold consecutive
+// failures open the breaker for breakerCooldown.
+const (
+	diskRetries      = 2
+	diskRetryBase    = 5 * time.Millisecond
+	breakerThreshold = 5
+	breakerCooldown  = 5 * time.Second
+)
 
 // testComputeStall, when non-nil, is called while holding a compute
 // slot before a cold cell runs — the deterministic seam the
@@ -171,15 +166,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
-	}
-	switch {
-	case opts.DiskRetries == 0:
-		opts.DiskRetries = 2
-	case opts.DiskRetries < 0:
-		opts.DiskRetries = 0
-	}
-	if opts.DiskRetryBase <= 0 {
-		opts.DiskRetryBase = 5 * time.Millisecond
 	}
 	var disk *diskcache.Store
 	if opts.CacheDir != "" {
@@ -202,10 +188,13 @@ func New(opts Options) (*Server, error) {
 		met:    newMetrics(),
 		flight: newFlightGroup(),
 		mux:    http.NewServeMux(),
-		brk:    newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+		brk:    newBreaker(breakerThreshold, breakerCooldown),
 		faults: opts.Faults,
+		attest: newAttestState(opts.Seed, []string{"all"}, []string{"all"}),
+
+		retries:   diskRetries,
+		retryBase: diskRetryBase,
 	}
-	s.attest = newAttestState(opts)
 	s.buildCatalogs()
 	s.mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
 	s.mux.HandleFunc("/readyz", s.instrumentAlways("/readyz", s.handleReadyz))
@@ -230,9 +219,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // 503 while requests already past admission run to completion. It is
 // idempotent; ListenAndServe calls it before http.Server.Shutdown.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Connection hygiene bounds pinned by TestHTTPServerTimeouts: a peer
 // that never finishes its headers, or an idle keep-alive connection,
@@ -498,23 +484,105 @@ func (s *Server) diskWrite(addr string, body []byte) {
 			s.brk.ok()
 			return
 		}
-		if attempt >= s.opts.DiskRetries {
+		if attempt >= s.retries {
 			break
 		}
 		s.met.diskWriteRetries.Add(1)
-		time.Sleep(s.opts.DiskRetryBase << attempt)
+		time.Sleep(s.retryBase << attempt)
 	}
 	s.met.diskWriteErrors.Add(1)
 	s.brk.fail()
+}
+
+// tier names the cache tier that answered a key in fetchCells.
+type tier int
+
+const (
+	tierMemory  tier = iota // the in-memory LRU
+	tierDisk                // the persistent tier, promoted into the LRU
+	tierCompute             // computeCell (a cold compute, or a flight that landed it)
+)
+
+// fetched is one key's answer in a fetchCells walk.
+type fetched struct {
+	body []byte
+	tier tier
+	err  error
+}
+
+// fetchCells is the one path every multi-cell caller (/sweep, WarmUp,
+// the revocation grid) walks its keys through. GOMAXPROCS workers take
+// the keys in order, each as soon as it is free, and try the memory LRU,
+// then the disk tier, then computeCell — so cold cells share flights
+// and caches with /cell. emit receives the bodies in key order, with
+// the tier that answered, as soon as a body and all its predecessors
+// are ready. The first compute or emit error cancels the walk and is
+// returned. fetchCells returns only after every worker has finished, so
+// no compute outlives the caller's admission slot. It moves no hit or
+// miss counter: callers that report them count from the tier.
+func (s *Server) fetchCells(ctx context.Context, keys []core.CellKey, emit func(i int, body []byte, t tier) error) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	ready := make([]chan fetched, len(keys))
+	for i := range ready {
+		ready[i] = make(chan fetched, 1)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(keys)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(keys); i = int(next.Add(1)) - 1 {
+				f := s.fetchCell(ctx, keys[i])
+				if f.err != nil {
+					cancel(f.err)
+				}
+				ready[i] <- f
+			}
+		}()
+	}
+	var err error
+	for i := range keys {
+		f := <-ready[i]
+		if f.err == nil {
+			f.err = emit(i, f.body, f.tier)
+		}
+		if f.err != nil {
+			cancel(f.err)
+			err = context.Cause(ctx) // the first failure, not the cancellation it caused
+			break
+		}
+	}
+	wg.Wait()
+	return err
+}
+
+// fetchCell walks one key through memory -> disk -> compute; once the
+// walk is cancelled it answers the context error untouched.
+func (s *Server) fetchCell(ctx context.Context, key core.CellKey) fetched {
+	if err := ctx.Err(); err != nil {
+		return fetched{err: err}
+	}
+	addr := key.Encode()
+	if b, ok := s.cache.lookup(addr); ok {
+		return fetched{b, tierMemory, nil}
+	}
+	if b, ok := s.diskLoad(addr); ok {
+		return fetched{b, tierDisk, nil}
+	}
+	b, err := s.computeCell(ctx, key)
+	return fetched{b, tierCompute, err}
 }
 
 // WarmUp precomputes the canonical none+stock grid — the paper's
 // primary efficacy surface — into the cache tiers, so a fresh process
 // (or a restarted one pointed at a populated CacheDir) answers it with
 // zero engine work. Cells already on disk load and promote; only
-// genuinely new cells compute, bounded by GOMAXPROCS. It returns how
-// many cells each path took. Safe to run concurrently with live
-// traffic: it goes through the same flights and caches as any request.
+// genuinely new cells compute, on fetchCells' GOMAXPROCS workers. It
+// returns how many cells each path took. Safe to run concurrently with
+// live traffic: it goes through the same flights and caches as any
+// request.
 func (s *Server) WarmUp(ctx context.Context) (loaded, computed int, err error) {
 	return s.warmUp(ctx, nil, nil, []string{"none", "stock"})
 }
@@ -526,37 +594,14 @@ func (s *Server) warmUp(ctx context.Context, archs, attacks, defenses []string) 
 	if err != nil {
 		return 0, 0, err
 	}
-	var nLoaded, nComputed atomic.Int64
-	var firstErr atomic.Pointer[error]
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for _, key := range keys {
-		if ctx.Err() != nil {
-			break
+	err = s.fetchCells(ctx, keys, func(_ int, _ []byte, t tier) error {
+		switch t {
+		case tierDisk:
+			loaded++
+		case tierCompute:
+			computed++
 		}
-		addr := key.Encode()
-		if s.cache.peek(addr) {
-			continue
-		}
-		if _, ok := s.diskLoad(addr); ok {
-			nLoaded.Add(1)
-			continue
-		}
-		wg.Add(1)
-		go func(key core.CellKey) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if _, cerr := s.computeCell(ctx, key); cerr != nil {
-				firstErr.CompareAndSwap(nil, &cerr)
-				return
-			}
-			nComputed.Add(1)
-		}(key)
-	}
-	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		err = *p
-	}
-	return int(nLoaded.Load()), int(nComputed.Load()), err
+		return nil
+	})
+	return loaded, computed, err
 }

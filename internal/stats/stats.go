@@ -179,18 +179,14 @@ func (d Decision) String() string {
 
 // Plan schedules one cumulative measurement pass: a ladder of checkpoint
 // budgets ending exactly at the reference budget. The measuring scenario
-// drives it:
+// drives it through Walk:
 //
-//	for {
-//		n, ok := plan.Next()
-//		if !ok {
-//			break
-//		}
+//	plan.Walk(func(n int) bool {
 //		// extend the cumulative sample set to n samples
-//		plan.Grade(fullRecovery)
-//	}
+//		return fullRecovery
+//	})
 //
-// Grade(true) stops the pass — the attack has its secret; more samples
+// A step reporting true stops the pass — the attack has its secret; more samples
 // cannot un-recover it. Sub-reference checkpoints must grade
 // conservatively (only a full recovery counts), because a weak partial
 // signal at a starved budget is expected even on cells a defense holds.
@@ -276,6 +272,20 @@ func (pl *Plan) Grade(broken bool) {
 	if broken {
 		pl.broken = true
 		pl.stopped = true
+	}
+}
+
+// Walk drives the pass: step extends the cumulative sample set to n
+// samples and reports whether the statistic shows a full recovery, and
+// Walk grades that checkpoint, until the plan stops (recovery, ladder
+// done, or a cancelled bound context).
+func (pl *Plan) Walk(step func(n int) (broken bool)) {
+	for {
+		n, ok := pl.Next()
+		if !ok {
+			return
+		}
+		pl.Grade(step(n))
 	}
 }
 

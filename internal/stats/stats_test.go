@@ -18,14 +18,10 @@ func driveCell(p Policy, reference int, rng *rand.Rand, recovered func(budget in
 	for t.NeedMore() {
 		plan := NewPlan(t.Policy(), reference)
 		broken := false
-		for {
-			n, ok := plan.Next()
-			if !ok {
-				break
-			}
+		plan.Walk(func(n int) bool {
 			broken = recovered(n, rng)
-			plan.Grade(broken)
-		}
+			return broken
+		})
 		t.Observe(broken, plan.Used())
 	}
 	return t.Conclude()
@@ -68,6 +64,23 @@ func TestPlanLadder(t *testing.T) {
 		if plan.Broken() {
 			t.Errorf("ladder(%d): all-failure pass reports broken", tc.ref)
 		}
+	}
+}
+
+// TestPlanWalk pins Walk's contract: each step sees the next
+// checkpoint, its result is the grade, and a recovery ends the walk.
+func TestPlanWalk(t *testing.T) {
+	plan := NewPlan(Policy{}, 2048)
+	var seen []int
+	plan.Walk(func(n int) bool {
+		seen = append(seen, n)
+		return n == 512
+	})
+	if !reflect.DeepEqual(seen, []int{256, 512}) {
+		t.Fatalf("walk visited %v, want [256 512]", seen)
+	}
+	if !plan.Broken() || plan.Used() != 512 || plan.Grades() != 2 {
+		t.Errorf("walked pass: broken=%v used=%d grades=%d", plan.Broken(), plan.Used(), plan.Grades())
 	}
 }
 
