@@ -67,7 +67,7 @@ func NewVictim(h *cache.Hierarchy, key []byte, domain int, base uint32) (*Victim
 	return v, nil
 }
 
-// NewCTVictim builds a constant-time AES victim (bitsliced-style S-box
+// NewCTVictim builds a constant-time AES victim (bitsliced S-box
 // computation, softcrypto.CTAES): same service interface, but no
 // secret-indexed table lookups reach the cache hierarchy, so the §4.1
 // cache channels have nothing to observe.

@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The flattened substrate's headline property: nothing on the access or
 // flush paths allocates. These tests pin it with the allocation counter
@@ -56,6 +59,46 @@ func TestFlushLineAllocs(t *testing.T) {
 	}
 }
 
+// serverHierarchy is the server platform's private hierarchy over its
+// 8192-set shared LLC.
+func serverHierarchy() *Hierarchy {
+	h := allocHierarchy()
+	h.LLC = New(Config{Name: "llc", Sets: 8192, Ways: 16, LineSize: 64, HitLatency: 34})
+	return h
+}
+
+// fillVictim touches an Evict+Time-sized working set: the AES victim's
+// four 1 KiB T-tables plus the S-box, one access per 64-byte line.
+func fillVictim(h *Hierarchy) {
+	for a := uint32(0x10000); a < 0x10000+5*0x400; a += 64 {
+		h.Data(a, false, 1)
+	}
+}
+
+func TestFlushAllAllocs(t *testing.T) {
+	h := serverHierarchy()
+	if avg := testing.AllocsPerRun(100, func() {
+		fillVictim(h)
+		h.FlushAll()
+	}); avg != 0 {
+		t.Errorf("fill+FlushAll allocates %v objects per round, want 0", avg)
+	}
+}
+
+// BenchmarkHierarchyFlushAll times the flush-on-switch defense's
+// context-switch hygiene on the server geometry after an Evict+Time-sized
+// working set.
+func BenchmarkHierarchyFlushAll(b *testing.B) {
+	h := serverHierarchy()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fillVictim(h)
+		b.StartTimer()
+		h.FlushAll()
+	}
+}
+
 func TestTLBAllocs(t *testing.T) {
 	tlb := NewTLB(64, 4)
 	tlb.SetPartition(1, 0b0011)
@@ -70,9 +113,9 @@ func TestTLBAllocs(t *testing.T) {
 }
 
 // TestResetEquivalentToFresh drives an identical workload on a reset
-// cache and a newly built one and requires identical observable behavior
-// — the property the platform pool's bit-identical-replay contract rests
-// on.
+// cache and a newly built one and requires identical observable behavior,
+// filled-set tracking included — the property platform reuse's
+// bit-identical-replay contract rests on.
 func TestResetEquivalentToFresh(t *testing.T) {
 	cfg := Config{Name: "reset", Sets: 16, Ways: 4, LineSize: 32, HitLatency: 1, Policy: PolicyRandom}
 	dirty := New(cfg)
@@ -82,6 +125,14 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		dirty.Access(a, a%64 == 0, int(a/32)%3)
 	}
 	dirty.Reset()
+	if len(dirty.filledSets) != 0 {
+		t.Fatalf("reset left %d sets listed as filled", len(dirty.filledSets))
+	}
+	for i, f := range dirty.filled {
+		if f {
+			t.Fatalf("reset left set %d marked filled", i)
+		}
+	}
 
 	fresh := New(cfg)
 	for a := uint32(0); a < 8192; a += 32 {
@@ -97,5 +148,11 @@ func TestResetEquivalentToFresh(t *testing.T) {
 		if dirty.WaysIn(s) != fresh.WaysIn(s) {
 			t.Errorf("set %d occupancy diverged: %d vs %d", s, dirty.WaysIn(s), fresh.WaysIn(s))
 		}
+		if dirty.filled[s] != fresh.filled[s] {
+			t.Errorf("set %d filled mark diverged: %v vs %v", s, dirty.filled[s], fresh.filled[s])
+		}
+	}
+	if !slices.Equal(dirty.filledSets, fresh.filledSets) {
+		t.Errorf("filled-set list diverged after reset: %v vs %v", dirty.filledSets, fresh.filledSets)
 	}
 }

@@ -106,6 +106,15 @@ type Cache struct {
 	lines []line   // Sets*Ways contiguous lines
 	plru  []uint64 // tree-PLRU recently-used bit per way, one word per set
 
+	// filled marks the sets that have had a fill since the last FlushAll
+	// or Reset, and filledSets lists them in first-fill order. fill is the
+	// only place a line becomes valid, so every line outside a listed set
+	// is zero and FlushAll clears just the listed sets — a victim's few
+	// dozen lines instead of the server LLC's whole 128Ki-line array.
+	// filledSets is allocated at its Sets capacity, so fills never grow it.
+	filled     []bool
+	filledSets []int32
+
 	tick    uint64
 	rng     *rand.Rand
 	rngSeed int64
@@ -152,13 +161,15 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %q: bad way count %d", cfg.Name, cfg.Ways))
 	}
 	c := &Cache{
-		cfg:       cfg,
-		ways:      cfg.Ways,
-		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
-		setMask:   uint32(cfg.Sets - 1),
-		lines:     make([]line, cfg.Sets*cfg.Ways),
-		plru:      make([]uint64, cfg.Sets),
-		rngSeed:   int64(cfg.Sets)*31 + int64(cfg.Ways),
+		cfg:        cfg,
+		ways:       cfg.Ways,
+		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setMask:    uint32(cfg.Sets - 1),
+		lines:      make([]line, cfg.Sets*cfg.Ways),
+		plru:       make([]uint64, cfg.Sets),
+		filled:     make([]bool, cfg.Sets),
+		filledSets: make([]int32, 0, cfg.Sets),
+		rngSeed:    int64(cfg.Sets)*31 + int64(cfg.Ways),
 	}
 	c.rng = rand.New(rand.NewSource(c.rngSeed))
 	return c
@@ -170,11 +181,11 @@ func (c *Cache) Config() Config { return c.cfg }
 // Reset returns the cache to its as-built state: all lines invalid, PLRU
 // and statistics cleared, partitions and randomized mappings removed, and
 // the replacement RNG re-seeded — so a reset cache replays exactly the
-// same decision sequence as a freshly constructed one. The platform pool
-// uses it to recycle hierarchies across measurement passes instead of
-// re-allocating them (OnEvict wiring is preserved).
+// same decision sequence as a freshly constructed one. Platform reuse
+// across measurement passes and cells relies on it instead of
+// re-allocating hierarchies (OnEvict wiring is preserved).
 func (c *Cache) Reset() {
-	clear(c.lines)
+	c.clearFilled()
 	clear(c.plru)
 	c.tick = 0
 	c.Stats = Stats{}
@@ -354,6 +365,10 @@ func (c *Cache) fill(idx int, tag uint32, write bool, domain int, mask uint64) {
 	}
 	set[victim] = line{valid: true, tag: tag, domain: domain, lastUse: c.tick, dirty: write}
 	c.touchPLRU(idx, victim)
+	if !c.filled[idx] {
+		c.filled[idx] = true
+		c.filledSets = append(c.filledSets, int32(idx))
+	}
 }
 
 func (c *Cache) chooseVictim(idx int, mask uint64) int {
@@ -453,10 +468,20 @@ func (c *Cache) FlushLine(addr uint32) bool {
 	return found
 }
 
-// FlushAll invalidates the entire cache.
+// FlushAll invalidates the entire cache. PLRU state is left as it is.
 func (c *Cache) FlushAll() {
-	clear(c.lines)
+	c.clearFilled()
 	c.Stats.Flushes++
+}
+
+// clearFilled zeroes every set filled since the last FlushAll or Reset
+// and empties the list: afterwards every line in the cache is zero.
+func (c *Cache) clearFilled() {
+	for _, idx := range c.filledSets {
+		clear(c.set(int(idx)))
+		c.filled[idx] = false
+	}
+	c.filledSets = c.filledSets[:0]
 }
 
 // FlushDomain invalidates every line filled by the given domain (enclave

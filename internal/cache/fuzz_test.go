@@ -62,6 +62,19 @@ func FuzzCacheAccess(f *testing.F) {
 				} else {
 					c.Reset()
 				}
+				// Both clear only the sets filled since the last clear:
+				// every line must now read as zero and no domain may
+				// own a line.
+				for i, l := range c.lines {
+					if l != (line{}) {
+						t.Fatalf("line %d (set %d) survived a full flush: %+v", i, i/cfg.Ways, l)
+					}
+				}
+				for d := 0; d < 8; d++ {
+					if n := c.OccupancyOf(d); n != 0 {
+						t.Fatalf("domain %d owns %d lines after a full flush", d, n)
+					}
+				}
 			}
 			if n := c.OccupancyOf(-1); n != 0 {
 				t.Fatalf("phantom lines owned by domain -1: %d", n)

@@ -139,11 +139,12 @@ func transientScenarios() []*Spec {
 				if err != nil {
 					return Outcome{}, err
 				}
-				// The SGX instance is rebuilt per pass (its keys derive
-				// from the cell seed, so a pooled instance would measure
-				// the same, but nothing pools it yet); release the server
-				// DRAM backing once the attack result — which only copies
-				// bytes out — is in hand.
+				// The SGX instance is rebuilt per pass. Pooling the server
+				// would not save its main cost: every key derives from the
+				// cell-seeded fuse, so MEE.Init re-encrypts and re-MACs
+				// the whole 2 MiB EPC under a per-cell key either way.
+				// Release the server DRAM backing once the attack result
+				// — which only copies bytes out — is in hand.
 				defer s.Platform().Mem.Release()
 				// The l1tf-flush defense (§4.2) turns on SGX's microcode
 				// L1 flush on enclave exits.

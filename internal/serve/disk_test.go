@@ -75,6 +75,28 @@ func TestRestartWarmDisk(t *testing.T) {
 	}
 }
 
+// TestColdCellReadsDiskOnce: a cold cell on a disk-backed server reads
+// the persistent tier exactly once, on /cell and on the /sweep path
+// alike. Only the caller's tier walk reads it; the compute flight
+// re-checks memory alone.
+func TestColdCellReadsDiskOnce(t *testing.T) {
+	s := newTestServer(diskOpts(t.TempDir()))
+	if rec := get(t, s, diskTarget); rec.Code != http.StatusOK || rec.Header().Get("X-Cache") != "miss" {
+		t.Fatalf("cold = %d X-Cache=%q", rec.Code, rec.Header().Get("X-Cache"))
+	}
+	mustContain(t, metricsBody(t, s),
+		"intrust_disk_misses_total 1\n",
+		"intrust_cells_computed_total 1\n")
+
+	const oneCell = "/sweep?attack=meltdown&arch=sgx&defense=none&samples=32&confidence=0"
+	if rec := get(t, s, oneCell); rec.Code != http.StatusOK {
+		t.Fatalf("cold one-cell sweep = %d", rec.Code)
+	}
+	mustContain(t, metricsBody(t, s),
+		"intrust_disk_misses_total 2\n",
+		"intrust_cells_computed_total 2\n")
+}
+
 // tamperEntries mutates every committed cache file under dir.
 func tamperEntries(t *testing.T, dir string, mutate func([]byte) []byte) int {
 	t.Helper()

@@ -373,12 +373,13 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(apiError{Error: msg})
 }
 
-// computeCell renders one cold cell: it re-checks the cache tiers
-// (another flight may have landed it in memory, or a previous process
-// in the disk store), runs the cell on the engine, and caches the
-// rendered body in both tiers. Concurrent computations of the same key
-// collapse into one flight. The caller must already hold a compute
-// slot.
+// computeCell renders one cold cell: it re-checks the memory tier
+// (another flight may have landed it there), runs the cell on the
+// engine, and caches the rendered body in both tiers. Concurrent
+// computations of the same key collapse into one flight. The caller
+// must already hold a compute slot and must already have missed the
+// disk tier, which is not read again here: a second read would count
+// every cold cell as two disk misses and two breaker probes.
 //
 // Cancellation is mapped, not stringified: when a cell fails because
 // the request context ended (client gone, or the compute deadline
@@ -392,9 +393,6 @@ func (s *Server) computeCell(ctx context.Context, key core.CellKey) ([]byte, err
 	for {
 		body, err, shared := s.flight.do(addr, func() ([]byte, error) {
 			if b, ok := s.cache.lookup(addr); ok {
-				return b, nil
-			}
-			if b, ok := s.diskLoad(addr); ok {
 				return b, nil
 			}
 			if h := testComputeStall; h != nil {

@@ -20,6 +20,14 @@ type RoundKeys [11][16]byte
 
 // ExpandKey computes the AES-128 key schedule.
 func ExpandKey(key []byte) (RoundKeys, error) {
+	return expandKey(key, func(t *[4]byte) {
+		*t = [4]byte{sbox[t[0]], sbox[t[1]], sbox[t[2]], sbox[t[3]]}
+	})
+}
+
+// expandKey is ExpandKey with the key schedule's SubWord supplied, so the
+// constant-time AES can expand its key without a key-indexed lookup.
+func expandKey(key []byte, subWord func(*[4]byte)) (RoundKeys, error) {
 	var rk RoundKeys
 	if len(key) != 16 {
 		return rk, fmt.Errorf("softcrypto: AES-128 key must be 16 bytes, got %d", len(key))
@@ -31,7 +39,8 @@ func ExpandKey(key []byte) (RoundKeys, error) {
 	for i := 4; i < 44; i++ {
 		t := w[i-1]
 		if i%4 == 0 {
-			t = [4]byte{sbox[t[1]], sbox[t[2]], sbox[t[3]], sbox[t[0]]}
+			t = [4]byte{t[1], t[2], t[3], t[0]}
+			subWord(&t)
 			t[0] ^= rcon[i/4]
 		}
 		for j := 0; j < 4; j++ {

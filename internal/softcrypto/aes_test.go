@@ -102,11 +102,48 @@ func TestCTAESMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCTSboxMatchesTable runs every input through every lane of the
+// bitsliced S-box: call x puts byte x+37i in lane i, so over 256 calls
+// each lane sees all 256 inputs while its neighbours hold other values.
 func TestCTSboxMatchesTable(t *testing.T) {
 	for x := 0; x < 256; x++ {
-		if got := ctSbox(byte(x)); got != sbox[x] {
-			t.Fatalf("ctSbox(%#x) = %#x, want %#x", x, got, sbox[x])
+		var s, in [16]byte
+		for i := range s {
+			s[i] = byte(x + 37*i)
 		}
+		in = s
+		subBytesCT(&s)
+		for i := range s {
+			if s[i] != sbox[in[i]] {
+				t.Fatalf("lane %d: subBytesCT(%#x) = %#x, want %#x", i, in[i], s[i], sbox[in[i]])
+			}
+		}
+	}
+}
+
+func TestCTAESEncryptAllocs(t *testing.T) {
+	ct, err := NewCTAES([]byte("0123456789abcdef"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := []byte("constant-time pt")
+	if avg := testing.AllocsPerRun(100, func() { ct.Encrypt(pt) }); avg != 0 {
+		t.Errorf("CTAES.Encrypt allocates %v objects per block, want 0", avg)
+	}
+}
+
+// ctSink keeps BenchmarkCTAESEncrypt's result live.
+var ctSink [16]byte
+
+func BenchmarkCTAESEncrypt(b *testing.B) {
+	ct, err := NewCTAES([]byte("0123456789abcdef"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := []byte("constant-time pt")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctSink = ct.Encrypt(pt)
 	}
 }
 
@@ -245,16 +282,42 @@ func TestTableHookSeesFirstRoundIndices(t *testing.T) {
 	}
 }
 
+// mulLanes multiplies two 16-lane vectors with the bitsliced multiply.
+func mulLanes(a, b [16]byte) [16]byte {
+	pa, pb := toPlanes(&a), toPlanes(&b)
+	p := gfMul(&pa, &pb)
+	var out [16]byte
+	fromPlanes(&p, &out)
+	return out
+}
+
 func TestGFMultiplication(t *testing.T) {
-	if gmul(0x57, 0x83) != 0xc1 { // FIPS-197 example
-		t.Errorf("gmul(0x57, 0x83) = %#x", gmul(0x57, 0x83))
+	var a, b [16]byte
+	for i := range a {
+		a[i], b[i] = 0x57, 0x83
+	}
+	for i, v := range mulLanes(a, b) { // FIPS-197 example
+		if v != 0xc1 {
+			t.Errorf("lane %d: 0x57*0x83 = %#x, want 0xc1", i, v)
+		}
 	}
 	if Mul2(0x80) != 0x1b || Mul3(0x80) != 0x9b {
 		t.Errorf("Mul2/Mul3 at 0x80: %#x %#x", Mul2(0x80), Mul3(0x80))
 	}
-	// Distributivity: a*(b^c) == a*b ^ a*c.
-	f := func(a, b, c byte) bool {
-		return gmul(a, b^c) == gmul(a, b)^gmul(a, c)
+	// Distributivity: a*(b^c) == a*b ^ a*c, lane by lane.
+	f := func(a, b, c [16]byte) bool {
+		var bc [16]byte
+		ab, ac := mulLanes(a, b), mulLanes(a, c)
+		for i := range bc {
+			bc[i] = b[i] ^ c[i]
+		}
+		got := mulLanes(a, bc)
+		for i := range got {
+			if got[i] != ab[i]^ac[i] {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
