@@ -434,6 +434,8 @@ func BenchmarkSpectreLeakRate(b *testing.B) {
 
 // BenchmarkForeshadowExtraction measures the per-byte cost of the SGX
 // attestation-key extraction (EWB/ELD preload + terminal fault + probe).
+// Like the foreshadow scenario, it releases each server's DRAM backing
+// once the result is in hand, so the next iteration reuses it.
 func BenchmarkForeshadowExtraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s, err := NewSGX(platform.NewServer())
@@ -441,6 +443,7 @@ func BenchmarkForeshadowExtraction(b *testing.B) {
 			b.Fatal(err)
 		}
 		res, err := transient.ForeshadowSGX(s, 8, false)
+		s.Platform().Mem.Release()
 		if err != nil {
 			b.Fatal(err)
 		}

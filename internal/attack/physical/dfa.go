@@ -54,35 +54,63 @@ func NewFaultOracle(key []byte) (Oracle, error) {
 	}, nil
 }
 
+// diffBuckets groups the 256 guesses k for one last-round key byte by the
+// round-10-input difference InvSBox(cb^k)^InvSBox(fb^k) they imply for
+// the clean/faulty ciphertext byte pair (cb, fb): the guesses for
+// difference d are keys[start[d]:start[d+1]], in ascending order.
+type diffBuckets struct {
+	start [257]uint16
+	keys  [256]byte
+}
+
+// fill buckets the guesses for the byte pair (cb, fb) into a zero table.
+func (t *diffBuckets) fill(cb, fb byte) {
+	var diff [256]byte
+	var count [256]uint16
+	for k := range diff {
+		d := softcrypto.InvSBox(cb^byte(k)) ^ softcrypto.InvSBox(fb^byte(k))
+		diff[k] = d
+		count[d]++
+	}
+	for d := 0; d < 256; d++ {
+		t.start[d+1] = t.start[d] + count[d]
+	}
+	next := t.start
+	for k, d := range diff {
+		t.keys[next[d]] = byte(k)
+		next[d]++
+	}
+}
+
+func (t *diffBuckets) guesses(d byte) []byte {
+	return t.keys[t.start[d]:t.start[int(d)+1]]
+}
+
 // columnCandidates returns the set of 4-byte round-10 key candidates for
 // MixColumns column c consistent with one clean/faulty ciphertext pair.
 func columnCandidates(clean, faulty [16]byte, c int) map[[4]byte]bool {
-	// Output byte positions of round-10-input column c after ShiftRows.
-	var pos [4]int
-	for r := 0; r < 4; r++ {
-		pos[r] = softcrypto.ShiftRowsIndex(r, c)
+	// Per output byte of round-10-input column c (after ShiftRows), the
+	// key-byte guesses bucketed by the difference each implies; they
+	// depend only on the ciphertext pair, so they are built once and
+	// looked up for every (rf, delta) guess below.
+	var tables [4]diffBuckets
+	for r := range tables {
+		p := softcrypto.ShiftRowsIndex(r, c)
+		tables[r].fill(clean[p], faulty[p])
 	}
 	out := map[[4]byte]bool{}
 	// The faulted byte sat in some row rf of the column; the S-box output
 	// difference was some delta; enumerate both.
-	for rf := 0; rf < 4; rf++ {
-		for delta := 1; delta < 256; delta++ {
-			// Expected round-10-input differences for this (rf, delta).
-			var want [4]byte
-			for i := 0; i < 4; i++ {
-				want[i] = gmulByte(mcCoeff[i][rf], byte(delta))
-			}
-			// Per-position key candidates.
+	for delta := 1; delta < 256; delta++ {
+		// delta times each MixColumns coefficient (1, 2 or 3).
+		mul := [4]byte{1: byte(delta), 2: gmulByte(2, byte(delta)), 3: gmulByte(3, byte(delta))}
+		for rf := 0; rf < 4; rf++ {
+			// Per-position key candidates: those whose difference is the
+			// one MixColumns spreads (rf, delta) into at that position.
 			var cands [4][]byte
 			ok := true
-			for i := 0; i < 4; i++ {
-				cb, fb := clean[pos[i]], faulty[pos[i]]
-				for k := 0; k < 256; k++ {
-					d := softcrypto.InvSBox(cb^byte(k)) ^ softcrypto.InvSBox(fb^byte(k))
-					if d == want[i] {
-						cands[i] = append(cands[i], byte(k))
-					}
-				}
+			for i := range cands {
+				cands[i] = tables[i].guesses(mul[mcCoeff[i][rf]])
 				if len(cands[i]) == 0 {
 					ok = false
 					break

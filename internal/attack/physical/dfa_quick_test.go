@@ -103,3 +103,102 @@ func TestDFARandomKeysQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// columnCandidatesBrute is the reference enumeration columnCandidates
+// must agree with: for each (rf, delta) guess it recomputes every key
+// byte's inverse-S-box difference at each of the column's four positions.
+func columnCandidatesBrute(clean, faulty [16]byte, c int) map[[4]byte]bool {
+	out := map[[4]byte]bool{}
+	for rf := 0; rf < 4; rf++ {
+		for delta := 1; delta < 256; delta++ {
+			var cands [4][]byte
+			ok := true
+			for i := 0; i < 4; i++ {
+				want := gmulByte(mcCoeff[i][rf], byte(delta))
+				p := softcrypto.ShiftRowsIndex(i, c)
+				cb, fb := clean[p], faulty[p]
+				for k := 0; k < 256; k++ {
+					if softcrypto.InvSBox(cb^byte(k))^softcrypto.InvSBox(fb^byte(k)) == want {
+						cands[i] = append(cands[i], byte(k))
+					}
+				}
+				if len(cands[i]) == 0 {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+			for _, k0 := range cands[0] {
+				for _, k1 := range cands[1] {
+					for _, k2 := range cands[2] {
+						for _, k3 := range cands[3] {
+							out[[4]byte{k0, k1, k2, k3}] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// Property: the bucket-table filter returns exactly the brute-force
+// candidate set, for genuine round-9 faults and for arbitrary ciphertext
+// pairs, in every column.
+func TestColumnCandidatesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	f := func(clean, noise [16]byte, genuine bool) bool {
+		faulty := noise
+		if genuine {
+			rk := softcrypto.MustExpandKey(noise[:])
+			pos, xor := rng.Intn(16), byte(1+rng.Intn(255))
+			pt := clean
+			clean = softcrypto.Encrypt(&rk, pt[:], nil)
+			faulty = softcrypto.Encrypt(&rk, pt[:], &softcrypto.Hooks{
+				RoundIn: func(r int, s *[16]byte) {
+					if r == 9 {
+						s[pos] ^= xor
+					}
+				},
+			})
+		}
+		for c := 0; c < 4; c++ {
+			got, want := columnCandidates(clean, faulty, c), columnCandidatesBrute(clean, faulty, c)
+			if len(got) != len(want) {
+				t.Logf("column %d: %d candidates, brute force %d", c, len(got), len(want))
+				return false
+			}
+			for k := range want {
+				if !got[k] {
+					t.Logf("column %d: candidate %x missing", c, k)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rand.New(rand.NewSource(25))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkColumnCandidates(b *testing.B) {
+	key := []byte("bench DFA key 16")
+	oracle, err := NewFaultOracle(key)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := []byte("DFA attack block")
+	clean := oracle(pt, nil)
+	faulty := oracle(pt, &FaultSpec{Round: 9, Pos: 0, XOR: 0x11})
+	col := FaultedColumn(clean, faulty)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCandidates = columnCandidates(clean, faulty, col)
+	}
+}
+
+var benchCandidates map[[4]byte]bool

@@ -3,11 +3,10 @@ package mem
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"hash"
 )
 
 // meeBlock is the MEE protection granule in bytes (one AES block).
@@ -29,29 +28,21 @@ type MEE struct {
 	// memory transaction (used by the MEE-cost ablation).
 	Latency int
 
-	mem      *Memory
-	enc      cipher.Block
-	macKey   []byte
-	versions []uint64
-	macs     [][sha256.Size / 4]byte // truncated 8-byte MACs
+	mem *Memory
+	// enc derives each block's keystream from its address and version;
+	// macEnc is the independent MAC key (see mac).
+	enc, macEnc cipher.Block
+	versions    []uint64
+	macs        [][8]byte // truncated 8-byte MACs
 	// IntegrityFailures counts MAC mismatches observed on reads.
 	IntegrityFailures uint64
 
-	// macHash is the keyed HMAC instance, built once and Reset per MAC:
-	// Init alone MACs every block of the protected range, and a fresh
-	// HMAC (two digest states plus key pads) per block made the engine
-	// the sweep's dominant small-object allocator. The engine is
-	// single-threaded like the platform it serves, so one instance and
-	// one Sum buffer suffice.
-	macHash hash.Hash
-	macSum  []byte
-	// Per-access scratch blocks. pad and mac feed these through
-	// interface calls (cipher.Block.Encrypt, hash.Write), so
-	// stack-local arrays escape and the engine heap-allocates on every
-	// protected access; fields reachable from the receiver do not.
-	padIn, padOut [meeBlock]byte
-	macHdr        [12]byte
-	blkCT         [meeBlock]byte
+	// Per-access scratch blocks. The engine feeds them to
+	// cipher.Block.Encrypt, an interface call, so stack-local arrays
+	// would escape and heap-allocate on every protected access; fields
+	// reachable from the receiver do not. The engine is single-threaded
+	// like the platform it serves.
+	padIn, padOut, macBuf, blkCT [meeBlock]byte
 }
 
 // NewMEE creates an engine over [base, base+size) keyed with key (16 bytes).
@@ -65,17 +56,18 @@ func NewMEE(m *Memory, base, size uint32, key []byte) (*MEE, error) {
 		return nil, fmt.Errorf("mem: MEE key: %w", err)
 	}
 	mk := sha256.Sum256(append(append([]byte{}, key...), []byte("intrust-mee-mac")...))
-	e := &MEE{
+	macBlk, err := aes.NewCipher(mk[:16])
+	if err != nil {
+		return nil, fmt.Errorf("mem: MEE MAC key: %w", err)
+	}
+	return &MEE{
 		Base: base, Size: size, Latency: 12,
 		mem:      m,
 		enc:      blk,
-		macKey:   mk[:],
+		macEnc:   macBlk,
 		versions: make([]uint64, size/meeBlock),
 		macs:     make([][8]byte, size/meeBlock),
-	}
-	e.macHash = hmac.New(sha256.New, e.macKey)
-	e.macSum = make([]byte, 0, sha256.Size)
-	return e, nil
+	}, nil
 }
 
 // Covers reports whether addr lies inside the protected range.
@@ -83,17 +75,19 @@ func (e *MEE) Covers(addr uint32) bool {
 	return addr >= e.Base && addr-e.Base < e.Size
 }
 
-// Init encrypts the current contents of the protected range in place.
-// Call it after loading initial images and before first use.
+// Init encrypts the current contents of the protected range in place, in
+// one pass over its backing: every block gets version 1 and a MAC, so a
+// block nothing has written since still detects tampering and replay.
+// Call it after loading initial images and before first use. The range
+// must lie inside one RAM region.
 func (e *MEE) Init() error {
-	for b := uint32(0); b < e.Size/meeBlock; b++ {
-		var pt [meeBlock]byte
-		if err := e.mem.ReadRaw(e.Base+b*meeBlock, pt[:]); err != nil {
-			return err
-		}
-		if err := e.storeBlock(b, pt[:]); err != nil {
-			return err
-		}
+	cells, err := e.mem.ramBacking(e.Base, e.Size)
+	if err != nil {
+		return fmt.Errorf("mem: MEE init: %w", err)
+	}
+	for b := range e.versions {
+		blk := cells[b*meeBlock : (b+1)*meeBlock]
+		e.seal(uint32(b), blk, blk)
 	}
 	return nil
 }
@@ -106,16 +100,32 @@ func (e *MEE) pad(block uint32, version uint64) [meeBlock]byte {
 	return e.padOut
 }
 
+// mac is a fixed-length, two-block AES CBC-MAC over the block's address
+// and version, then its ciphertext, truncated to 8 bytes:
+//
+//	trunc8(E(E(LE32 block ‖ LE64 version ‖ 0⁴) ⊕ ct))
+//
+// Every message is exactly two blocks, so plain CBC-MAC is a secure MAC
+// here, and a tag binds one block address at one version. Real SGX's
+// engine likewise uses a cheap block-cipher-based MAC rather than a hash
+// (Gueron, IACR ePrint 2016/204).
 func (e *MEE) mac(block uint32, version uint64, ct []byte) [8]byte {
-	e.macHash.Reset()
-	binary.LittleEndian.PutUint32(e.macHdr[0:], block)
-	binary.LittleEndian.PutUint64(e.macHdr[4:], version)
-	e.macHash.Write(e.macHdr[:])
-	e.macHash.Write(ct)
-	e.macSum = e.macHash.Sum(e.macSum[:0])
-	var out [8]byte
-	copy(out[:], e.macSum)
-	return out
+	binary.LittleEndian.PutUint32(e.macBuf[0:], block)
+	binary.LittleEndian.PutUint64(e.macBuf[4:], version)
+	binary.LittleEndian.PutUint32(e.macBuf[12:], 0)
+	e.macEnc.Encrypt(e.macBuf[:], e.macBuf[:])
+	subtle.XORBytes(e.macBuf[:], e.macBuf[:], ct[:meeBlock])
+	e.macEnc.Encrypt(e.macBuf[:], e.macBuf[:])
+	return [8]byte(e.macBuf[:8])
+}
+
+// seal encrypts the plaintext block pt into dst as block b under a fresh
+// version and records its MAC. dst and pt may be the same slice.
+func (e *MEE) seal(b uint32, dst, pt []byte) {
+	e.versions[b]++
+	pad := e.pad(b, e.versions[b])
+	subtle.XORBytes(dst[:meeBlock], pt[:meeBlock], pad[:])
+	e.macs[b] = e.mac(b, e.versions[b], dst)
 }
 
 // loadBlock fetches and authenticates block b, returning its plaintext.
@@ -138,12 +148,7 @@ func (e *MEE) loadBlock(b uint32) ([meeBlock]byte, error) {
 
 // storeBlock encrypts pt into block b with a fresh version.
 func (e *MEE) storeBlock(b uint32, pt []byte) error {
-	e.versions[b]++
-	pad := e.pad(b, e.versions[b])
-	for i := range e.blkCT {
-		e.blkCT[i] = pt[i] ^ pad[i]
-	}
-	e.macs[b] = e.mac(b, e.versions[b], e.blkCT[:])
+	e.seal(b, e.blkCT[:], pt)
 	return e.mem.WriteRaw(e.Base+b*meeBlock, e.blkCT[:])
 }
 
@@ -176,25 +181,56 @@ func (e *MEE) Write(addr uint32, size int, v uint32) error {
 	return e.storeBlock(b, pt[:])
 }
 
-// ReadPlain decrypts n bytes starting at addr into buf; it is the
-// privileged path used by the enclave paging engine (EWB/ELD).
-func (e *MEE) ReadPlain(addr uint32, buf []byte) error {
-	for i := range buf {
-		v, err := e.Read(addr+uint32(i), 1)
-		if err != nil {
-			return err
-		}
-		buf[i] = byte(v)
+// checkRange rejects a non-empty plain-I/O range that leaves the
+// protected range.
+func (e *MEE) checkRange(addr uint32, n int) error {
+	if n > 0 && (!e.Covers(addr) || uint64(addr-e.Base)+uint64(n) > uint64(e.Size)) {
+		return fmt.Errorf("mem: MEE plain access %#x+%#x outside %#x+%#x", addr, n, e.Base, e.Size)
 	}
 	return nil
 }
 
-// WritePlain encrypts buf into the protected range starting at addr.
-func (e *MEE) WritePlain(addr uint32, buf []byte) error {
-	for i := range buf {
-		if err := e.Write(addr+uint32(i), 1, uint32(buf[i])); err != nil {
+// ReadPlain decrypts len(buf) bytes starting at addr into buf, with one
+// authenticated block load per block the range touches; it is the
+// privileged path used by the enclave paging engine (EWB/ELD).
+func (e *MEE) ReadPlain(addr uint32, buf []byte) error {
+	if err := e.checkRange(addr, len(buf)); err != nil {
+		return err
+	}
+	for len(buf) > 0 {
+		rel := addr - e.Base
+		pt, err := e.loadBlock(rel / meeBlock)
+		if err != nil {
 			return err
 		}
+		n := copy(buf, pt[rel%meeBlock:])
+		buf = buf[n:]
+		addr += uint32(n)
+	}
+	return nil
+}
+
+// WritePlain encrypts buf into the protected range starting at addr. Each
+// block the range touches is loaded (and authenticated) once, merged and
+// stored once under the next version — the load stays even when buf
+// covers the whole block, so a write into a tampered block fails.
+func (e *MEE) WritePlain(addr uint32, buf []byte) error {
+	if err := e.checkRange(addr, len(buf)); err != nil {
+		return err
+	}
+	for len(buf) > 0 {
+		rel := addr - e.Base
+		b := rel / meeBlock
+		pt, err := e.loadBlock(b)
+		if err != nil {
+			return err
+		}
+		n := copy(pt[rel%meeBlock:], buf)
+		if err := e.storeBlock(b, pt[:]); err != nil {
+			return err
+		}
+		buf = buf[n:]
+		addr += uint32(n)
 	}
 	return nil
 }

@@ -184,3 +184,166 @@ func TestDMAReadsCiphertextViaController(t *testing.T) {
 		t.Fatal("DMA observed plaintext in MEE region")
 	}
 }
+
+// Property: ReadPlain and WritePlain over unaligned ranges spanning
+// several blocks agree with byte-at-a-time Read and Write through a
+// second engine under the same key.
+func TestMEEPlainMatchesByteReference(t *testing.T) {
+	_, _, mee := meeSetup(t)
+	_, _, ref := meeSetup(t)
+	f := func(off uint16, data []byte, readOff uint16, readLen uint8) bool {
+		if len(data) > 100 {
+			data = data[:100]
+		}
+		addr := mee.Base + uint32(off)%(mee.Size-100)
+		if err := mee.WritePlain(addr, data); err != nil {
+			return false
+		}
+		for i, b := range data {
+			if err := ref.Write(addr+uint32(i), 1, uint32(b)); err != nil {
+				return false
+			}
+		}
+		raddr := mee.Base + uint32(readOff)%(mee.Size-255)
+		got := make([]byte, readLen)
+		if err := mee.ReadPlain(raddr, got); err != nil {
+			return false
+		}
+		for i := range got {
+			v, err := ref.Read(raddr+uint32(i), 1)
+			if err != nil || byte(v) != got[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Fatal(err)
+	}
+	whole, want := make([]byte, mee.Size), make([]byte, ref.Size)
+	if err := mee.ReadPlain(mee.Base, whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.ReadPlain(ref.Base, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole, want) {
+		t.Fatal("block-granular and byte-granular engines hold different plaintext")
+	}
+	if mee.IntegrityFailures != 0 || ref.IntegrityFailures != 0 {
+		t.Fatal("integrity failures on untampered engines")
+	}
+}
+
+// A block only Init ever encrypted is authenticated like any other: a raw
+// bit flip, a splice of another block's ciphertext and a replay of its
+// Init-time ciphertext are all detected.
+func TestMEEInitOnlyBlocksDetectTampering(t *testing.T) {
+	m, c, mee := meeSetup(t)
+	const blk = 0x1a00
+	read := func() error {
+		_, err := c.Read(cpuAccess(blk, 4, KindLoad))
+		return err
+	}
+	if err := read(); err != nil {
+		t.Fatalf("init-only block unreadable: %v", err)
+	}
+	orig := make([]byte, meeBlock)
+	if err := m.ReadRaw(blk, orig); err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), orig...)
+	flipped[5] ^= 0x01
+	other := make([]byte, meeBlock)
+	if err := m.ReadRaw(blk+meeBlock, other); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		ct   []byte
+	}{{"bit flip", flipped}, {"splice", other}} {
+		if err := m.WriteRaw(blk, tc.ct); err != nil {
+			t.Fatal(err)
+		}
+		before := mee.IntegrityFailures
+		if read() == nil {
+			t.Errorf("%s of an init-only block accepted", tc.name)
+		}
+		if mee.IntegrityFailures != before+1 {
+			t.Errorf("%s: integrity failures %d -> %d", tc.name, before, mee.IntegrityFailures)
+		}
+	}
+	// Restore, let the CPU write the block, then replay the Init ciphertext.
+	if err := m.WriteRaw(blk, orig); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(cpuAccess(blk, 4, KindStore), 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteRaw(blk, orig); err != nil {
+		t.Fatal(err)
+	}
+	if read() == nil {
+		t.Error("replayed Init-time ciphertext accepted")
+	}
+}
+
+// WritePlain into a tampered block fails before storing anything, even
+// when it would overwrite the whole block.
+func TestMEEWritePlainIntoTamperedBlock(t *testing.T) {
+	for _, n := range []int{3, meeBlock, 3 * meeBlock} {
+		m, _, mee := meeSetup(t)
+		const blk = 0x1840
+		ct := make([]byte, meeBlock)
+		if err := m.ReadRaw(blk, ct); err != nil {
+			t.Fatal(err)
+		}
+		ct[0] ^= 0x10
+		if err := m.WriteRaw(blk, ct); err != nil {
+			t.Fatal(err)
+		}
+		if err := mee.WritePlain(blk, bytes.Repeat([]byte{0xee}, n)); err == nil {
+			t.Errorf("%d-byte WritePlain into a tampered block succeeded", n)
+		}
+		if mee.IntegrityFailures != 1 {
+			t.Errorf("%d-byte write: IntegrityFailures = %d, want 1", n, mee.IntegrityFailures)
+		}
+		after := make([]byte, meeBlock)
+		if err := m.ReadRaw(blk, after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, ct) {
+			t.Errorf("%d-byte write changed the tampered block's ciphertext", n)
+		}
+	}
+}
+
+func TestMEEPlainRangeChecked(t *testing.T) {
+	_, _, mee := meeSetup(t)
+	buf := make([]byte, 32)
+	for _, addr := range []uint32{mee.Base - 16, mee.Base + mee.Size - 16, mee.Base + mee.Size} {
+		if err := mee.ReadPlain(addr, buf); err == nil {
+			t.Errorf("ReadPlain at %#x+%d outside the engine succeeded", addr, len(buf))
+		}
+		if err := mee.WritePlain(addr, buf); err == nil {
+			t.Errorf("WritePlain at %#x+%d outside the engine succeeded", addr, len(buf))
+		}
+	}
+}
+
+func BenchmarkMEEInit(b *testing.B) {
+	const epcBase, epcSize = 0x1000000, 0x200000 // the SGX model's 2 MiB EPC
+	m := NewMemory()
+	m.MustAddRegion(Region{Name: "dram", Base: epcBase, Size: epcSize, Kind: RegionRAM})
+	mee, err := NewMEE(m, epcBase, epcSize, bytes.Repeat([]byte{0x42}, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(epcSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mee.Init(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -347,11 +347,39 @@ func (m *Memory) writeRaw(addr uint32, size int, v uint32) error {
 	return nil
 }
 
+// span returns the RAM or ROM region whose backing holds all of
+// [addr, addr+n), or nil when n is 0 or no single such region does. Raw
+// accesses it covers copy in one step; the rest go byte by byte, so ROM,
+// MMIO and unmapped-address errors come from one place.
+func (m *Memory) span(addr uint32, n int) *regionState {
+	rs := m.find(addr)
+	if rs == nil || rs.data == nil || n == 0 || uint64(addr-rs.Base)+uint64(n) > uint64(rs.Size) {
+		return nil
+	}
+	return rs
+}
+
+// ramBacking returns the backing bytes of [addr, addr+n), which must lie
+// inside one RAM region. Writes through it bypass every check, as
+// WriteRaw does.
+func (m *Memory) ramBacking(addr, n uint32) ([]byte, error) {
+	rs := m.span(addr, int(n))
+	if rs == nil || rs.Kind != RegionRAM {
+		return nil, fmt.Errorf("range %#x+%#x is not inside one RAM region", addr, n)
+	}
+	off := addr - rs.Base
+	return rs.data[off : off+n : off+n], nil
+}
+
 // ReadRaw models a physical attacker (cold boot, bus interposer) reading
 // memory contents directly, bypassing the controller and all filters. It
 // returns exactly the bytes stored in the cells — ciphertext for regions
 // behind a memory encryption engine.
 func (m *Memory) ReadRaw(addr uint32, buf []byte) error {
+	if rs := m.span(addr, len(buf)); rs != nil {
+		copy(buf, rs.data[addr-rs.Base:])
+		return nil
+	}
 	for i := range buf {
 		v, err := m.readRaw(addr+uint32(i), 1)
 		if err != nil {
@@ -365,6 +393,10 @@ func (m *Memory) ReadRaw(addr uint32, buf []byte) error {
 // WriteRaw models physical tampering with memory cells (e.g. a malicious
 // DIMM interposer), bypassing the controller. Writing to ROM still fails.
 func (m *Memory) WriteRaw(addr uint32, buf []byte) error {
+	if rs := m.span(addr, len(buf)); rs != nil && rs.Kind == RegionRAM {
+		copy(rs.data[addr-rs.Base:], buf)
+		return nil
+	}
 	for i := range buf {
 		if err := m.writeRaw(addr+uint32(i), 1, uint32(buf[i])); err != nil {
 			return err

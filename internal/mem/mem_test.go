@@ -222,3 +222,113 @@ func TestLoadProgram(t *testing.T) {
 		t.Errorf("loaded instruction = %v", in)
 	}
 }
+
+// rawLayout maps ROM, RAM, MMIO and gaps next to one another, so raw
+// ranges can start in one kind of region and run into another.
+func rawLayout() *Memory {
+	m := NewMemory()
+	m.MustAddRegion(Region{Name: "rom", Base: 0x0, Size: 0x100, Kind: RegionROM})
+	m.MustAddRegion(Region{Name: "ram0", Base: 0x100, Size: 0x100, Kind: RegionRAM})
+	m.MustAddRegion(Region{Name: "ram1", Base: 0x400, Size: 0x100, Kind: RegionRAM})
+	m.MustAddRegion(Region{Name: "dev", Base: 0x500, Size: 0x10, Kind: RegionMMIO, Device: &testDevice{}})
+	m.MustAddRegion(Region{Name: "ram2", Base: 0x510, Size: 0xf0, Kind: RegionRAM})
+	img := make([]byte, 0x200)
+	for i := range img {
+		img[i] = byte(i*7 + 1)
+	}
+	if err := m.LoadImage(0, img); err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// Byte-at-a-time references for ReadRaw and WriteRaw.
+func readRawBytes(m *Memory, addr uint32, buf []byte) error {
+	for i := range buf {
+		v, err := m.readRaw(addr+uint32(i), 1)
+		if err != nil {
+			return err
+		}
+		buf[i] = byte(v)
+	}
+	return nil
+}
+
+func writeRawBytes(m *Memory, addr uint32, buf []byte) error {
+	for i := range buf {
+		if err := m.writeRaw(addr+uint32(i), 1, uint32(buf[i])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+func sameCells(a, b *Memory) bool {
+	for i, rs := range a.regions {
+		if !bytes.Equal(rs.data, b.regions[i].data) {
+			return false
+		}
+		if rs.Kind == RegionMMIO && *rs.Device.(*testDevice) != *b.regions[i].Device.(*testDevice) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: ReadRaw and WriteRaw return the same bytes, write the same
+// cells and fail with the same error as a byte-at-a-time loop, for ranges
+// that stay in one region and ranges that cross into ROM, MMIO, another
+// RAM region or unmapped space.
+func TestRawAccessMatchesByteLoop(t *testing.T) {
+	edges := []uint32{0x0, 0x100, 0x200, 0x400, 0x500, 0x510, 0x600}
+	f := func(edge uint8, back uint8, n uint8, fill byte) bool {
+		addr := edges[int(edge)%len(edges)] - uint32(back%24)
+		buf := bytes.Repeat([]byte{fill}, int(n%48))
+		m, ref := rawLayout(), rawLayout()
+		if !sameErr(m.WriteRaw(addr, buf), writeRawBytes(ref, addr, buf)) || !sameCells(m, ref) {
+			return false
+		}
+		got, want := make([]byte, len(buf)), make([]byte, len(buf))
+		return sameErr(m.ReadRaw(addr, got), readRawBytes(ref, addr, want)) && bytes.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(11))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRawAccessErrors(t *testing.T) {
+	m := rawLayout()
+	romBefore := append([]byte(nil), m.regions[0].data...)
+	if err := m.WriteRaw(0x10, []byte{1, 2, 3, 4}); err == nil {
+		t.Error("WriteRaw to ROM succeeded")
+	}
+	if !bytes.Equal(m.regions[0].data, romBefore) {
+		t.Error("WriteRaw to ROM changed ROM")
+	}
+	// ROM stays readable raw.
+	got := make([]byte, 4)
+	if err := m.ReadRaw(0x10, got); err != nil || !bytes.Equal(got, romBefore[0x10:0x14]) {
+		t.Errorf("ReadRaw of ROM = %x, %v", got, err)
+	}
+	// A range running past ram0's end into the gap fails at the first
+	// unmapped address, after writing (or reading) the bytes before it.
+	err := m.WriteRaw(0x1fc, []byte{0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6})
+	if err == nil || err.Error() != "unmapped address 0x200" {
+		t.Fatalf("WriteRaw past region end: %v", err)
+	}
+	if tail := m.regions[1].data[0xfc:]; !bytes.Equal(tail, []byte{0xa1, 0xa2, 0xa3, 0xa4}) {
+		t.Errorf("bytes before the unmapped address = %x", tail)
+	}
+	got = make([]byte, 6)
+	err = m.ReadRaw(0x1fe, got)
+	if err == nil || err.Error() != "unmapped address 0x200" {
+		t.Fatalf("ReadRaw past region end: %v", err)
+	}
+	if !bytes.Equal(got, []byte{0xa3, 0xa4, 0, 0, 0, 0}) {
+		t.Errorf("ReadRaw past region end filled %x", got)
+	}
+}

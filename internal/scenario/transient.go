@@ -140,9 +140,10 @@ func transientScenarios() []*Spec {
 					return Outcome{}, err
 				}
 				// The SGX instance is rebuilt per pass. Pooling the server
-				// would not save its main cost: every key derives from the
-				// cell-seeded fuse, so MEE.Init re-encrypts and re-MACs
-				// the whole 2 MiB EPC under a per-cell key either way.
+				// would not skip MEE.Init: every key derives from the
+				// cell-seeded fuse, so the 2 MiB EPC must be encrypted
+				// and MACed under a per-cell key either way, in one AES
+				// pass over its backing.
 				// Release the server DRAM backing once the attack result
 				// — which only copies bytes out — is in hand.
 				defer s.Platform().Mem.Release()
