@@ -542,11 +542,12 @@ func BenchmarkAttestationReport(b *testing.B) {
 		}
 	})
 	b.Run("quote", func(b *testing.B) {
-		qk := attest.NewQuotingKey(attest.DeriveKey([32]byte{}, "bench/quoting"))
-		r := attest.NewReport(keyBytes, m, []byte("nonce"), nil)
+		qk := attest.QuotingKeyFor([32]byte{}, "sgx")
+		pub := qk.Public()
+		q := &attest.Quote{Report: attest.Report{Measurement: m, Nonce: []byte("nonce")}, Arch: "sgx"}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if !attest.VerifyQuote(qk.Public(), qk.Sign(r)) {
+			if err := qk.Sign(q); err != nil || !q.SignedBy(pub) {
 				b.Fatal("verify failed")
 			}
 		}

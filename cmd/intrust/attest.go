@@ -10,8 +10,10 @@ import (
 	"os"
 	"strings"
 
+	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/core"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // quoteWire is the text encoding quotes travel in on the command line
@@ -36,8 +38,8 @@ architecture with a broken cell has its baseline TCB revoked. Run
 // runAttest is the attestation lifecycle CLI: the same measure → quote →
 // verify → revoke pipeline internal/attestsvc gives the scenarios and
 // the serve tier, driven from the command line. A -seed here and a
-// -seed on `intrust serve` select the same authority, so quotes minted
-// by one verify on the other.
+// -seed on `intrust serve` name the same device fuse
+// (platform.FuseFromSeed), so quotes minted by one verify on the other.
 func runAttest(args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(os.Stderr, attestUsage)
@@ -51,7 +53,7 @@ func runAttest(args []string) int {
 	nonceHex := fs.String("nonce", "", "challenger nonce (hex); bound into the quote and checked on verify")
 	dataHex := fs.String("data", "", "report data bound into the quote (hex)")
 	quoteB64 := fs.String("quote", "", "wire quote to verify (base64url, as printed by `attest quote`)")
-	seed := fs.Int64("seed", 0, "authority root seed (match `intrust serve -seed` to share an authority)")
+	seed := fs.Int64("seed", 0, "device fuse seed of the quoting keys (match `intrust serve -seed` to share them)")
 	revokeArch := fs.String("revoke-arch", "", "comma-separated architectures of the sweep-driven revocation grid (empty = all when -revoke-attack is set)")
 	revokeAttack := fs.String("revoke-attack", "", "comma-separated scenario or family names of the revocation grid (empty = all when -revoke-arch is set)")
 	revokeSamples := fs.Int("revoke-samples", 64, "fixed per-cell sample budget of the revocation grid")
@@ -80,7 +82,7 @@ func runAttest(args []string) int {
 		tcbVersion = uint32(*tcb)
 	}
 
-	svc := attestsvc.NewService(attestsvc.RootFromSeed(*seed))
+	svc := attestsvc.NewService(platform.FuseFromSeed(*seed))
 	if *revokeArch != "" || *revokeAttack != "" {
 		archs, attacks := splitList(*revokeArch), splitList(*revokeAttack)
 		if len(archs) == 0 {
@@ -105,7 +107,7 @@ func runAttest(args []string) int {
 		if *arch == "" {
 			return usage("-arch is required")
 		}
-		m, err := svc.Measure(*arch, *config, tcbVersion)
+		m, err := attestsvc.CanonicalMeasurement(*arch, *config, tcbVersion)
 		if err != nil {
 			return fail(err)
 		}
@@ -161,7 +163,7 @@ func runAttest(args []string) int {
 		}
 		vd := svc.Verify(wire, challenge)
 		out.Encode(struct {
-			attestsvc.Verdict
+			attest.Verdict
 			RevocationFP string `json:"revocation_fp"`
 		}{vd, svc.Revocations().Fingerprint()})
 		if !vd.OK {

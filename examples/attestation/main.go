@@ -34,7 +34,7 @@ app:    li   t0, 1
 	// The verifier (cloud backend) challenges the device. A sensor
 	// interrupt arrives right before attestation: SMART holds it off for
 	// the whole run (its real-time cost).
-	verifier := intrust.NewVerifier()
+	verifier := intrust.NewVerifier(intrust.VerifierPolicy{Freshness: true})
 	nonce, _ := verifier.Challenge()
 	dev.Core(0).SetCSR(0x011 /* tvec */, 0x9000)
 	if err := dev.Mem.LoadProgram(intrust.MustAssemble(".org 0x9000\nhlt")); err != nil {

@@ -48,17 +48,21 @@ entry:  lw   t0, 0(a0)     ; a0 = enclave data base
 
 	// 3. Remote attestation: the verifier challenges with a nonce and
 	// checks the Ed25519 quote against the platform's public key.
-	verifier := intrust.NewVerifier()
+	verifier := intrust.NewVerifier(intrust.VerifierPolicy{Freshness: true})
+	verifier.Trust("sgx", sgx.QuotingPublic().Public())
 	verifier.AllowMeasurement("counter", e.Measurement())
 	nonce, err := verifier.Challenge()
 	if err != nil {
 		log.Fatal(err)
 	}
 	quoter := e.(interface {
-		Quote(nonce []byte) *intrust.Quote
+		Quote(nonce []byte) (*intrust.Quote, error)
 	})
-	quote := quoter.Quote(nonce)
-	if err := verifier.CheckQuote(sgx.QuotingPublic().Public(), quote); err != nil {
+	quote, err := quoter.Quote(nonce)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := verifier.CheckQuote(quote); err != nil {
 		log.Fatalf("attestation failed: %v", err)
 	}
 	fmt.Printf("remote attestation OK (measurement %s)\n", e.Measurement())

@@ -15,10 +15,13 @@ import (
 // the simulated hardware derives from a platform fuse, a cell seed or a
 // caller's reader, so crypto/rand may be imported only by the attestation
 // primitives, for the freshness values (verifier nonces, sealing IVs)
-// whose unpredictability is the point. Quotes have one scheme, Ed25519:
-// no file may bring back crypto/ecdsa or crypto/elliptic.
+// whose unpredictability is the point. Quotes have one scheme, Ed25519,
+// and one key derivation (attest.QuotingKeyFor): no non-test file but the
+// attestation primitives may import crypto/ed25519, and none may bring
+// back crypto/ecdsa or crypto/elliptic.
 func TestKeysComeFromFuses(t *testing.T) {
 	const randOwner = "internal/attest/attest.go"
+	const ed25519Owner = randOwner
 	fset := token.NewFileSet()
 	scanned := false
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -54,6 +57,8 @@ func TestKeysComeFromFuses(t *testing.T) {
 				t.Errorf("%s imports %s: quotes are Ed25519 only (internal/attest)", path, p)
 			case p == "crypto/rand" && !strings.HasSuffix(path, "_test.go") && filepath.ToSlash(path) != randOwner:
 				t.Errorf("%s imports crypto/rand: derive keys from the platform fuse (attest.DeriveKey) or the cell seed", path)
+			case p == "crypto/ed25519" && !strings.HasSuffix(path, "_test.go") && filepath.ToSlash(path) != ed25519Owner:
+				t.Errorf("%s imports crypto/ed25519: sign and verify through internal/attest (QuotingKeyFor, Verifier)", path)
 			}
 		}
 		return nil

@@ -179,6 +179,33 @@ func FaultedColumn(clean, faulty [16]byte) int {
 	return -1
 }
 
+// recoverColumn intersects the round-10 key candidates each faulty
+// ciphertext of MixColumns column c allows against the clean one and,
+// when exactly one 4-byte tuple survives, writes it into k10 at its
+// ShiftRows positions. It returns the number of survivors.
+func recoverColumn(k10 *[16]byte, clean [16]byte, faulty [][16]byte, c int) int {
+	var inter map[[4]byte]bool
+	for _, f := range faulty {
+		cands := columnCandidates(clean, f, c)
+		if inter != nil {
+			for t := range cands {
+				if !inter[t] {
+					delete(cands, t)
+				}
+			}
+		}
+		inter = cands
+	}
+	if len(inter) == 1 {
+		for t := range inter {
+			for r := 0; r < 4; r++ {
+				k10[softcrypto.ShiftRowsIndex(r, c)] = t[r]
+			}
+		}
+	}
+	return len(inter)
+}
+
 // PiretQuisquater runs the full DFA: for each column it gathers faulty
 // ciphertexts until the candidate intersection is a single 4-byte tuple,
 // then inverts the key schedule. faultsPerColumn controls the injection
@@ -191,30 +218,13 @@ func PiretQuisquater(oracle Oracle, faultsPerColumn int) ([16]byte, int, error) 
 	for c := 0; c < 4; c++ {
 		// Fault row 0 of the round-9 input column that lands in output
 		// column c: input position (0, c) = state index 4c.
-		var inter map[[4]byte]bool
-		for f := 0; f < faultsPerColumn; f++ {
+		faulty := make([][16]byte, faultsPerColumn)
+		for f := range faulty {
 			faults++
-			faulty := oracle(pt, &FaultSpec{Round: 9, Pos: 4 * c, XOR: byte(0x11 + 0x33*f)})
-			cands := columnCandidates(clean, faulty, c)
-			if inter == nil {
-				inter = cands
-				continue
-			}
-			next := map[[4]byte]bool{}
-			for t := range cands {
-				if inter[t] {
-					next[t] = true
-				}
-			}
-			inter = next
+			faulty[f] = oracle(pt, &FaultSpec{Round: 9, Pos: 4 * c, XOR: byte(0x11 + 0x33*f)})
 		}
-		if len(inter) != 1 {
-			return k10, faults, fmt.Errorf("physical: DFA column %d left %d candidates (need more faults)", c, len(inter))
-		}
-		for t := range inter {
-			for r := 0; r < 4; r++ {
-				k10[softcrypto.ShiftRowsIndex(r, c)] = t[r]
-			}
+		if n := recoverColumn(&k10, clean, faulty, c); n != 1 {
+			return k10, faults, fmt.Errorf("physical: DFA column %d left %d candidates (need more faults)", c, n)
 		}
 	}
 	return softcrypto.InvertKeySchedule(k10), faults, nil

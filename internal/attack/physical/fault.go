@@ -295,28 +295,8 @@ func CLKSCREWDefended(seed int64, clockJitter bool) (*CLKSCREWResult, error) {
 	// Attacker phase 3: DFA over the collected pairs.
 	var k10 [16]byte
 	for c := 0; c < 4; c++ {
-		var inter map[[4]byte]bool
-		for _, faulty := range perColumn[c] {
-			cands := columnCandidates(clean, faulty, c)
-			if inter == nil {
-				inter = cands
-				continue
-			}
-			next := map[[4]byte]bool{}
-			for t := range cands {
-				if inter[t] {
-					next[t] = true
-				}
-			}
-			inter = next
-		}
-		if len(inter) != 1 {
-			return res, fmt.Errorf("physical: CLKSCREW DFA ambiguous for column %d (%d candidates)", c, len(inter))
-		}
-		for t := range inter {
-			for r := 0; r < 4; r++ {
-				k10[softcrypto.ShiftRowsIndex(r, c)] = t[r]
-			}
+		if n := recoverColumn(&k10, clean, perColumn[c], c); n != 1 {
+			return res, fmt.Errorf("physical: CLKSCREW DFA ambiguous for column %d (%d candidates)", c, n)
 		}
 	}
 	res.RecoveredKey = softcrypto.InvertKeySchedule(k10)

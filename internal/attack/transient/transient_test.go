@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/attest"
+	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/cpu"
 	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/tee/sgx"
@@ -109,38 +110,82 @@ func TestForeshadowExtractsQuotingKey(t *testing.T) {
 	}
 }
 
+// TestForeshadowForgesAttestation runs the paper's attestation chain end
+// to end (§3, §4.2): Foreshadow steals the quoting seed of an SGX platform
+// whose fuse a seed names, the stolen key forges a quote that the
+// attestation service on the same seed accepts, revocation by the broken
+// foreshadow cell rejects it, and under l1tf-flush the recovered bytes
+// forge nothing.
 func TestForeshadowForgesAttestation(t *testing.T) {
-	// The consequence the paper highlights: with the extracted key, the
-	// attacker signs quotes for arbitrary (malicious) enclaves that any
-	// remote verifier accepts.
-	p := platform.NewServer()
-	s, err := sgx.New(p)
-	if err != nil {
-		t.Fatal(err)
+	const seed = 7
+	steal := func(mitigated bool) (*attest.QuotingKey, Result) {
+		t.Helper()
+		p := platform.NewServer()
+		p.Fuse = platform.FuseFromSeed(seed)
+		s, err := sgx.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Mem.Release()
+		s.MitigateL1TF = mitigated
+		res, err := ForeshadowSGX(s, len(s.QuotingPublic().PrivateBytes()), mitigated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return attest.NewQuotingKey([32]byte(res.Recovered)), res
 	}
-	full := len(s.QuotingPublic().PrivateBytes())
-	res, err := ForeshadowSGX(s, full, false)
-	if err != nil {
-		t.Fatal(err)
+	// The forged statement: a baseline sgx/none@1 quote under the
+	// verifier's nonce.
+	forge := func(k *attest.QuotingKey) []byte {
+		t.Helper()
+		im, err := attestsvc.BuildImage("sgx", attestsvc.ConfigNone, attestsvc.TCBBaseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := im.Quote([]byte("verifier-nonce"), []byte("forged"))
+		if err := k.Sign(q); err != nil {
+			t.Fatal(err)
+		}
+		wire, err := q.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
 	}
-	if res.Correct != full {
-		t.Fatalf("extracted %d/%d key bytes", res.Correct, full)
+	svc := attestsvc.NewService(platform.FuseFromSeed(seed))
+
+	stolen, res := steal(false)
+	if res.Correct != len(res.Target) {
+		t.Fatalf("extracted %d/%d key bytes", res.Correct, len(res.Target))
 	}
-	// The stolen bytes are the Ed25519 seed: they rebuild the platform's
-	// attestation key outright.
-	stolen := attest.NewQuotingKey([32]byte(res.Recovered))
-	if !stolen.Public().Equal(s.QuotingPublic().Public()) {
-		t.Fatal("stolen key does not match platform public key")
+	// The stolen bytes are the Ed25519 seed of the platform's quoting
+	// key: the key the service on the same fuse verifies with.
+	if !stolen.Public().Equal(attest.QuotingKeyFor(platform.FuseFromSeed(seed), "sgx").Public()) {
+		t.Fatal("stolen key is not the fuse's sgx quoting key")
 	}
-	// Forge a quote for "malware" with a fresh nonce: the verifier that
-	// trusts the platform public key accepts it.
-	verifier := attest.NewVerifier()
-	malware := attest.Measure([]byte("malware enclave"))
-	verifier.AllowMeasurement("genuine-app", malware) // verifier is told it's genuine
-	nonce, _ := verifier.Challenge()
-	forged := stolen.Sign(attest.NewReport(nil, malware, nonce, nil))
-	if err := verifier.CheckQuote(s.QuotingPublic().Public(), forged); err != nil {
-		t.Fatalf("forged quote rejected: %v", err)
+	wire := forge(stolen)
+	if vd := svc.Verify(wire, []byte("verifier-nonce")); !vd.OK {
+		t.Fatalf("forged quote rejected before revocation: %+v", vd)
+	}
+	// The attack that stole the key is the sweep's broken foreshadow cell
+	// on undefended sgx; revocation raises sgx's minimum TCB past the
+	// forged quote's claim.
+	svc.SetRevocations(attestsvc.Revoke([]attestsvc.Cell{{
+		Scenario: "foreshadow", Arch: "sgx", Defense: attestsvc.ConfigNone, Class: attestsvc.ClassBroken,
+	}}))
+	if vd := svc.Verify(wire, []byte("verifier-nonce")); vd.Code != attest.VerdictTCBRevoked {
+		t.Fatalf("forged quote after revocation = %+v, want %s", vd, attest.VerdictTCBRevoked)
+	}
+
+	// Under l1tf-flush the recovered bytes are not the key: their quote
+	// fails the signature check even with nothing revoked.
+	flushed, res := steal(true)
+	if res.Correct == len(res.Target) {
+		t.Fatal("mitigated platform leaked the whole quoting seed")
+	}
+	svc.SetRevocations(nil)
+	if vd := svc.Verify(forge(flushed), []byte("verifier-nonce")); vd.Code != attest.VerdictBadSignature {
+		t.Fatalf("quote under mitigated-platform bytes = %+v, want %s", vd, attest.VerdictBadSignature)
 	}
 }
 

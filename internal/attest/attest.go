@@ -1,15 +1,18 @@
 // Package attest implements the attestation and sealed-storage primitives
 // every surveyed architecture builds on: code measurement (hash chains),
 // MAC-based attestation reports (SMART's HMAC over region‖params‖nonce),
-// Ed25519-signed quotes for remote attestation (SGX's quoting model),
-// nonce freshness tracking, key derivation from a platform's fused root
+// the one Ed25519-signed quote type with its strict wire codec (SGX's
+// quoting model), the one policy verifier (allow-list, minimum TCB, nonce
+// freshness, typed verdicts), key derivation from a platform's fused root
 // secret, and measurement-bound sealing (AES-GCM under a key derived from
 // the platform secret and the enclave identity).
 //
 // Every key comes from a caller-supplied secret, so a platform's keys
-// replay exactly from its fuse. crypto/rand supplies only freshness
-// values — verifier nonces and sealing IVs — whose unpredictability is
-// the property they exist for.
+// replay exactly from its fuse; each architecture's quoting key is
+// QuotingKeyFor(fuse, arch). crypto/rand supplies only freshness values —
+// verifier nonces and sealing IVs — whose unpredictability is the
+// property they exist for. This file is the only one that imports
+// crypto/ed25519.
 package attest
 
 import (
@@ -23,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Measurement is a SHA-256 digest identifying code and initial data.
@@ -97,22 +101,16 @@ func VerifyReport(key []byte, r *Report) bool {
 	return hmac.Equal(mac.Sum(nil), r.MAC)
 }
 
-// Quote is a remotely verifiable report: an Ed25519 signature instead of
-// a shared-key MAC, so verification needs only the platform's public key —
-// the SGX remote-attestation shape (Foreshadow's headline damage was
-// extracting exactly these signing keys).
-type Quote struct {
-	Report    Report
-	Signature []byte
-}
+// signatureSize is the length of a quote signature on the wire.
+const signatureSize = ed25519.SignatureSize
 
-// QuotingKey is the platform attestation key pair.
+// QuotingKey is a platform's attestation key pair.
 type QuotingKey struct {
 	priv ed25519.PrivateKey
 }
 
 // NewQuotingKey expands a 32-byte seed into an Ed25519 attestation key.
-// The quote digest layout is public (it is part of the attestation
+// The quote body layout is public (it is part of the attestation
 // protocol), so anyone holding the seed signs quotes the platform's
 // verifiers accept — which is exactly what the Foreshadow experiment
 // demonstrates with a stolen one.
@@ -120,40 +118,115 @@ func NewQuotingKey(seed [32]byte) *QuotingKey {
 	return &QuotingKey{priv: ed25519.NewKeyFromSeed(seed[:])}
 }
 
+// QuotingKeyFor is the one quoting-key derivation: an architecture's
+// quoting key is the Ed25519 key seeded by DeriveKey(fuse, arch+"/quoting").
+// The SGX model stores that seed in its quoting enclave's EPC, and the
+// attestation service and scenarios sign with the same key, so the key
+// Foreshadow steals is the key every verifier checks.
+func QuotingKeyFor(fuse [32]byte, arch string) *QuotingKey {
+	return NewQuotingKey(DeriveKey(fuse, arch+"/quoting"))
+}
+
 // Public returns the verification key.
-func (q *QuotingKey) Public() ed25519.PublicKey { return q.priv.Public().(ed25519.PublicKey) }
+func (k *QuotingKey) Public() ed25519.PublicKey { return k.priv.Public().(ed25519.PublicKey) }
 
 // PrivateBytes returns the 32-byte seed the quoting enclave stores in
 // EPC — the asset the Foreshadow experiment extracts.
-func (q *QuotingKey) PrivateBytes() []byte { return q.priv.Seed() }
+func (k *QuotingKey) PrivateBytes() []byte { return k.priv.Seed() }
 
-// Sign produces a quote over the report contents.
-func (q *QuotingKey) Sign(r *Report) *Quote {
-	return &Quote{Report: *r, Signature: ed25519.Sign(q.priv, reportDigestInput(r.Measurement, r.Nonce, r.AppData))}
+// Sign signs the quote's canonical body and stores the signature in it.
+// Ed25519 is deterministic (RFC 8032), so the same quote signs to the
+// same bytes. It fails only for a quote the wire format cannot carry.
+func (k *QuotingKey) Sign(q *Quote) error {
+	body, err := q.encode(false)
+	if err != nil {
+		return err
+	}
+	q.Signature = ed25519.Sign(k.priv, body)
+	return nil
 }
 
-// VerifyQuote checks a quote against the platform public key.
-func VerifyQuote(pub ed25519.PublicKey, q *Quote) bool {
-	return ed25519.Verify(pub, reportDigestInput(q.Report.Measurement, q.Report.Nonce, q.Report.AppData), q.Signature)
+// SignedBy reports whether the quote's signature verifies over its
+// canonical body under pub.
+func (q *Quote) SignedBy(pub ed25519.PublicKey) bool {
+	body, err := q.encode(false)
+	return err == nil && len(q.Signature) == signatureSize && ed25519.Verify(pub, body, q.Signature)
 }
 
-// Verifier is a remote challenger: it issues nonces, tracks freshness, and
-// checks reports against expected measurements.
+// bootQuote is the statement a vendor signs over a boot image for arch:
+// the image's measurement under the fixed nonce "boot".
+func bootQuote(arch string, img []byte) *Quote {
+	return &Quote{Report: Report{Measurement: Measure(img), Nonce: []byte("boot")}, Arch: arch}
+}
+
+// SignImage is the vendor provisioning step of secure boot: it signs a
+// boot quote over the image for arch (nil if arch is too long for the
+// wire format, which no signature check accepts).
+func (k *QuotingKey) SignImage(arch string, img []byte) []byte {
+	q := bootQuote(arch, img)
+	if k.Sign(q) != nil {
+		return nil
+	}
+	return q.Signature
+}
+
+// ImageSignedBy reports whether sig is pub's SignImage signature over the
+// image for arch — the check secure boot makes before loading it.
+func ImageSignedBy(pub ed25519.PublicKey, arch string, img, sig []byte) bool {
+	q := bootQuote(arch, img)
+	q.Signature = sig
+	return q.SignedBy(pub)
+}
+
+// Verifier is the one remote challenger: it trusts one quoting key per
+// architecture, checks quotes (and local MAC reports) against a Policy,
+// and, when the policy enforces freshness, tracks the nonces it issued or
+// registered and those already accepted. It is safe for concurrent use.
 type Verifier struct {
-	expected map[string]Measurement
-	// pending holds the nonces issued by Challenge and not yet consumed
-	// by a check.
-	pending map[string]bool
+	mu      sync.Mutex
+	keys    map[string]ed25519.PublicKey
+	policy  Policy
+	pending map[string]bool // issued or registered, not yet accepted
+	used    map[string]bool // accepted once
 }
 
-// NewVerifier creates a verifier with an allow-list of good measurements.
-func NewVerifier() *Verifier {
-	return &Verifier{expected: map[string]Measurement{}, pending: map[string]bool{}}
+// NewVerifier creates a verifier under the policy, trusting no quoting
+// key yet.
+func NewVerifier(p Policy) *Verifier {
+	return &Verifier{keys: map[string]ed25519.PublicKey{}, policy: p, pending: map[string]bool{}, used: map[string]bool{}}
 }
 
-// AllowMeasurement registers a known-good measurement under a name.
+// Trust registers an architecture's quote-verification key.
+func (v *Verifier) Trust(arch string, pub ed25519.PublicKey) {
+	v.mu.Lock()
+	v.keys[arch] = pub
+	v.mu.Unlock()
+}
+
+// AllowMeasurement adds a known-good measurement to the allow-list under
+// an identity label.
 func (v *Verifier) AllowMeasurement(name string, m Measurement) {
-	v.expected[name] = m
+	v.mu.Lock()
+	if v.policy.Accepted == nil {
+		v.policy.Accepted = map[Measurement]string{}
+	}
+	v.policy.Accepted[m] = name
+	v.mu.Unlock()
+}
+
+// Policy returns the verifier's current policy.
+func (v *Verifier) Policy() Policy {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.policy
+}
+
+// SetPolicy swaps the policy (e.g. after a TCB refresh). Nonce history
+// outlives policy updates.
+func (v *Verifier) SetPolicy(p Policy) {
+	v.mu.Lock()
+	v.policy = p
+	v.mu.Unlock()
 }
 
 // Challenge issues a fresh random nonce and records it as pending.
@@ -162,45 +235,115 @@ func (v *Verifier) Challenge() ([]byte, error) {
 	if _, err := rand.Read(n); err != nil {
 		return nil, err
 	}
-	v.pending[string(n)] = true
+	v.Register(n)
 	return n, nil
 }
 
-// CheckReport validates MAC, measurement allow-list membership and nonce
-// freshness: the nonce must be one this verifier issued, and a passing
-// check consumes it, so it is accepted once.
+// Register records a nonce the caller drew (from a deterministic source,
+// say) as issued by this verifier.
+func (v *Verifier) Register(nonce []byte) {
+	v.mu.Lock()
+	v.pending[string(nonce)] = true
+	v.mu.Unlock()
+}
+
+// Verify runs the full pipeline over a wire quote: decode (strictly
+// canonical) → architecture trusted → signature valid → measurement in
+// the allow-list → TCB version ≥ the arch's minimum (when enforced) →
+// nonce matches the challenge (when one is supplied) → nonce issued and
+// unused (when freshness is enforced).
+func (v *Verifier) Verify(wire, challenge []byte) Verdict {
+	q, err := DecodeQuote(wire)
+	if err != nil {
+		return Verdict{Code: VerdictBadEncoding, Reason: err.Error()}
+	}
+	return v.verifyQuote(q, challenge)
+}
+
+func (v *Verifier) verifyQuote(q *Quote, challenge []byte) Verdict {
+	v.mu.Lock()
+	pub, ok := v.keys[q.Arch]
+	v.mu.Unlock()
+	if !ok {
+		return Verdict{Code: VerdictUnknownArch, Reason: fmt.Sprintf("architecture %q not surveyed", q.Arch)}
+	}
+	vd := Verdict{Arch: q.Arch, TCBVersion: q.TCBVersion, Config: q.Config, Measurement: q.Measurement.Hex()}
+	if !q.SignedBy(pub) {
+		vd.Code, vd.Reason = VerdictBadSignature, "ed25519 signature does not verify under the arch quoting key"
+		return vd
+	}
+	return v.admit(vd, q, challenge)
+}
+
+// admit applies the policy to an authenticated statement.
+func (v *Verifier) admit(vd Verdict, q *Quote, challenge []byte) Verdict {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	p := v.policy
+	id, ok := p.Accepted[q.Measurement]
+	if !ok {
+		vd.Code, vd.Reason = VerdictUnknownMeasurement, "measurement not in the accepted allow-list"
+		return vd
+	}
+	if p.EnforceTCB {
+		vd.MinTCB = p.MinTCB[q.Arch]
+		if q.TCBVersion < vd.MinTCB {
+			vd.Code = VerdictTCBRevoked
+			vd.Reason = fmt.Sprintf("quote claims TCB %d but %s requires ≥ %d (revoked until the stock defense is applied)", q.TCBVersion, q.Arch, vd.MinTCB)
+			return vd
+		}
+	}
+	if challenge != nil && string(q.Nonce) != string(challenge) {
+		vd.Code, vd.Reason = VerdictNonceMismatch, "quote nonce does not match the challenge"
+		return vd
+	}
+	if p.Freshness {
+		n := string(q.Nonce)
+		switch {
+		case v.used[n]:
+			vd.Code, vd.Reason = VerdictNonceReplayed, "nonce already accepted once"
+			return vd
+		case !v.pending[n]:
+			vd.Code, vd.Reason = VerdictNonceUnissued, "nonce not issued by this verifier"
+			return vd
+		}
+		delete(v.pending, n)
+		v.used[n] = true
+	}
+	vd.OK = true
+	vd.Code = VerdictAccepted
+	vd.Reason = "measurement " + id + " accepted"
+	return vd
+}
+
+// CheckReport validates a local report's MAC under the shared key, then
+// applies the policy: allow-list membership and, under Freshness, a
+// single use of a nonce this verifier issued.
 func (v *Verifier) CheckReport(key []byte, r *Report) error {
 	if !VerifyReport(key, r) {
 		return errors.New("attest: report MAC invalid")
 	}
-	return v.checkCommon(&r.Measurement, r.Nonce)
+	return checkErr(v.admit(Verdict{}, &Quote{Report: *r}, nil), r.Measurement)
 }
 
-// CheckQuote validates signature, measurement and freshness.
-func (v *Verifier) CheckQuote(pub ed25519.PublicKey, q *Quote) error {
-	if !VerifyQuote(pub, q) {
+// CheckQuote is Verify over a decoded quote, with the verdict as an error.
+func (v *Verifier) CheckQuote(q *Quote) error {
+	return checkErr(v.verifyQuote(q, nil), q.Measurement)
+}
+
+// checkErr renders a verdict as CheckReport's and CheckQuote's error.
+func checkErr(vd Verdict, m Measurement) error {
+	switch vd.Code {
+	case VerdictAccepted:
+		return nil
+	case VerdictBadSignature:
 		return errors.New("attest: quote signature invalid")
-	}
-	return v.checkCommon(&q.Report.Measurement, q.Report.Nonce)
-}
-
-func (v *Verifier) checkCommon(m *Measurement, nonce []byte) error {
-	found := false
-	for _, e := range v.expected {
-		if e == *m {
-			found = true
-			break
-		}
-	}
-	if !found {
+	case VerdictUnknownMeasurement:
 		return fmt.Errorf("attest: measurement %s not in allow-list", m)
-	}
-	ns := string(nonce)
-	if !v.pending[ns] {
+	case VerdictNonceUnissued, VerdictNonceReplayed:
 		return errors.New("attest: nonce not issued by this verifier or already used")
 	}
-	delete(v.pending, ns)
-	return nil
+	return errors.New("attest: " + vd.Reason)
 }
 
 // DeriveKey derives the 256-bit key for label from a platform's root

@@ -1,4 +1,4 @@
-package attestsvc
+package attest
 
 import (
 	"bytes"
@@ -8,13 +8,15 @@ import (
 // FuzzQuoteDecode drives the quote parser and the full verification
 // pipeline with arbitrary bytes. Invariants: never panic; anything that
 // decodes re-encodes byte-identically (strict canonicality); and only the
-// authority's own canonical quote verifies — every mutation of it must be
-// rejected somewhere in the pipeline.
+// key holder's own quote verifies — every mutation of it must be rejected
+// somewhere in the pipeline.
 func FuzzQuoteDecode(f *testing.F) {
-	svc := NewService(RootFromSeed(42))
-	nonce := []byte("fuzz-nonce")
-	good, err := svc.Quote("sgx", ConfigStock, TCBStock, nonce, []byte("rd"))
-	if err != nil {
+	qk := QuotingKeyFor([32]byte{42}, "sgx")
+	m := Measure([]byte("fuzz enclave"))
+	v := NewVerifier(Policy{Accepted: map[Measurement]string{m: "sgx/stock@2"}, MinTCB: map[string]uint32{"sgx": 2}, EnforceTCB: true})
+	v.Trust("sgx", qk.Public())
+	good := &Quote{Report: Report{Measurement: m, Nonce: []byte("fuzz-nonce"), AppData: []byte("rd")}, Arch: "sgx", Config: "stock", TCBVersion: 2}
+	if err := qk.Sign(good); err != nil {
 		f.Fatal(err)
 	}
 	goodWire, err := good.Encode()
@@ -41,7 +43,7 @@ func FuzzQuoteDecode(f *testing.F) {
 		if err != nil || !bytes.Equal(reenc, wire) {
 			t.Fatalf("decoded quote is not canonical: err=%v", err)
 		}
-		vd := svc.Verify(wire, q.Nonce)
+		vd := v.Verify(wire, q.Nonce)
 		if vd.OK && !bytes.Equal(wire, goodWire) {
 			// Accepting means a valid signature over an allow-listed
 			// measurement at an acceptable TCB. The only fuzz input that

@@ -1,27 +1,24 @@
-package attestsvc
+package attest
 
 import (
 	"bytes"
-	"crypto/ed25519"
 	"encoding/binary"
 	"errors"
 	"fmt"
-
-	"github.com/intrust-sim/intrust/internal/attest"
 )
 
-// Quote is a remotely verifiable attestation statement: the enclave
-// measurement plus the platform's claimed TCB version and defense
-// configuration, bound to the challenger's nonce and optional report
-// data, signed with the architecture's Ed25519 quoting key.
+// Quote is the one remotely verifiable attestation statement: a report
+// (the enclave measurement, the challenger's nonce and report data in
+// AppData) plus the platform's architecture, claimed defense
+// configuration and TCB version, signed by the architecture's quoting key
+// over its canonical body. The report's MAC is a local-attestation
+// authenticator and is not part of a quote.
 type Quote struct {
-	Arch        string
-	Measurement attest.Measurement
-	TCBVersion  uint32
-	Config      string
-	Nonce       []byte
-	ReportData  []byte
-	Signature   []byte
+	Report
+	Arch       string
+	Config     string
+	TCBVersion uint32
+	Signature  []byte
 }
 
 // Wire-format limits. The format is strictly canonical: every field is
@@ -38,12 +35,15 @@ const (
 
 var (
 	// ErrQuoteEncoding reports a malformed or non-canonical wire quote.
+	// Its text is part of the bad-encoding verdicts /attest/verify and
+	// `intrust attest verify` print, so it keeps the lifecycle service's
+	// prefix.
 	ErrQuoteEncoding = errors.New("attestsvc: malformed quote encoding")
 )
 
 // encode serializes the quote; with signed=true the signature is appended
-// (the full wire format), with signed=false it yields the byte string the
-// signature covers.
+// (the full wire format), with signed=false it yields the canonical body
+// every quoting key signs.
 func (q *Quote) encode(signed bool) ([]byte, error) {
 	if len(q.Arch) == 0 || len(q.Arch) > maxArchLen {
 		return nil, fmt.Errorf("%w: arch length %d", ErrQuoteEncoding, len(q.Arch))
@@ -54,8 +54,8 @@ func (q *Quote) encode(signed bool) ([]byte, error) {
 	if len(q.Nonce) > maxNonceLen {
 		return nil, fmt.Errorf("%w: nonce length %d", ErrQuoteEncoding, len(q.Nonce))
 	}
-	if len(q.ReportData) > maxReportData {
-		return nil, fmt.Errorf("%w: report data length %d", ErrQuoteEncoding, len(q.ReportData))
+	if len(q.AppData) > maxReportData {
+		return nil, fmt.Errorf("%w: report data length %d", ErrQuoteEncoding, len(q.AppData))
 	}
 	var b bytes.Buffer
 	b.WriteString(quoteMagic)
@@ -70,11 +70,11 @@ func (q *Quote) encode(signed bool) ([]byte, error) {
 	b.WriteByte(byte(len(q.Nonce)))
 	b.Write(q.Nonce)
 	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(q.ReportData)))
+	binary.LittleEndian.PutUint16(u16[:], uint16(len(q.AppData)))
 	b.Write(u16[:])
-	b.Write(q.ReportData)
+	b.Write(q.AppData)
 	if signed {
-		if len(q.Signature) != ed25519.SignatureSize {
+		if len(q.Signature) != signatureSize {
 			return nil, fmt.Errorf("%w: signature length %d", ErrQuoteEncoding, len(q.Signature))
 		}
 		b.Write(q.Signature)
@@ -125,7 +125,7 @@ func DecodeQuote(wire []byte) (*Quote, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: arch", ErrQuoteEncoding)
 	}
-	mraw, ok := r.take(len(attest.Measurement{}))
+	mraw, ok := r.take(len(Measurement{}))
 	if !ok {
 		return nil, fmt.Errorf("%w: measurement", ErrQuoteEncoding)
 	}
@@ -161,7 +161,7 @@ func DecodeQuote(wire []byte) (*Quote, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: report data", ErrQuoteEncoding)
 	}
-	sig, ok := r.take(ed25519.SignatureSize)
+	sig, ok := r.take(signatureSize)
 	if !ok {
 		return nil, fmt.Errorf("%w: signature", ErrQuoteEncoding)
 	}
@@ -169,11 +169,10 @@ func DecodeQuote(wire []byte) (*Quote, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrQuoteEncoding, len(wire)-r.off)
 	}
 	q := &Quote{
+		Report:     Report{Nonce: append([]byte(nil), nonce...), AppData: append([]byte(nil), rd...)},
 		Arch:       string(arch),
-		TCBVersion: binary.LittleEndian.Uint32(tcbRaw),
 		Config:     string(cfg),
-		Nonce:      append([]byte(nil), nonce...),
-		ReportData: append([]byte(nil), rd...),
+		TCBVersion: binary.LittleEndian.Uint32(tcbRaw),
 		Signature:  append([]byte(nil), sig...),
 	}
 	copy(q.Measurement[:], mraw)

@@ -1,26 +1,29 @@
-// Package attestsvc simulates the full remote-attestation lifecycle the
-// paper's TEE survey implies but never exercises end to end: enclave
-// measurement (deterministic MRENCLAVE-style digests over simulated
-// enclave images), per-architecture signed quote generation, verification
-// against an explicit policy (accepted measurements, minimum TCB version,
-// nonce freshness), and TCB revocation driven by the sweep grid itself —
-// any architecture with a broken `none`-defense cell is TCB-compromised,
-// and verifiers reject its quotes until they claim the stock defense
-// configuration.
+// Package attestsvc simulates the remote-attestation lifecycle the
+// paper's TEE survey implies but never exercises end to end, on top of
+// internal/attest's one quote type and one verifier: canonical enclave
+// images and their measurements (deterministic MRENCLAVE-style digests),
+// the canonical verification policy, and TCB revocation driven by the
+// sweep grid itself — any architecture with a broken `none`-defense cell
+// is TCB-compromised, and verifiers reject its quotes until they claim
+// the stock defense configuration. Service ties them to one platform
+// fuse, whose per-architecture quoting keys (attest.QuotingKeyFor) are
+// the keys the TEE models hold, so a key Foreshadow steals from the SGX
+// model forges quotes this service accepts until revocation.
 //
 // Everything here is deterministic by construction: image bytes are a
-// SHA-256 stream keyed by (arch, defense config, TCB version), signing
-// keys are Ed25519 keys derived from an authority root secret (RFC 8032
-// signatures are deterministic, unlike ECDSA), and the quote wire format
-// is strictly canonical. The same inputs therefore produce byte-identical
-// quotes and verdicts in the CLI, the scenario grid, and the serve tier.
+// SHA-256 stream keyed by (arch, defense config, TCB version), quoting
+// keys derive from the fuse, Ed25519 signatures are deterministic
+// (RFC 8032), and the quote wire format is strictly canonical. The same
+// inputs therefore produce byte-identical quotes and verdicts in the CLI,
+// the scenario grid, and the serve tier.
 package attestsvc
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"sync"
 
 	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/platform"
@@ -134,86 +137,50 @@ func CanonicalMeasurement(arch, config string, tcb uint32) (attest.Measurement, 
 	return im.Measurement(), nil
 }
 
-// Authority is the per-deployment quoting authority: it derives one
-// Ed25519 signing key per architecture from a root secret. Ed25519 (not
-// ECDSA) because RFC 8032 signatures are deterministic — the same quote
-// body signs to the same bytes, which the byte-identical-replay guarantee
-// of the whole grid depends on.
-type Authority struct {
-	root []byte
-}
-
-// NewAuthority creates an authority rooted in the given secret. The root
-// may be any length; it is folded through SHA-256 per architecture.
-func NewAuthority(root []byte) *Authority {
-	cp := make([]byte, len(root))
-	copy(cp, root)
-	return &Authority{root: cp}
-}
-
-// RootFromSeed derives a 32-byte authority root from a numeric seed, so
-// CLI and serve deployments keyed by the engine's base seed agree on keys.
-func RootFromSeed(seed int64) []byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "intrust/attestsvc/root/v1|%d", seed)
-	return h.Sum(nil)
-}
-
-// signingKey derives the architecture's Ed25519 private key.
-func (a *Authority) signingKey(arch string) ed25519.PrivateKey {
-	h := sha256.New()
-	h.Write([]byte("intrust/attestsvc/key/v1|"))
-	h.Write(a.root)
-	h.Write([]byte("|"))
-	h.Write([]byte(arch))
-	return ed25519.NewKeyFromSeed(h.Sum(nil))
-}
-
-// PublicKey returns the architecture's quote-verification key.
-func (a *Authority) PublicKey(arch string) ed25519.PublicKey {
-	return a.signingKey(arch).Public().(ed25519.PublicKey)
-}
-
-// QuoteImage measures an image and signs a quote binding the measurement,
-// the image's claimed TCB level and defense configuration, the
-// challenger's nonce, and caller report data under the arch's key.
-func (a *Authority) QuoteImage(im *Image, nonce, reportData []byte) (*Quote, error) {
-	return a.QuoteMeasurement(im.Arch, im.Measurement(), im.Config, im.TCBVersion, nonce, reportData)
-}
-
-// QuoteMeasurement signs a quote over an externally supplied measurement.
-// This is the TOCTOU seam the measure-toctou scenario exercises: a quoting
-// implementation that signs a *ledger* measurement instead of re-measuring
-// the live image attests to stale state.
-func (a *Authority) QuoteMeasurement(arch string, m attest.Measurement, config string, tcb uint32, nonce, reportData []byte) (*Quote, error) {
-	if _, ok := platform.ArchClass(arch); !ok {
-		return nil, fmt.Errorf("attestsvc: unknown architecture %q", arch)
+// Quote returns the unsigned quote over the image's live measurement,
+// its claimed configuration and TCB level, the challenger's nonce and
+// caller report data; the architecture's quoting key signs it.
+func (im *Image) Quote(nonce, reportData []byte) *attest.Quote {
+	return &attest.Quote{
+		Report:     attest.Report{Measurement: im.Measurement(), Nonce: nonce, AppData: reportData},
+		Arch:       im.Arch,
+		Config:     im.Config,
+		TCBVersion: im.TCBVersion,
 	}
-	q := &Quote{
-		Arch:        arch,
-		Measurement: m,
-		TCBVersion:  tcb,
-		Config:      config,
-		Nonce:       append([]byte(nil), nonce...),
-		ReportData:  append([]byte(nil), reportData...),
-	}
-	body, err := q.encode(false)
-	if err != nil {
-		return nil, err
-	}
-	q.Signature = ed25519.Sign(a.signingKey(arch), body)
-	return q, nil
 }
 
-// VerifySignature checks a quote's Ed25519 signature against the
-// authority's per-arch public key.
-func (a *Authority) VerifySignature(q *Quote) bool {
-	body, err := q.encode(false)
-	if err != nil {
-		return false
+// canonicalAccepted is the deployment-wide allow-list, computed once per
+// process: for every surveyed architecture, the canonical baseline
+// ("none" @ TCB 1) and stock ("stock" @ TCB 2) images.
+var canonicalAccepted = sync.OnceValue(func() map[attest.Measurement]string {
+	acc := make(map[attest.Measurement]string, 2*len(platform.Architectures))
+	for _, arch := range platform.Architectures {
+		for _, ic := range []struct {
+			cfg string
+			tcb uint32
+		}{{ConfigNone, TCBBaseline}, {ConfigStock, TCBStock}} {
+			m, err := CanonicalMeasurement(arch, ic.cfg, ic.tcb)
+			if err != nil {
+				panic(err) // every surveyed architecture builds an image
+			}
+			acc[m] = fmt.Sprintf("%s/%s@%d", arch, ic.cfg, ic.tcb)
+		}
 	}
-	if len(q.Signature) != ed25519.SignatureSize {
-		return false
+	return acc
+})
+
+// CanonicalPolicy is the deployment-wide verification policy: the
+// canonical allow-list with TCB enforcement on and freshness off, and
+// every architecture's minimum TCB version taken from rev (nil means
+// nothing revoked).
+func CanonicalPolicy(rev *Revocations) attest.Policy {
+	p := attest.Policy{
+		Accepted:   maps.Clone(canonicalAccepted()),
+		MinTCB:     make(map[string]uint32, len(platform.Architectures)),
+		EnforceTCB: true,
 	}
-	return ed25519.Verify(a.PublicKey(q.Arch), body, q.Signature)
+	for _, arch := range platform.Architectures {
+		p.MinTCB[arch] = rev.MinTCB(arch)
+	}
+	return p
 }

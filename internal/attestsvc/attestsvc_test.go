@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 func testService(t *testing.T) *Service {
 	t.Helper()
-	return NewService(RootFromSeed(1))
+	return NewService(platform.FuseFromSeed(1))
 }
 
 func TestImageDeterminismAndIdentity(t *testing.T) {
@@ -76,7 +77,7 @@ func TestQuoteRoundTripAndDeterminism(t *testing.T) {
 	if !bytes.Equal(w1, w2) {
 		t.Fatal("quotes must be byte-identical on replay (deterministic ed25519)")
 	}
-	dec, err := DecodeQuote(w1)
+	dec, err := attest.DecodeQuote(w1)
 	if err != nil {
 		t.Fatalf("canonical quote failed to decode: %v", err)
 	}
@@ -84,18 +85,23 @@ func TestQuoteRoundTripAndDeterminism(t *testing.T) {
 		!bytes.Equal(dec.Nonce, nonce) || dec.Measurement != q1.Measurement {
 		t.Fatalf("decode round-trip mismatch: %+v", dec)
 	}
-	// A different authority root must produce a different signature.
-	other := NewService(RootFromSeed(2))
+	// A different fuse must produce a different signature.
+	other := NewService(platform.FuseFromSeed(2))
 	q3, _ := other.Quote("sanctum", ConfigStock, TCBStock, nonce, []byte("report data"))
 	if bytes.Equal(q1.Signature, q3.Signature) {
-		t.Fatal("different roots must derive different quoting keys")
+		t.Fatal("different fuses must derive different quoting keys")
 	}
 	if s.Verify(w1, nonce).OK != true {
 		t.Fatal("own quote must verify")
 	}
 	w3, _ := q3.Encode()
-	if vd := s.Verify(w3, nonce); vd.OK || vd.Code != VerdictBadSignature {
-		t.Fatalf("foreign-authority quote must fail signature check, got %+v", vd)
+	if vd := s.Verify(w3, nonce); vd.OK || vd.Code != attest.VerdictBadSignature {
+		t.Fatalf("foreign-fuse quote must fail signature check, got %+v", vd)
+	}
+	// The service signs with the fuse's per-arch quoting key, the key a
+	// TEE model on the same fuse holds.
+	if !q1.SignedBy(attest.QuotingKeyFor(platform.FuseFromSeed(1), "sanctum").Public()) {
+		t.Fatal("service quote not signed by QuotingKeyFor(fuse, arch)")
 	}
 }
 
@@ -108,31 +114,31 @@ func TestVerifyRejectionPaths(t *testing.T) {
 	}
 	wire, _ := q.Encode()
 
-	if vd := s.Verify(wire, nonce); !vd.OK || vd.Code != VerdictAccepted {
+	if vd := s.Verify(wire, nonce); !vd.OK || vd.Code != attest.VerdictAccepted {
 		t.Fatalf("clean verify: %+v", vd)
 	}
-	if vd := s.Verify(wire, []byte("different")); vd.OK || vd.Code != VerdictNonceMismatch {
+	if vd := s.Verify(wire, []byte("different")); vd.OK || vd.Code != attest.VerdictNonceMismatch {
 		t.Fatalf("challenge binding: %+v", vd)
 	}
-	if vd := s.Verify(wire[:len(wire)-3], nonce); vd.OK || vd.Code != VerdictBadEncoding {
+	if vd := s.Verify(wire[:len(wire)-3], nonce); vd.OK || vd.Code != attest.VerdictBadEncoding {
 		t.Fatalf("truncated quote: %+v", vd)
 	}
 	// Flip a signature byte: decodes (layout intact) but fails the check.
 	bad := append([]byte(nil), wire...)
 	bad[len(bad)-1] ^= 0xff
-	if vd := s.Verify(bad, nonce); vd.OK || vd.Code != VerdictBadSignature {
+	if vd := s.Verify(bad, nonce); vd.OK || vd.Code != attest.VerdictBadSignature {
 		t.Fatalf("tampered signature: %+v", vd)
 	}
 	// A correctly signed quote over a non-canonical measurement must be
 	// rejected by the allow-list, not the signature check.
 	im, _ := BuildImage("sgx", ConfigNone, TCBBaseline)
 	im.Pages[0][0] ^= 1
-	qBad, err := s.Authority().QuoteImage(im, nonce, nil)
-	if err != nil {
+	qBad := im.Quote(nonce, nil)
+	if err := s.keys["sgx"].Sign(qBad); err != nil {
 		t.Fatal(err)
 	}
 	wBad, _ := qBad.Encode()
-	if vd := s.Verify(wBad, nonce); vd.OK || vd.Code != VerdictUnknownMeasurement {
+	if vd := s.Verify(wBad, nonce); vd.OK || vd.Code != attest.VerdictUnknownMeasurement {
 		t.Fatalf("tampered image: %+v", vd)
 	}
 }
@@ -163,7 +169,7 @@ func TestSweepDrivenRevocation(t *testing.T) {
 	}
 	s.SetRevocations(rev)
 
-	if vd := s.Verify(staleWire, nonce); vd.OK || vd.Code != VerdictTCBRevoked {
+	if vd := s.Verify(staleWire, nonce); vd.OK || vd.Code != attest.VerdictTCBRevoked {
 		t.Fatalf("stale-TCB quote must be rejected after revocation: %+v", vd)
 	}
 	if vd := s.Verify(stockWire, nonce); !vd.OK {
@@ -178,26 +184,29 @@ func TestSweepDrivenRevocation(t *testing.T) {
 	if rev.Fingerprint() != again.Fingerprint() {
 		t.Fatal("equal revocation states must fingerprint identically")
 	}
-	if n := len(s.TCB()); n != len(platform.Architectures) {
+	if n := len(s.Revocations().Statuses()); n != len(platform.Architectures) {
 		t.Fatalf("TCB table rows = %d", n)
 	}
 }
 
 func TestFreshnessVerifier(t *testing.T) {
-	auth := NewAuthority(RootFromSeed(3))
+	fuse := platform.FuseFromSeed(3)
+	qk := attest.QuotingKeyFor(fuse, "sancus")
 	p := CanonicalPolicy(nil)
 	p.Freshness = true
-	v := NewVerifier(auth, p)
+	v := attest.NewVerifier(p)
+	v.Trust("sancus", qk.Public())
+	v.Register([]byte("one-shot"))
 	im, _ := BuildImage("sancus", ConfigNone, TCBBaseline)
-	q, err := auth.QuoteImage(im, []byte("one-shot"), nil)
-	if err != nil {
+	q := im.Quote([]byte("one-shot"), nil)
+	if err := qk.Sign(q); err != nil {
 		t.Fatal(err)
 	}
 	wire, _ := q.Encode()
 	if vd := v.Verify(wire, []byte("one-shot")); !vd.OK {
 		t.Fatalf("first presentation: %+v", vd)
 	}
-	if vd := v.Verify(wire, []byte("one-shot")); vd.OK || vd.Code != VerdictNonceReplayed {
+	if vd := v.Verify(wire, []byte("one-shot")); vd.OK || vd.Code != attest.VerdictNonceReplayed {
 		t.Fatalf("replayed presentation: %+v", vd)
 	}
 }
@@ -216,5 +225,10 @@ func TestPolicyDumpDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a[0].Identity, "/") {
 		t.Fatalf("identity label shape: %q", a[0].Identity)
+	}
+	// The allow-list is computed once and handed out as a copy.
+	p.Accepted[attest.Measurement{}] = "scribble"
+	if len(CanonicalPolicy(nil).Accepted) != 2*len(platform.Architectures) {
+		t.Fatal("CanonicalPolicy shares its allow-list with callers")
 	}
 }

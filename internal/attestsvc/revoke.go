@@ -3,7 +3,7 @@ package attestsvc
 import (
 	"crypto/sha256"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/intrust-sim/intrust/internal/platform"
@@ -51,21 +51,11 @@ func Revoke(cells []Cell) *Revocations {
 		r.minTCB[c.Arch] = TCBStock
 		r.broken[c.Arch] = append(r.broken[c.Arch], c.Scenario)
 	}
-	for arch := range r.broken {
-		sort.Strings(r.broken[arch])
-		r.broken[arch] = dedupSorted(r.broken[arch])
+	for arch, b := range r.broken {
+		slices.Sort(b)
+		r.broken[arch] = slices.Compact(b)
 	}
 	return r
-}
-
-func dedupSorted(s []string) []string {
-	out := s[:0]
-	for i, v := range s {
-		if i == 0 || v != s[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // MinTCB returns the minimum accepted TCB version for an architecture

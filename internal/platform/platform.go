@@ -12,6 +12,8 @@
 package platform
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 
 	"github.com/intrust-sim/intrust/internal/cache"
@@ -111,6 +113,17 @@ type Platform struct {
 	// device's keys replay exactly from this one value. A freshly
 	// assembled platform carries the zero fuse; Reset leaves it alone.
 	Fuse [32]byte
+}
+
+// FuseFromSeed burns the fuse of the device a numeric seed names:
+// SHA-256("intrust/scenario/fuse/" ‖ LE64(seed)). A grid cell's SGX
+// platform, the attestation scenarios, and `intrust attest -seed` /
+// `intrust serve -seed` all take their fuse from here, so one seed names
+// one device and every attestation key in the simulator derives from it.
+func FuseFromSeed(seed int64) [32]byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	return sha256.Sum256(append([]byte("intrust/scenario/fuse/"), b[:]...))
 }
 
 // Core returns core i.

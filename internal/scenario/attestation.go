@@ -3,8 +3,10 @@ package scenario
 import (
 	"fmt"
 
+	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/axis"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // The §3 attestation-lifecycle attacks. Unlike the microarchitectural
@@ -13,8 +15,9 @@ import (
 // they apply to every surveyed architecture (all eight implement remote
 // attestation) and their mitigations are verifier/protocol policies
 // (quote-freshness, measurement-lock, tcb-refresh) rather than hardware
-// knobs. Each mounts a full measurement→quote→verify exchange against a
-// deterministic per-cell authority derived from the job RNG.
+// knobs. Each mounts a full measurement→quote→verify exchange with the
+// cell device's quoting key, burned from the cell seed the way Env.SGX
+// burns its fuse.
 
 func init() {
 	for _, s := range attestationScenarios() {
@@ -22,19 +25,32 @@ func init() {
 	}
 }
 
-// attestAuthority derives the cell's quoting authority from the job RNG,
-// so every cell gets distinct keys but identical ones on replay.
-func attestAuthority(env *Env) *attestsvc.Authority {
-	root := make([]byte, 32)
-	env.RNG.Read(root)
-	return attestsvc.NewAuthority(root)
+// attestParties builds the cell's one quoting key — the key of the
+// device platform.FuseFromSeed(env.Seed) names, so every cell gets
+// distinct keys but identical ones on replay, and no RNG draw shifts —
+// and a verifier under policy that trusts it.
+func attestParties(env *Env, policy attest.Policy) (*attest.QuotingKey, *attest.Verifier) {
+	qk := attest.QuotingKeyFor(platform.FuseFromSeed(env.Seed), env.Arch)
+	v := attest.NewVerifier(policy)
+	v.Trust(env.Arch, qk.Public())
+	return qk, v
 }
 
-// attestNonce draws one challenge nonce from the job RNG.
-func attestNonce(env *Env) []byte {
+// challenge draws one nonce from the job RNG and registers it with the
+// verifier as issued.
+func challenge(env *Env, v *attest.Verifier) []byte {
 	n := make([]byte, 16)
 	env.RNG.Read(n)
+	v.Register(n)
 	return n
+}
+
+// signWire signs the quote and encodes it for the wire.
+func signWire(qk *attest.QuotingKey, q *attest.Quote) ([]byte, error) {
+	if err := qk.Sign(q); err != nil {
+		return nil, err
+	}
+	return q.Encode()
 }
 
 // brokenEvidenceFor names a representative broken undefended sweep cell
@@ -56,10 +72,9 @@ func attestationScenarios() []*Spec {
 			Summary: "captured quotes replayed into later verification sessions against a verifier " +
 				"that does not enforce nonce single-use",
 			Run: func(env *Env) (Outcome, error) {
-				auth := attestAuthority(env)
 				policy := attestsvc.CanonicalPolicy(nil)
 				policy.Freshness = env.DefenseConfig().QuoteFreshness
-				verifier := attestsvc.NewVerifier(auth, policy)
+				qk, verifier := attestParties(env, policy)
 				im, err := attestsvc.BuildImage(env.Arch, attestsvc.ConfigNone, attestsvc.TCBBaseline)
 				if err != nil {
 					return Outcome{}, err
@@ -67,12 +82,8 @@ func attestationScenarios() []*Spec {
 				const sessions = 8
 				replayed := 0
 				for i := 0; i < sessions; i++ {
-					nonce := attestNonce(env)
-					q, err := auth.QuoteImage(im, nonce, nil)
-					if err != nil {
-						return Outcome{}, err
-					}
-					wire, err := q.Encode()
+					nonce := challenge(env, verifier)
+					wire, err := signWire(qk, im.Quote(nonce, nil))
 					if err != nil {
 						return Outcome{}, err
 					}
@@ -85,7 +96,7 @@ func attestationScenarios() []*Spec {
 					// tell it from a live exchange.
 					if vd := verifier.Verify(wire, nil); vd.OK {
 						replayed++
-					} else if vd.Code != attestsvc.VerdictNonceReplayed {
+					} else if vd.Code != attest.VerdictNonceReplayed {
 						return Outcome{}, fmt.Errorf("quote-replay: unexpected rejection %s: %s", vd.Code, vd.Reason)
 					}
 				}
@@ -110,8 +121,7 @@ func attestationScenarios() []*Spec {
 				return true, ""
 			},
 			Run: func(env *Env) (Outcome, error) {
-				auth := attestAuthority(env)
-				verifier := attestsvc.NewVerifier(auth, attestsvc.CanonicalPolicy(nil))
+				qk, verifier := attestParties(env, attestsvc.CanonicalPolicy(nil))
 				im, err := attestsvc.BuildImage(env.Arch, attestsvc.ConfigNone, attestsvc.TCBBaseline)
 				if err != nil {
 					return Outcome{}, err
@@ -122,25 +132,20 @@ func attestationScenarios() []*Spec {
 				page := env.RNG.Intn(len(im.Pages))
 				off := env.RNG.Intn(len(im.Pages[page]))
 				im.Pages[page][off] ^= byte(1 + env.RNG.Intn(255))
-				nonce := attestNonce(env)
-				var q *attestsvc.Quote
-				if env.DefenseConfig().MeasurementLock {
-					// measurement-lock: the quoting path re-measures the
-					// live image, so the tampering lands in the quote.
-					q, err = auth.QuoteImage(im, nonce, nil)
-				} else {
+				nonce := challenge(env, verifier)
+				// measurement-lock: the quoting path re-measures the live
+				// image, so the tampering lands in the quote.
+				q := im.Quote(nonce, nil)
+				if !env.DefenseConfig().MeasurementLock {
 					// Undefended flow: the quote signs the ledger entry.
-					q, err = auth.QuoteMeasurement(env.Arch, ledger, im.Config, im.TCBVersion, nonce, nil)
+					q.Measurement = ledger
 				}
-				if err != nil {
-					return Outcome{}, err
-				}
-				wire, err := q.Encode()
+				wire, err := signWire(qk, q)
 				if err != nil {
 					return Outcome{}, err
 				}
 				vd := verifier.Verify(wire, nonce)
-				if !vd.OK && vd.Code != attestsvc.VerdictUnknownMeasurement {
+				if !vd.OK && vd.Code != attest.VerdictUnknownMeasurement {
 					return Outcome{}, fmt.Errorf("measure-toctou: unexpected rejection %s: %s", vd.Code, vd.Reason)
 				}
 				// Acceptance means the verifier trusted a measurement that
@@ -163,7 +168,6 @@ func attestationScenarios() []*Spec {
 			Summary: "quotes claiming a sweep-revoked baseline TCB presented to a verifier that never " +
 				"refreshes its revocation state",
 			Run: func(env *Env) (Outcome, error) {
-				auth := attestAuthority(env)
 				// The sweep found a broken undefended cell for this arch:
 				// its baseline TCB is revoked, minimum version = stock.
 				rev := attestsvc.Revoke([]attestsvc.Cell{{
@@ -176,23 +180,19 @@ func attestationScenarios() []*Spec {
 				// tcb-refresh is the defense: without it the verifier
 				// never pulls revocation state and MinTCB goes unenforced.
 				policy.EnforceTCB = env.DefenseConfig().TCBRefresh
-				verifier := attestsvc.NewVerifier(auth, policy)
+				qk, verifier := attestParties(env, policy)
 
 				im, err := attestsvc.BuildImage(env.Arch, attestsvc.ConfigNone, attestsvc.TCBBaseline)
 				if err != nil {
 					return Outcome{}, err
 				}
-				nonce := attestNonce(env)
-				q, err := auth.QuoteImage(im, nonce, nil)
-				if err != nil {
-					return Outcome{}, err
-				}
-				wire, err := q.Encode()
+				nonce := challenge(env, verifier)
+				wire, err := signWire(qk, im.Quote(nonce, nil))
 				if err != nil {
 					return Outcome{}, err
 				}
 				vd := verifier.Verify(wire, nonce)
-				if !vd.OK && vd.Code != attestsvc.VerdictTCBRevoked {
+				if !vd.OK && vd.Code != attest.VerdictTCBRevoked {
 					return Outcome{}, fmt.Errorf("stale-tcb: unexpected rejection %s: %s", vd.Code, vd.Reason)
 				}
 				// Recovery sanity: a quote claiming the stock defense
@@ -203,12 +203,8 @@ func attestationScenarios() []*Spec {
 					if err != nil {
 						return Outcome{}, err
 					}
-					nonce2 := attestNonce(env)
-					q2, err := auth.QuoteImage(stock, nonce2, nil)
-					if err != nil {
-						return Outcome{}, err
-					}
-					wire2, err := q2.Encode()
+					nonce2 := challenge(env, verifier)
+					wire2, err := signWire(qk, stock.Quote(nonce2, nil))
 					if err != nil {
 						return Outcome{}, err
 					}

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -327,16 +325,14 @@ func (e *Env) PowerProbe(sigma float64, seed int64) *power.Probe {
 // reported n/a through Applicable instead.
 //
 // The platform's fuse — and so the MEE key, platform secret and quoting
-// key — derives from the cell's seed alone (SHA-256 over a label and the
-// seed), never from the cell RNG, so a cell's keys replay exactly and no
-// other draw in the cell shifts.
+// key — derives from the cell's seed alone (platform.FuseFromSeed), never
+// from the cell RNG, so a cell's keys replay exactly and no other draw in
+// the cell shifts.
 func (e *Env) SGX() (*sgx.SGX, error) {
 	if e.Arch != "sgx" {
 		return nil, fmt.Errorf("scenario: SGX instance requested for architecture %q", e.Arch)
 	}
 	p := platform.NewServer()
-	var seed [8]byte
-	binary.LittleEndian.PutUint64(seed[:], uint64(e.Seed))
-	p.Fuse = sha256.Sum256(append([]byte("intrust/scenario/fuse/"), seed[:]...))
+	p.Fuse = platform.FuseFromSeed(e.Seed)
 	return sgx.New(p)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/core"
 )
@@ -75,7 +76,7 @@ func TestAttestRevocationFlipsVerify(t *testing.T) {
 
 	// /attest/verify computes the revocation grid, then rejects.
 	vd := verifyQuote(t, s, staleQ.Quote, "0a0b")
-	if vd.OK || vd.Code != attestsvc.VerdictTCBRevoked {
+	if vd.OK || vd.Code != attest.VerdictTCBRevoked {
 		t.Fatalf("stale-TCB quote after broken sweep cell = %+v, want tcb-revoked", vd)
 	}
 	if vd.MinTCB != attestsvc.TCBStock {
@@ -167,7 +168,7 @@ func TestAttestVerifyRejectsGarbage(t *testing.T) {
 	}
 	// Valid base64, garbage wire: 200 with a bad-encoding verdict.
 	vd := verifyQuote(t, s, quoteWire.EncodeToString([]byte("junk")), "")
-	if vd.OK || vd.Code != attestsvc.VerdictBadEncoding {
+	if vd.OK || vd.Code != attest.VerdictBadEncoding {
 		t.Fatalf("garbage wire = %+v", vd)
 	}
 	if rec := get(t, s, "/attest/quote?arch=nope"); rec.Code != http.StatusBadRequest {

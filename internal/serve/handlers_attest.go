@@ -10,8 +10,10 @@ import (
 	"strconv"
 	"sync/atomic"
 
+	"github.com/intrust-sim/intrust/internal/attest"
 	"github.com/intrust-sim/intrust/internal/attestsvc"
 	"github.com/intrust-sim/intrust/internal/core"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // The attestation endpoints make the serve tier a quote/verify service
@@ -23,8 +25,8 @@ import (
 // are shared with /cell and /sweep traffic and ride admission when cold.
 
 // attestState is the server's attestation lifecycle state: the service
-// (authority + policy) and the lazily computed sweep-driven revocation
-// grid behind it.
+// (one fuse's quoting keys + policy) and the lazily computed sweep-driven
+// revocation grid behind it.
 type attestState struct {
 	svc    *attestsvc.Service
 	keys   []core.CellKey
@@ -37,14 +39,15 @@ type attestState struct {
 // depends on an adaptive policy default.
 const revocationSamples = 64
 
-// newAttestState roots the attestation authority in seed and selects the
-// none-defense grid slice revocation derives from (New selects the full
-// grid: "all" architectures and attacks). The slice computes lazily on
+// newAttestState roots the quoting keys in the fuse seed names
+// (platform.FuseFromSeed) and selects the none-defense grid slice
+// revocation derives from (New selects the full grid: "all" architectures
+// and attacks). The slice computes lazily on
 // the first /attest/verify or /attest/tcb request, through the same
 // content-addressed cell cache as any /cell request, so a warm grid
 // revokes in microseconds.
 func newAttestState(seed int64, archs, attacks []string) *attestState {
-	st := &attestState{svc: attestsvc.NewService(attestsvc.RootFromSeed(seed))}
+	st := &attestState{svc: attestsvc.NewService(platform.FuseFromSeed(seed))}
 	st.keys, st.keyErr = core.RevocationCellKeys(archs, attacks, core.CellOptions{Samples: revocationSamples, Seed: seed})
 	return st
 }
@@ -194,7 +197,7 @@ func (s *Server) handleAttestQuote(w http.ResponseWriter, r *http.Request) {
 // attestVerifyBody is the /attest/verify response: the verdict plus the
 // revocation-state fingerprint it was decided under.
 type attestVerifyBody struct {
-	attestsvc.Verdict
+	attest.Verdict
 	RevocationFP string `json:"revocation_fp"`
 }
 
@@ -261,7 +264,7 @@ func (s *Server) handleAttestTCB(w http.ResponseWriter, r *http.Request) {
 	body := marshalLine(attestTCBBody{
 		RevocationFP: fp,
 		GridCells:    len(s.attest.keys),
-		Statuses:     s.attest.svc.TCB(),
+		Statuses:     s.attest.svc.Revocations().Statuses(),
 	})
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)

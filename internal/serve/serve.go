@@ -96,9 +96,9 @@ type Options struct {
 	// (<= 0 selects 64).
 	QueueDepth int
 	// Seed is the base engine seed cells compute under (the CLI sweep
-	// uses 0). It also roots the attestation authority's per-arch
-	// quoting keys, so a CLI `intrust attest` run with the same seed
-	// mints quotes this server verifies.
+	// uses 0). It also names the device fuse (platform.FuseFromSeed)
+	// the per-arch quoting keys derive from, so a CLI `intrust attest`
+	// run with the same seed mints quotes this server verifies.
 	Seed int64
 	// Faults, when non-nil, arms the deterministic fault-injection plane
 	// (internal/fault) across the stack: disk read/write/corruption

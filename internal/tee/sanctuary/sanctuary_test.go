@@ -138,7 +138,7 @@ func TestAttestAndSealViaSecureWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("sec", e.Measurement())
 	nonce, _ := v.Challenge()
 	r, _ := e.Attest(nonce)

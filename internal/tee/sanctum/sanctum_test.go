@@ -150,7 +150,7 @@ func TestFlushOnSwitch(t *testing.T) {
 func TestAttestSealFlow(t *testing.T) {
 	s, _ := newSanctum(t)
 	e, _ := s.CreateEnclave(tee.EnclaveConfig{Name: "att", Program: isa.MustAssemble(".org 0\nhlt")})
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("att", e.Measurement())
 	nonce, _ := v.Challenge()
 	r, err := e.Attest(nonce)

@@ -82,7 +82,7 @@ func New(p *platform.Platform) (*SGX, error) {
 	p.Ctrl.AttachMEE(mee)
 
 	secret := attest.DeriveKey(p.Fuse, "sgx/platform")
-	qk := attest.NewQuotingKey(attest.DeriveKey(p.Fuse, "sgx/quoting"))
+	qk := attest.QuotingKeyFor(p.Fuse, "sgx")
 	s := &SGX{
 		plat: p, mee: mee,
 		epcBase: epcBase, epcSize: epcSize,
@@ -323,10 +323,16 @@ func (e *Enclave) Attest(nonce []byte) (*attest.Report, error) {
 	return attest.NewReport(e.sgx.reportKey, e.meas, nonce, nil), nil
 }
 
-// Quote upgrades a local report to a remotely verifiable Ed25519 quote via
-// the quoting enclave.
-func (e *Enclave) Quote(nonce []byte) *attest.Quote {
-	return e.sgx.qk.Sign(attest.NewReport(e.sgx.reportKey, e.meas, nonce, nil))
+// Quote upgrades the enclave's report to a remotely verifiable Ed25519
+// quote via the quoting enclave. The enclave claims no defense
+// configuration or TCB level; the attestation service's canonical images
+// (internal/attestsvc) do.
+func (e *Enclave) Quote(nonce []byte) (*attest.Quote, error) {
+	q := &attest.Quote{Report: attest.Report{Measurement: e.meas, Nonce: nonce}, Arch: "sgx"}
+	if err := e.sgx.qk.Sign(q); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
 // ReportKey exposes the local-attestation key to verifiers on the same

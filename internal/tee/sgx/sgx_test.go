@@ -132,7 +132,7 @@ func TestAttestAndQuote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("attested", e.Measurement())
 	nonce, _ := v.Challenge()
 	// Local attestation.
@@ -145,8 +145,12 @@ func TestAttestAndQuote(t *testing.T) {
 	}
 	// Remote attestation via quote.
 	nonce2, _ := v.Challenge()
-	q := e.(*Enclave).Quote(nonce2)
-	if err := v.CheckQuote(s.QuotingPublic().Public(), q); err != nil {
+	q, err := e.(*Enclave).Quote(nonce2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Trust("sgx", s.QuotingPublic().Public())
+	if err := v.CheckQuote(q); err != nil {
 		t.Fatalf("remote attestation failed: %v", err)
 	}
 }

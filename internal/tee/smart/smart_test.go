@@ -46,7 +46,7 @@ func nonce16(b byte) []byte {
 func TestAttestationEndToEnd(t *testing.T) {
 	s, p := newSMART(t)
 	base, size := installTarget(t, p)
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	nonce, err := v.Challenge()
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestModifiedCodeChangesMeasurement(t *testing.T) {
 		}
 	}
 	// A verifier expecting the clean measurement rejects the new report.
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("clean", res1.Report.Measurement)
 	if res2 != nil {
 		if err := v.CheckReport(s.Key(), res2.Report); err == nil {

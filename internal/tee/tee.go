@@ -136,11 +136,12 @@ func ProbeBusSnoop(a Architecture, e Enclave, secretOff uint32, secret byte) Pro
 // ProbeAttestation exercises the enclave's attestation path under a
 // challenger nonce: the report must carry the enclave's measurement and
 // echo the challenge, and re-attesting under a different nonce must
-// change the authenticator — the freshness binding the attestation
-// lifecycle (internal/attestsvc) builds its replay defense on. The probe
-// checks binding structurally, without the report key: a verifier-side
-// MAC check is the challenger's job, but an attestation routine that
-// ignores its nonce is broken regardless of who holds the key.
+// change the authenticator — the freshness binding attest.Verifier's
+// replay defense (Freshness: issued nonces, each accepted once) builds
+// on. The probe checks binding structurally, without the report key: a
+// verifier-side MAC check is the challenger's job, but an attestation
+// routine that ignores its nonce is broken regardless of who holds the
+// key.
 func ProbeAttestation(a Architecture, e Enclave, nonce []byte) ProbeResult {
 	r, err := e.Attest(nonce)
 	if err != nil {

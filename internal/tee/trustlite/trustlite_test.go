@@ -144,7 +144,7 @@ func TestAttestation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tl.Boot()
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("attested", tr.Measurement())
 	nonce, _ := v.Challenge()
 	r, err := tr.Attest(nonce)

@@ -131,16 +131,14 @@ func (tz *TrustZone) RegisterService(code int, s Service) { tz.services[code] = 
 
 // SignImage signs a secure-world image (vendor provisioning step).
 func (tz *TrustZone) SignImage(img []byte) []byte {
-	return vendorKey.Sign(attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil)).Signature
+	return vendorKey.SignImage("trustzone", img)
 }
 
 // SecureBoot verifies the image signature and, only on success, installs
 // the image into secure memory — "the monitor code ... verifies all
 // secure world code during boot using digital signatures".
 func (tz *TrustZone) SecureBoot(img, sig []byte) error {
-	r := attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil)
-	q := &attest.Quote{Report: *r, Signature: sig}
-	if !attest.VerifyQuote(vendorKey.Public(), q) {
+	if !attest.ImageSignedBy(vendorKey.Public(), "trustzone", img, sig) {
 		return fmt.Errorf("trustzone: secure boot: signature verification failed")
 	}
 	if uint32(len(img)) > tz.secSize {

@@ -36,8 +36,7 @@ func TestSecureBootVerifiesSignatures(t *testing.T) {
 	}
 	// Wrong-key signature rejected.
 	other := attest.NewQuotingKey([32]byte{1})
-	q := other.Sign(attest.NewReport(nil, attest.Measure(img), []byte("boot"), nil))
-	if err := tz.SecureBoot(img, q.Signature); err == nil {
+	if err := tz.SecureBoot(img, other.SignImage("trustzone", img)); err == nil {
 		t.Fatal("foreign signature booted")
 	}
 }
@@ -188,7 +187,7 @@ func TestAttestSealWithDeviceKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := attest.NewVerifier()
+	v := attest.NewVerifier(attest.Policy{Freshness: true})
 	v.AllowMeasurement("ta", e.Measurement())
 	nonce, _ := v.Challenge()
 	r, _ := e.Attest(nonce)

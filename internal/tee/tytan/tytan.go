@@ -70,7 +70,7 @@ func (t *TyTAN) Capabilities() tee.Capabilities {
 
 // SignImage is the vendor provisioning step for secure boot.
 func (t *TyTAN) SignImage(img []byte) []byte {
-	return vendorKey.Sign(attest.NewReport(nil, attest.Measure(img), []byte("tytan-boot"), nil)).Signature
+	return vendorKey.SignImage("tytan", img)
 }
 
 // CreateEnclave implements tee.Architecture. TyTAN requires signed images:
@@ -86,9 +86,7 @@ func (t *TyTAN) LoadSignedTrustlet(cfg tee.EnclaveConfig, sig []byte) (*Trustlet
 		return nil, fmt.Errorf("tytan: trustlet needs a single-segment program")
 	}
 	img := cfg.Program.Segments[0].Data
-	r := attest.NewReport(nil, attest.Measure(img), []byte("tytan-boot"), nil)
-	q := &attest.Quote{Report: *r, Signature: sig}
-	if !attest.VerifyQuote(vendorKey.Public(), q) {
+	if !attest.ImageSignedBy(vendorKey.Public(), "tytan", img, sig) {
 		return nil, fmt.Errorf("tytan: secure boot rejected trustlet %q (bad signature)", cfg.Name)
 	}
 	tr, err := t.tl.LoadTrustlet(cfg)

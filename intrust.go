@@ -85,8 +85,12 @@ var (
 type (
 	// EnclaveConfig describes an enclave to create.
 	EnclaveConfig = tee.EnclaveConfig
-	// Quote is an Ed25519-signed remote attestation report.
+	// Quote is the Ed25519-signed remote attestation statement: a report
+	// plus arch, config and TCB version.
 	Quote = attest.Quote
+	// VerifierPolicy is a verifier's acceptance policy: allow-list,
+	// minimum TCB and nonce freshness.
+	VerifierPolicy = attest.Policy
 )
 
 // Architecture constructors (Section 3) and the probes backing the TAB2
@@ -117,7 +121,8 @@ var (
 	ProbeBusSnoop = tee.ProbeBusSnoop
 	// ProbeOSAccess attacks enclave memory from the compromised OS (§2).
 	ProbeOSAccess = tee.ProbeOSAccess
-	// NewVerifier builds a verifier with nonce-freshness tracking.
+	// NewVerifier builds the one attestation verifier under a policy;
+	// Trust registers an architecture's quoting key with it.
 	NewVerifier = attest.NewVerifier
 )
 
@@ -251,10 +256,11 @@ var (
 var SweepExperiments = core.SweepExperiments
 
 // Remote attestation lifecycle: deterministic enclave measurement,
-// per-architecture signed quotes, policy-driven verification, and TCB
-// revocation fed by the sweep grid (the `intrust attest` CLI mode and the
-// serve tier's /attest endpoints). See internal/attestsvc and the
-// lifecycle section of docs/ARCHITECTURE.md.
+// quotes signed by one device fuse's per-architecture quoting keys,
+// policy-driven verification, and TCB revocation fed by the sweep grid
+// (the `intrust attest` CLI mode and the serve tier's /attest endpoints).
+// See internal/attestsvc and the lifecycle section of
+// docs/ARCHITECTURE.md.
 type (
 	// AttestCell is the grid-cell evidence AttestRevoke consumes.
 	AttestCell = attestsvc.Cell
@@ -262,15 +268,15 @@ type (
 
 // Attestation lifecycle entry points.
 var (
-	// NewAttestService builds a quoting authority with a sweep-revocable
-	// verification policy from an authority root secret.
+	// NewAttestService builds the quoting keys of one device fuse with a
+	// sweep-revocable verification policy.
 	NewAttestService = attestsvc.NewService
-	// AttestRootFromSeed derives the authority root from an engine
-	// seed, so CLI and server agree on quoting keys.
-	AttestRootFromSeed = attestsvc.RootFromSeed
+	// FuseFromSeed burns the device fuse a seed names, so CLI, server
+	// and the grid's SGX cells agree on quoting keys.
+	FuseFromSeed = platform.FuseFromSeed
 	// DecodeAttestQuote strictly parses the quote wire format
 	// (malformed input errors; it never panics — fuzz-pinned).
-	DecodeAttestQuote = attestsvc.DecodeQuote
+	DecodeAttestQuote = attest.DecodeQuote
 	// AttestRevoke folds broken none-defense grid cells into
 	// per-architecture TCB revocations.
 	AttestRevoke = attestsvc.Revoke

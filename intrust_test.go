@@ -29,7 +29,7 @@ func TestFacadeEnclaveWorkflow(t *testing.T) {
 	if ret[0] != 1234 {
 		t.Fatalf("enclave echo = %d", ret[0])
 	}
-	v := NewVerifier()
+	v := NewVerifier(VerifierPolicy{Freshness: true})
 	v.AllowMeasurement("facade", e.Measurement())
 	nonce, _ := v.Challenge()
 	r, err := e.Attest(nonce)
@@ -102,7 +102,7 @@ func TestFacadeFigure1Renders(t *testing.T) {
 }
 
 func TestFacadeAttestLifecycle(t *testing.T) {
-	svc := NewAttestService(AttestRootFromSeed(0))
+	svc := NewAttestService(FuseFromSeed(0))
 	q, err := svc.Quote("sgx", "none", 1, []byte{0xaa}, nil)
 	if err != nil {
 		t.Fatal(err)
