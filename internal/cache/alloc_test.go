@@ -133,6 +133,16 @@ func TestResetEquivalentToFresh(t *testing.T) {
 			t.Fatalf("reset left set %d marked filled", i)
 		}
 	}
+	for i, st := range dirty.sets {
+		if st != (setState{}) {
+			t.Fatalf("reset left set %d with valid %#x, plru %#x", i, st.valid, st.plru)
+		}
+	}
+	for d := 0; d < 3; d++ {
+		if n := dirty.OccupancyOf(d); n != 0 {
+			t.Fatalf("reset left domain %d owning %d lines", d, n)
+		}
+	}
 
 	fresh := New(cfg)
 	for a := uint32(0); a < 8192; a += 32 {
@@ -147,6 +157,9 @@ func TestResetEquivalentToFresh(t *testing.T) {
 	for s := 0; s < cfg.Sets; s++ {
 		if dirty.WaysIn(s) != fresh.WaysIn(s) {
 			t.Errorf("set %d occupancy diverged: %d vs %d", s, dirty.WaysIn(s), fresh.WaysIn(s))
+		}
+		if dirty.sets[s] != fresh.sets[s] {
+			t.Errorf("set %d valid/PLRU words diverged: %+v vs %+v", s, dirty.sets[s], fresh.sets[s])
 		}
 		if dirty.filled[s] != fresh.filled[s] {
 			t.Errorf("set %d filled mark diverged: %v vs %v", s, dirty.filled[s], fresh.filled[s])

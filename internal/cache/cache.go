@@ -9,11 +9,13 @@
 //
 // The cache is the innermost state machine of every Section 4 experiment,
 // so its layout is tuned like the flattened simulators the surveyed
-// defenses were themselves evaluated on: one contiguous line array indexed
-// by precomputed shift/mask geometry, per-set PLRU state in a bitmask, and
-// dense per-domain partition/key tables — no maps, no per-access pointer
-// chasing, no allocation anywhere on the access or flush paths (see
-// docs/PERFORMANCE.md).
+// defenses were themselves evaluated on: lines are a struct of arrays (one
+// tag, last-use and owner column each) indexed by precomputed shift/mask
+// geometry, every set keeps its valid ways and its PLRU state as two
+// bitmask words, and the per-domain partition/key tables are dense slices.
+// A lookup walks only the set bits of valid&wayMask and compares 4-byte
+// tags — no maps, no per-access pointer chasing, no allocation anywhere on
+// the access or flush paths (see docs/PERFORMANCE.md).
 package cache
 
 import (
@@ -76,12 +78,12 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
-type line struct {
-	valid   bool
-	tag     uint32 // full line address (addr / LineSize)
-	domain  int    // security domain that filled the line
-	lastUse uint64
-	dirty   bool
+// setState is one set's per-way bookkeeping: bit w of valid is set while
+// way w holds a line, bit w of plru while the way is marked recently used
+// by tree-PLRU. Only bits below Ways are ever set.
+type setState struct {
+	valid uint64
+	plru  uint64
 }
 
 // Cache is one set-associative cache level.
@@ -91,27 +93,32 @@ type line struct {
 // line remembers the security domain that filled it; domain-selective
 // flushes model enclave context-switch hygiene.
 //
-// All state lives in flat arrays: lines is one contiguous backing array
-// (set i occupies lines[i*Ways : (i+1)*Ways]), PLRU state is one bit per
-// way in a per-set word, and the per-domain way partitions and
-// index-scrambling keys are dense slices indexed by domain. Set indexing
-// is a shift and a mask — Sets and LineSize are validated powers of two.
+// All state lives in flat arrays. The line columns tags, lastUse and
+// domains hold way w of set i at index i*Ways+w; a way's columns mean
+// something only while its valid bit is set, so invalidating a line is
+// clearing one bit and never touches the columns. The per-domain way
+// partitions and index-scrambling keys are dense slices indexed by domain.
+// Set indexing is a shift and a mask — Sets and LineSize are validated
+// powers of two.
 type Cache struct {
 	cfg Config
 
 	ways      int
+	full      uint64 // one bit per configured way
 	lineShift uint   // log2(LineSize): addr >> lineShift is the line address
 	setMask   uint32 // Sets-1: lineAddr & setMask is the identity set index
 
-	lines []line   // Sets*Ways contiguous lines
-	plru  []uint64 // tree-PLRU recently-used bit per way, one word per set
+	tags    []uint32 // line address of each way (addr >> lineShift)
+	lastUse []uint64 // tick of each way's last fill or hit (LRU order)
+	domains []int32  // security domain that filled each way
+	sets    []setState
 
 	// filled marks the sets that have had a fill since the last FlushAll
 	// or Reset, and filledSets lists them in first-fill order. fill is the
-	// only place a line becomes valid, so every line outside a listed set
-	// is zero and FlushAll clears just the listed sets — a victim's few
-	// dozen lines instead of the server LLC's whole 128Ki-line array.
-	// filledSets is allocated at its Sets capacity, so fills never grow it.
+	// only place a way becomes valid, so every set outside the list has no
+	// valid way: FlushAll clears just the listed sets' valid words, and
+	// FlushDomain and OccupancyOf visit only them. filledSets is allocated
+	// at its Sets capacity, so fills never grow it.
 	filled     []bool
 	filledSets []int32
 
@@ -160,13 +167,17 @@ func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.Ways > 64 {
 		panic(fmt.Sprintf("cache %q: bad way count %d", cfg.Name, cfg.Ways))
 	}
+	n := cfg.Sets * cfg.Ways
 	c := &Cache{
 		cfg:        cfg,
 		ways:       cfg.Ways,
+		full:       ^uint64(0) >> uint(64-cfg.Ways),
 		lineShift:  uint(bits.TrailingZeros(uint(cfg.LineSize))),
 		setMask:    uint32(cfg.Sets - 1),
-		lines:      make([]line, cfg.Sets*cfg.Ways),
-		plru:       make([]uint64, cfg.Sets),
+		tags:       make([]uint32, n),
+		lastUse:    make([]uint64, n),
+		domains:    make([]int32, n),
+		sets:       make([]setState, cfg.Sets),
 		filled:     make([]bool, cfg.Sets),
 		filledSets: make([]int32, 0, cfg.Sets),
 		rngSeed:    int64(cfg.Sets)*31 + int64(cfg.Ways),
@@ -186,7 +197,7 @@ func (c *Cache) Config() Config { return c.cfg }
 // re-allocating hierarchies (OnEvict wiring is preserved).
 func (c *Cache) Reset() {
 	c.clearFilled()
-	clear(c.plru)
+	clear(c.sets)
 	c.tick = 0
 	c.Stats = Stats{}
 	c.rng = rand.New(rand.NewSource(c.rngSeed))
@@ -292,78 +303,68 @@ func (c *Cache) wayMask(domain int) uint64 {
 	return ^uint64(0)
 }
 
-// set returns the contiguous line slice of set idx.
-func (c *Cache) set(idx int) []line {
-	base := idx * c.ways
-	return c.lines[base : base+c.ways]
-}
-
 // Lookup reports whether addr is cached, from domain's view, without
 // changing any state (no fill, no LRU update).
 func (c *Cache) Lookup(addr uint32, domain int) bool {
 	tag := c.lineAddr(addr)
-	set := c.set(c.setIndex(tag, domain))
-	mask := c.wayMask(domain)
-	for w := range set {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if set[w].valid && set[w].tag == tag {
-			return true
+	idx := c.setIndex(tag, domain)
+	_, ok := c.find(idx, tag, c.sets[idx].valid&c.wayMask(domain))
+	return ok
+}
+
+// find returns the lowest way in ways (a subset of set idx's valid ways)
+// that holds tag.
+func (c *Cache) find(idx int, tag uint32, ways uint64) (int, bool) {
+	base := idx * c.ways
+	for ; ways != 0; ways &= ways - 1 {
+		w := bits.TrailingZeros64(ways)
+		if c.tags[base+w] == tag {
+			return w, true
 		}
 	}
-	return false
+	return 0, false
 }
 
 // Access performs a load or store to addr on behalf of domain. It returns
 // whether the access hit; on a miss the line is filled (evicting per
-// policy within the domain's way mask).
+// policy within the domain's way mask). Loads and stores behave alike:
+// the model keeps no dirty state, since nothing observes a write-back.
 func (c *Cache) Access(addr uint32, write bool, domain int) bool {
 	c.tick++
 	tag := c.lineAddr(addr)
 	idx := c.setIndex(tag, domain)
-	set := c.set(idx)
 	mask := c.wayMask(domain)
-	for w := range set {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if set[w].valid && set[w].tag == tag {
-			set[w].lastUse = c.tick
-			if write {
-				set[w].dirty = true
-			}
-			c.touchPLRU(idx, w)
-			c.Stats.Hits++
-			return true
-		}
+	if w, ok := c.find(idx, tag, c.sets[idx].valid&mask); ok {
+		c.lastUse[idx*c.ways+w] = c.tick
+		c.touchPLRU(idx, w)
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
-	c.fill(idx, tag, write, domain, mask)
+	c.fill(idx, tag, domain, mask)
 	return false
 }
 
-func (c *Cache) fill(idx int, tag uint32, write bool, domain int, mask uint64) {
-	set := c.set(idx)
-	victim := -1
-	// Prefer an invalid way inside the mask.
-	for w := range set {
-		if mask&(1<<uint(w)) == 0 {
-			continue
-		}
-		if !set[w].valid {
-			victim = w
-			break
-		}
+func (c *Cache) fill(idx int, tag uint32, domain int, mask uint64) {
+	d := int32(domain)
+	if int(d) != domain {
+		panic(fmt.Sprintf("cache %q: security domain %d out of range", c.cfg.Name, domain))
 	}
-	if victim < 0 {
+	st := &c.sets[idx]
+	var victim int
+	// Prefer the lowest invalid way inside the mask.
+	if free := ^st.valid & mask & c.full; free != 0 {
+		victim = bits.TrailingZeros64(free)
+	} else {
 		victim = c.chooseVictim(idx, mask)
 		c.Stats.Evictions++
-		if c.OnEvict != nil && set[victim].valid {
-			c.OnEvict(set[victim].tag << c.lineShift)
+		if c.OnEvict != nil {
+			c.OnEvict(c.tags[idx*c.ways+victim] << c.lineShift)
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, domain: domain, lastUse: c.tick, dirty: write}
+	i := idx*c.ways + victim
+	c.tags[i], c.lastUse[i], c.domains[i] = tag, c.tick, d
+	st.valid |= 1 << uint(victim)
 	c.touchPLRU(idx, victim)
 	if !c.filled[idx] {
 		c.filled[idx] = true
@@ -371,8 +372,14 @@ func (c *Cache) fill(idx int, tag uint32, write bool, domain int, mask uint64) {
 	}
 }
 
+// chooseVictim picks the way to evict from set idx. fill calls it only
+// when every way of mask inside the geometry is valid, so the LRU scan
+// reads no stale last-use stamp.
 func (c *Cache) chooseVictim(idx int, mask uint64) int {
-	set := c.set(idx)
+	allowed := mask & c.full
+	if allowed == 0 {
+		panic(fmt.Sprintf("cache %q: empty way mask %#x", c.cfg.Name, mask))
+	}
 	switch c.cfg.Policy {
 	case PolicyRandom:
 		for {
@@ -382,52 +389,32 @@ func (c *Cache) chooseVictim(idx int, mask uint64) int {
 			}
 		}
 	case PolicyTreePLRU:
-		// Walk the not-recently-used bits; fall back to masked scan.
-		used := c.plru[idx]
-		for w := 0; w < c.ways; w++ {
-			if mask&(1<<uint(w)) != 0 && used&(1<<uint(w)) == 0 {
-				return w
-			}
+		// The lowest allowed way not marked recently used; if all are
+		// marked, reset the set's bits and take the lowest allowed way.
+		if nru := allowed &^ c.sets[idx].plru; nru != 0 {
+			return bits.TrailingZeros64(nru)
 		}
-		// All marked recently used: reset and take the first allowed way.
-		c.plru[idx] = 0
-		for w := 0; w < c.ways; w++ {
-			if mask&(1<<uint(w)) != 0 {
-				return w
-			}
-		}
+		c.sets[idx].plru = 0
+		return bits.TrailingZeros64(allowed)
 	}
-	// LRU (default).
-	victim, oldest := -1, ^uint64(0)
-	for w := range set {
-		if mask&(1<<uint(w)) == 0 {
-			continue
+	// LRU (default): the lowest way with the oldest stamp.
+	base := idx * c.ways
+	victim, oldest := 0, ^uint64(0)
+	for m := allowed; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if t := c.lastUse[base+w]; t < oldest {
+			oldest, victim = t, w
 		}
-		if set[w].lastUse < oldest {
-			oldest = set[w].lastUse
-			victim = w
-		}
-	}
-	if victim < 0 {
-		panic(fmt.Sprintf("cache %q: empty way mask %#x", c.cfg.Name, mask))
 	}
 	return victim
 }
 
-// fullWays returns the bitmask with one bit per configured way.
-func (c *Cache) fullWays() uint64 {
-	if c.ways == 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(c.ways) - 1
-}
-
 func (c *Cache) touchPLRU(idx, way int) {
-	used := c.plru[idx] | 1<<uint(way)
-	if used == c.fullWays() {
+	used := c.sets[idx].plru | 1<<uint(way)
+	if used == c.full {
 		used = 1 << uint(way)
 	}
-	c.plru[idx] = used
+	c.sets[idx].plru = used
 }
 
 // FlushLine removes addr's line from every way of every possible index
@@ -456,10 +443,11 @@ func (c *Cache) FlushLine(addr uint32) bool {
 	}
 	c.flushCand = cand
 	for _, idx := range cand {
-		set := c.set(idx)
-		for w := range set {
-			if set[w].valid && set[w].tag == tag {
-				set[w] = line{}
+		base := idx * c.ways
+		for v := c.sets[idx].valid; v != 0; v &= v - 1 {
+			w := bits.TrailingZeros64(v)
+			if c.tags[base+w] == tag {
+				c.sets[idx].valid &^= 1 << uint(w)
 				found = true
 				c.Stats.Flushes++
 			}
@@ -474,11 +462,11 @@ func (c *Cache) FlushAll() {
 	c.Stats.Flushes++
 }
 
-// clearFilled zeroes every set filled since the last FlushAll or Reset
-// and empties the list: afterwards every line in the cache is zero.
+// clearFilled invalidates every set filled since the last FlushAll or
+// Reset and empties the list: afterwards no way in the cache is valid.
 func (c *Cache) clearFilled() {
 	for _, idx := range c.filledSets {
-		clear(c.set(int(idx)))
+		c.sets[idx].valid = 0
 		c.filled[idx] = false
 	}
 	c.filledSets = c.filledSets[:0]
@@ -487,11 +475,7 @@ func (c *Cache) clearFilled() {
 // FlushDomain invalidates every line filled by the given domain (enclave
 // exit hygiene in Sanctum and Sanctuary).
 func (c *Cache) FlushDomain(domain int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].domain == domain {
-			c.lines[i] = line{}
-		}
-	}
+	c.eachOwned(domain, func(idx, w int) { c.sets[idx].valid &^= 1 << uint(w) })
 	c.Stats.Flushes++
 }
 
@@ -499,22 +483,30 @@ func (c *Cache) FlushDomain(domain int) {
 // and in the partition-isolation experiments.
 func (c *Cache) OccupancyOf(domain int) int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].domain == domain {
-			n++
+	c.eachOwned(domain, func(int, int) { n++ })
+	return n
+}
+
+// eachOwned calls fn(set, way) for every valid way filled by domain. Only
+// listed sets can hold a valid way.
+func (c *Cache) eachOwned(domain int, fn func(idx, w int)) {
+	if int(int32(domain)) != domain {
+		return // fill rejects such a domain, so it owns nothing
+	}
+	d := int32(domain)
+	for _, idx := range c.filledSets {
+		base := int(idx) * c.ways
+		for v := c.sets[idx].valid; v != 0; v &= v - 1 {
+			w := bits.TrailingZeros64(v)
+			if c.domains[base+w] == d {
+				fn(int(idx), w)
+			}
 		}
 	}
-	return n
 }
 
 // WaysIn returns how many ways of set idx are currently valid — the
 // Prime+Probe primitive for counting victim-induced evictions.
 func (c *Cache) WaysIn(idx int) int {
-	n := 0
-	for _, l := range c.set(idx) {
-		if l.valid {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount64(c.sets[idx].valid)
 }

@@ -63,12 +63,15 @@ func FuzzCacheAccess(f *testing.F) {
 					c.Reset()
 				}
 				// Both clear only the sets filled since the last clear:
-				// every line must now read as zero and no domain may
-				// own a line.
-				for i, l := range c.lines {
-					if l != (line{}) {
-						t.Fatalf("line %d (set %d) survived a full flush: %+v", i, i/cfg.Ways, l)
+				// no way may still be valid, no set may stay listed as
+				// filled and no domain may own a line.
+				for i, st := range c.sets {
+					if st.valid != 0 || c.filled[i] {
+						t.Fatalf("set %d survived a full flush: valid %#x, filled %v", i, st.valid, c.filled[i])
 					}
+				}
+				if len(c.filledSets) != 0 {
+					t.Fatalf("%d sets still listed as filled after a full flush", len(c.filledSets))
 				}
 				for d := 0; d < 8; d++ {
 					if n := c.OccupancyOf(d); n != 0 {

@@ -20,8 +20,12 @@ type Controller struct {
 	Mem *Memory
 
 	filters []Filter
-	stats   map[string]*FilterStats
-	mees    []*MEE
+	// filterStats[i] is filters[i]'s counter, the entry stats holds under
+	// its name (filters sharing a name share it), so check counts without
+	// a map lookup or a Name call.
+	filterStats []*FilterStats
+	stats       map[string]*FilterStats
+	mees        []*MEE
 
 	// Denials counts total denied accesses (bus errors from filters).
 	Denials uint64
@@ -37,21 +41,28 @@ func NewController(m *Memory) *Controller {
 // AddFilter installs a protection filter. Filters are consulted in
 // installation order; the first non-allow verdict wins.
 func (c *Controller) AddFilter(f Filter) {
-	c.filters = append(c.filters, f)
-	if _, ok := c.stats[f.Name()]; !ok {
-		c.stats[f.Name()] = &FilterStats{}
+	st, ok := c.stats[f.Name()]
+	if !ok {
+		st = &FilterStats{}
+		c.stats[f.Name()] = st
 	}
+	c.filters = append(c.filters, f)
+	c.filterStats = append(c.filterStats, st)
 }
 
-// RemoveFilter uninstalls the filter with the given name.
+// RemoveFilter uninstalls the filter with the given name. Its counters
+// stay readable through Stats.
 func (c *Controller) RemoveFilter(name string) {
-	out := c.filters[:0]
-	for _, f := range c.filters {
+	n := 0
+	for i, f := range c.filters {
 		if f.Name() != name {
-			out = append(out, f)
+			c.filters[n], c.filterStats[n] = f, c.filterStats[i]
+			n++
 		}
 	}
-	c.filters = out
+	clear(c.filters[n:])
+	clear(c.filterStats[n:])
+	c.filters, c.filterStats = c.filters[:n], c.filterStats[:n]
 }
 
 // Stats returns the verdict counters for a filter name.
@@ -69,8 +80,8 @@ func (c *Controller) AttachMEE(m *MEE) {
 
 // check runs the filters and returns the collective verdict.
 func (c *Controller) check(a Access) Action {
-	for _, f := range c.filters {
-		st := c.stats[f.Name()]
+	for i, f := range c.filters {
+		st := c.filterStats[i]
 		st.Checked++
 		switch v := f.Check(a); v {
 		case ActionDeny:

@@ -15,6 +15,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/intrust-sim/intrust/internal/isa"
@@ -177,7 +178,40 @@ func (r Region) End() uint32 { return r.Base + r.Size }
 
 type regionState struct {
 	Region
-	data []byte
+	backing // zero for MMIO
+}
+
+// backing is the storage of a RAM or ROM region. dirty has one bit per
+// page of data, set by every path that writes data (markDirty), so a
+// released backing re-zeroes only the pages it was given to write.
+type backing struct {
+	data  []byte
+	dirty []uint64
+}
+
+// pageShift is log2 of the dirty-tracking granule.
+const pageShift = 12
+
+// markDirty records that [off, off+n) of the backing may now be non-zero.
+func (b *backing) markDirty(off, n uint32) {
+	if n == 0 {
+		return
+	}
+	for p, last := off>>pageShift, (off+n-1)>>pageShift; p <= last; p++ {
+		b.dirty[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// zero clears every page marked dirty and the marks themselves: the
+// backing is all-zero again, as make() returns it.
+func (b *backing) zero() {
+	for i, w := range b.dirty {
+		for ; w != 0; w &= w - 1 {
+			lo := (i*64 + bits.TrailingZeros64(w)) << pageShift
+			clear(b.data[lo:min(lo+1<<pageShift, len(b.data))])
+		}
+		b.dirty[i] = 0
+	}
 }
 
 // Memory is the physical memory map: an ordered set of non-overlapping
@@ -193,26 +227,32 @@ func NewMemory() *Memory { return &Memory{} }
 // backings discarded after every attack run dominate the sweep's
 // allocation volume and, through the heap goal, its GC assist time at
 // high worker counts; recycling keeps that volume off the pacer.
-// Reused backings are re-zeroed on the way out so a pooled region is
-// indistinguishable from a make()-fresh one.
-var backingPools sync.Map // uint32 (size) -> *sync.Pool
+// Release zeroes a backing's written pages before pooling it, so a
+// pooled backing is all-zero and indistinguishable from a make()-fresh
+// one, and a pass that wrote a few MiB of a 32 MiB region re-zeroes just
+// those (and leaves the rest of the backing out of the resident set).
+var backingPools sync.Map // uint32 (size) -> *sync.Pool of *backing
 
 // poolMinBacking is the smallest backing worth pooling; below this the
 // sync.Pool round-trip costs more than the allocation it saves.
 const poolMinBacking = 1 << 16
 
-func newBacking(size uint32) []byte {
-	if size < poolMinBacking {
-		return make([]byte, size)
+func backingPool(size uint32) *sync.Pool {
+	v, ok := backingPools.Load(size)
+	if !ok {
+		v, _ = backingPools.LoadOrStore(size, &sync.Pool{})
 	}
-	v, _ := backingPools.LoadOrStore(size, &sync.Pool{})
-	if b, ok := v.(*sync.Pool).Get().([]byte); ok {
-		for i := range b {
-			b[i] = 0
+	return v.(*sync.Pool)
+}
+
+func newBacking(size uint32) backing {
+	if size >= poolMinBacking {
+		if b, ok := backingPool(size).Get().(*backing); ok {
+			return *b
 		}
-		return b
 	}
-	return make([]byte, size)
+	pages := (uint64(size) + 1<<pageShift - 1) >> pageShift
+	return backing{data: make([]byte, size), dirty: make([]uint64, (pages+63)/64)}
 }
 
 // Release returns every region backing to the package pool and empties
@@ -222,12 +262,13 @@ func newBacking(size uint32) []byte {
 // future Memory's contents.
 func (m *Memory) Release() {
 	for _, rs := range m.regions {
-		if rs.data == nil || len(rs.data) < poolMinBacking {
+		if len(rs.data) < poolMinBacking {
 			continue
 		}
-		v, _ := backingPools.LoadOrStore(uint32(len(rs.data)), &sync.Pool{})
-		v.(*sync.Pool).Put(rs.data)
-		rs.data = nil
+		rs.zero()
+		b := rs.backing
+		backingPool(uint32(len(b.data))).Put(&b)
+		rs.backing = backing{}
 	}
 	m.regions = m.regions[:0]
 }
@@ -247,7 +288,7 @@ func (m *Memory) AddRegion(r Region) error {
 	}
 	rs := &regionState{Region: r}
 	if r.Kind != RegionMMIO {
-		rs.data = newBacking(r.Size)
+		rs.backing = newBacking(r.Size)
 	}
 	m.regions = append(m.regions, rs)
 	return nil
@@ -344,6 +385,7 @@ func (m *Memory) writeRaw(addr uint32, size int, v uint32) error {
 	for i := 0; i < size; i++ {
 		rs.data[off+uint32(i)] = byte(v >> (8 * i))
 	}
+	rs.markDirty(off, uint32(size))
 	return nil
 }
 
@@ -361,13 +403,14 @@ func (m *Memory) span(addr uint32, n int) *regionState {
 
 // ramBacking returns the backing bytes of [addr, addr+n), which must lie
 // inside one RAM region. Writes through it bypass every check, as
-// WriteRaw does.
+// WriteRaw does; the whole range counts as written.
 func (m *Memory) ramBacking(addr, n uint32) ([]byte, error) {
 	rs := m.span(addr, int(n))
 	if rs == nil || rs.Kind != RegionRAM {
 		return nil, fmt.Errorf("range %#x+%#x is not inside one RAM region", addr, n)
 	}
 	off := addr - rs.Base
+	rs.markDirty(off, n)
 	return rs.data[off : off+n : off+n], nil
 }
 
@@ -395,6 +438,7 @@ func (m *Memory) ReadRaw(addr uint32, buf []byte) error {
 func (m *Memory) WriteRaw(addr uint32, buf []byte) error {
 	if rs := m.span(addr, len(buf)); rs != nil && rs.Kind == RegionRAM {
 		copy(rs.data[addr-rs.Base:], buf)
+		rs.markDirty(addr-rs.Base, uint32(len(buf)))
 		return nil
 	}
 	for i := range buf {
@@ -419,6 +463,7 @@ func (m *Memory) LoadImage(base uint32, data []byte) error {
 			return fmt.Errorf("mem: image overlaps MMIO at %#x", addr)
 		}
 		rs.data[addr-rs.Base] = b
+		rs.markDirty(addr-rs.Base, 1)
 	}
 	return nil
 }
