@@ -87,18 +87,39 @@ func CorrectBytes(got [16]byte, want []byte) int {
 	return n
 }
 
+// GradeKeyArena counts the key bytes a per-byte distinguisher
+// (DPAByteArena, CPAByteArena) recovers from the arena. It scores bytes
+// 0..15 in order and stops once more than maxMiss bytes have missed: a
+// caller that only asks "at least 16-maxMiss bytes?" has its answer
+// then, and skips the remaining kernel calls. The count is exact
+// whenever it reaches 16-maxMiss; below that it is a lower bound. With
+// maxMiss = 16 every byte is scored, like CorrectBytes over the full
+// recovered key.
+func GradeKeyArena(a *power.Arena, byteFn func(*power.Arena, int) (byte, float64), key []byte, maxMiss int) int {
+	hits, misses := 0, 0
+	for i := 0; i < 16 && misses <= maxMiss; i++ {
+		if k, _ := byteFn(a, i); k == key[i] {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	return hits
+}
+
 // TracesToDisclosure doubles the trace budget until CPA recovers the full
 // key (or the cap is hit) and returns the budget needed — the standard
 // countermeasure-strength metric. The budgets run 32, 64, 128, … and
 // the last one is the cap itself, so a cap that is not 32·2ᵏ is still
 // measured. Every budget records a fresh campaign into one reused arena
-// and runs the batched CPA on it.
+// and grades it with the batched CPA, stopping at the first wrong byte:
+// one miss already settles the budget as "not disclosed".
 func TracesToDisclosure(v AESVictim, probe *power.Probe, key []byte, cap int, rng *rand.Rand) (int, bool) {
 	a := power.NewArena(16)
 	for n := min(32, cap); n > 0; n = min(2*n, cap) {
 		a.Reset()
 		ExtendArena(a, v, probe, n, rng)
-		if CorrectBytes(CPAKeyArena(a), key) == 16 {
+		if GradeKeyArena(a, CPAByteArena, key, 0) == 16 {
 			return n, true
 		}
 		if n == cap {

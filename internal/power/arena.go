@@ -80,12 +80,11 @@ type Arena struct {
 
 	// One cached class grouping (per-plaintext-byte-value sums): valid
 	// for byte index clsIdx at clsN traces. The 256 class vectors live
-	// back to back in clsSums (class v at v*pts); totSums is the
-	// all-class per-point total the unselected partition derives from.
+	// back to back in clsSums (class v at v*pts). Their all-class
+	// per-point total is colSums' Σq.
 	clsIdx, clsN int
 	clsCount     [256]int32
 	clsSums      []int64
-	totSums      []int64
 
 	// wht is the 256×pts scratch block of the all-guess kernels
 	// (DifferenceOfMeansXor, MaxAbsPearsonXor): the class sums are copied
@@ -241,7 +240,7 @@ func (a *Arena) colSums() (sy, syy []int64) {
 
 // QClassSums groups the arena's traces by the value of input byte
 // byteIdx: 256 per-class sum vectors (int64, exact) in one contiguous
-// block, plus per-class trace counts and the all-class total per point.
+// block, plus per-class trace counts.
 // One grouping is cached; regrouping by another byte index or after an
 // extension overwrites it in place.
 type QClassSums struct {
@@ -262,13 +261,8 @@ func (a *Arena) ClassSumsFor(byteIdx int) QClassSums {
 	if cap(a.clsSums) < 256*pts {
 		a.clsSums = make([]int64, 256*pts)
 	}
-	if cap(a.totSums) < pts {
-		a.totSums = make([]int64, pts)
-	}
 	a.clsSums = a.clsSums[:256*pts]
-	a.totSums = a.totSums[:pts]
 	clear(a.clsSums)
-	clear(a.totSums)
 	for i := range a.clsCount {
 		a.clsCount[i] = 0
 	}
@@ -279,7 +273,6 @@ func (a *Arena) ClassSumsFor(byteIdx int) QClassSums {
 		tr := a.qs[a.offs[i]:][:pts]
 		for j, q := range tr {
 			dst[j] += int64(q)
-			a.totSums[j] += int64(q)
 		}
 	}
 	a.clsIdx = byteIdx
@@ -379,9 +372,10 @@ func (cs QClassSums) correlateClasses(wh *[256]int64) []int64 {
 // difference of mean traces between the classes v with s[v⊕k] set and
 // the rest — Kocher's DPA distinguisher for all 256 key guesses in one
 // call. Because the class sums are exact integers, the unselected
-// partition is the total minus the selected sum (no second accumulation
-// pass), and every out[k] equals the naive two-partition float64 walk
-// bit for bit. An empty or full partition yields 0.
+// partition is the cached column total Σq minus the selected sum (no
+// second accumulation pass), and every out[k] equals the naive
+// two-partition float64 walk bit for bit. An empty or full partition
+// yields 0.
 func (cs QClassSums) DifferenceOfMeansXor(s *[256]bool, out *[256]float64) {
 	*out = [256]float64{}
 	a, pts := cs.a, cs.pts
@@ -397,6 +391,7 @@ func (cs QClassSums) DifferenceOfMeansXor(s *[256]bool, out *[256]float64) {
 	wh := transform(w)
 	n1s := cs.classCounts(&wh)
 	blk := cs.correlateClasses(&wh)
+	sy, _ := a.colSums()
 	for k, n1 := range n1s {
 		n0 := int64(cs.n) - n1
 		if n0 == 0 || n1 == 0 {
@@ -405,7 +400,7 @@ func (cs QClassSums) DifferenceOfMeansXor(s *[256]bool, out *[256]float64) {
 		f1, f0 := float64(n1), float64(n0)
 		best := 0.0
 		for j, s1 := range blk[k*pts:][:pts] {
-			d := math.Abs(float64(s1)/f1 - float64(a.totSums[j]-s1)/f0)
+			d := math.Abs(float64(s1)/f1 - float64(sy[j]-s1)/f0)
 			if d > best {
 				best = d
 			}
