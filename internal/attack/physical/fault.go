@@ -171,9 +171,6 @@ func CLKSCREW(seed int64) (*CLKSCREWResult, error) {
 // (reported as a "starved of faults" error with the partial result).
 func CLKSCREWDefended(seed int64, clockJitter bool) (*CLKSCREWResult, error) {
 	p := platform.NewMobile()
-	// The platform lives only for this campaign; its result carries no
-	// references into it, so the DRAM backing can go back to the pool.
-	defer p.Mem.Release()
 	tz, err := trustzone.New(p)
 	if err != nil {
 		return nil, err

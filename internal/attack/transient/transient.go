@@ -154,7 +154,6 @@ func (mc *machine) runProbe() (byte, error) {
 // check (the software mitigation).
 func SpectreV1(feat cpu.Features, secret []byte, withFence bool) (Result, error) {
 	mc := newMachine(feat)
-	defer mc.m.Release()
 	fence := ""
 	if withFence {
 		fence = "fence\n"
@@ -213,7 +212,6 @@ vout:   hlt
 // and victim execution.
 func SpectreBTB(feat cpu.Features, secret []byte, flushPredictors bool) (Result, error) {
 	mc := newMachine(feat)
-	defer mc.m.Release()
 	mc.load(`
         .org 0x1000
 victim: jalr ra, t0, 0       ; indirect call through t0
@@ -266,7 +264,6 @@ gadget: la   t1, 0x2200
 // victim return transiently executes the disclosure gadget.
 func Ret2spec(feat cpu.Features, secret []byte) (Result, error) {
 	mc := newMachine(feat)
-	defer mc.m.Release()
 	mc.load(`
         .org 0x1000
 victim: ret                  ; architectural target in ra
@@ -313,7 +310,6 @@ landing: hlt
 // the probe array before the trap is delivered.
 func Meltdown(feat cpu.Features, secret []byte) (Result, error) {
 	mc := newMachine(feat)
-	defer mc.m.Release()
 	as, err := cpu.NewAddressSpace(mc.m, 0x100000, 0x40000, 1)
 	if err != nil {
 		return Result{}, err

@@ -126,7 +126,6 @@ func TestForeshadowForgesAttestation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Mem.Release()
 		s.MitigateL1TF = mitigated
 		res, err := ForeshadowSGX(s, len(s.QuotingPublic().PrivateBytes()), mitigated)
 		if err != nil {

@@ -144,7 +144,6 @@ func TestArchProbesReplayKeys(t *testing.T) {
 					t.Fatal(err)
 				}
 				got[i] = keys(ap)
-				ap.arch.Platform().Mem.Release()
 			}
 			if len(got[0]) == 0 {
 				t.Fatal("probe exposes no key material")

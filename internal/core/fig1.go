@@ -131,7 +131,6 @@ func fig1Experiments(quick bool) []engine.Experiment {
 			for i, mk := range []func() *platform.Platform{platform.NewServer, platform.NewMobile, platform.NewEmbedded} {
 				p := mk()
 				s, err := p.PerfScore()
-				p.Mem.Release()
 				if err != nil {
 					return engine.Outcome{}, fmt.Errorf("platform refuses injected workload: %w", err)
 				}

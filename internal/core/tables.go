@@ -241,10 +241,6 @@ func Table2Architectures() (*Table, error) {
 					return engine.Outcome{}, err
 				}
 				row := probeRow(ap)
-				// The row is plain strings, so nothing references the
-				// platform any more: return its memory to the pool for
-				// the next probe.
-				ap.arch.Platform().Mem.Release()
 				return engine.Outcome{Rows: [][]string{row}, Verdict: row[3]}, nil
 			},
 		})

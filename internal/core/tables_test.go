@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -191,19 +190,13 @@ func TestDisclosureCost(t *testing.T) {
 	}
 }
 
-// TestPaperTablesRecyclePlatforms pins that TAB2 and FIG1 hand their
-// platforms' region backings back to the mem pool: with the collector
-// off (so the pool keeps what it is given), a render after a pool-filling
-// one allocates less than a single 32 MiB DRAM backing. Without the
-// Release calls every render allocates one such backing per server and
-// mobile platform it builds.
+// TestPaperTablesRecyclePlatforms pins that TAB2 and FIG1 do not pay for
+// the platforms' full DRAM: a warm render allocates less than a single
+// 32 MiB DRAM region. Region memory is
+// allocated a page at a time on first write, and a render writes a few
+// MiB of each server and mobile platform it builds; a region allocated
+// whole would cost 32 MiB per such platform.
 func TestPaperTablesRecyclePlatforms(t *testing.T) {
-	if raceDetectorEnabled {
-		// Under the race detector sync.Pool drops a random quarter of
-		// what it is given, so a warm render allocates fresh backings
-		// whether or not the tables release theirs.
-		t.Skip("sync.Pool drops items at random under -race")
-	}
 	renders := []struct {
 		name   string
 		render func() error
@@ -211,21 +204,10 @@ func TestPaperTablesRecyclePlatforms(t *testing.T) {
 		{"tab2", func() error { _, err := Table2Architectures(); return err }},
 		{"fig1", func() error { _, err := Figure1(true); return err }},
 	}
-	// The first render runs the engine's one-time GOGC tune, which
-	// would otherwise override the setting below.
 	for _, r := range renders {
+		// The first render builds package-level state once.
 		if err := r.render(); err != nil {
 			t.Fatal(err)
-		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, r := range renders {
-		// Fill the pool: it ends up holding as many backings as the
-		// most concurrent of these renders had live at once.
-		for i := 0; i < 3; i++ {
-			if err := r.render(); err != nil {
-				t.Fatal(err)
-			}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -233,10 +215,12 @@ func TestPaperTablesRecyclePlatforms(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		const backing = 32 << 20
-		if got := after.TotalAlloc - before.TotalAlloc; got >= backing {
-			t.Errorf("%s: a warm render allocated %.1f MiB, want < %d MiB (platform backings not recycled?)",
-				r.name, float64(got)/(1<<20), backing>>20)
+		const dram = 32 << 20
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: a warm render allocated %.1f MiB", r.name, float64(got)/(1<<20))
+		if got >= dram {
+			t.Errorf("%s: a warm render allocated %.1f MiB, want < %d MiB (platform DRAM allocated whole?)",
+				r.name, float64(got)/(1<<20), dram>>20)
 		}
 	}
 }

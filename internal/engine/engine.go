@@ -56,17 +56,19 @@ const (
 // fault-injection plane the engine probes before every job.
 func SetFaultPlane(p *fault.Plane) { faultPlane.Store(p) }
 
-// gcTuneOnce applies the sweep's GC pacing once per process. The
-// workload is churn-heavy with a small live set: platform-scale buffers
-// are born and die inside one cell, so with the default GOGC=100 the
-// heap goal sits barely above the live set and every worker spends
+// gcTuneOnce applies the engine's GC pacing once per process, on the
+// first job either entry point (Run or RunOne) executes. The workload
+// is churn-heavy with a small live set: a cell's platforms, traces and
+// page tables are born and die inside it, so with the default GOGC=100
+// the heap goal sits barely above the live set and every worker spends
 // measurable time in mark assists — at high worker counts the assists
-// alone erased the scheduler's gains (GOMAXPROCS=8 ran slower than 1).
-// Raising the target trades bounded peak RSS (hundreds of MB on the
-// full grid) for assist-free throughput at every worker count; it is
+// alone erased the scheduler's gains (GOMAXPROCS=8 ran slower than 1),
+// and serve's cold cells, computed through RunOne between cache hits,
+// doubled the collector's cycles under request traffic. Raising the
+// target trades bounded peak RSS for assist-free throughput; it is
 // deliberately process-wide and never restored, because interleaving
-// restores from concurrent Runs would leave the setting at whichever
-// Run exited last.
+// restores from concurrent runs would leave the setting at whichever
+// run exited last.
 var gcTuneOnce sync.Once
 
 // sweepGCPercent is the pacing target the engine applies when the
@@ -392,7 +394,6 @@ func (s *scheduler) next(self int) []int {
 // if none failed) joins every failure in submission order. Context
 // cancellation stops unstarted jobs, marking them with the context error.
 func (e *Engine) Run(ctx context.Context, exps []Experiment) ([]Result, error) {
-	gcTune()
 	results := make([]Result, len(exps))
 	workers := e.Parallel
 	if workers < 1 {
@@ -436,8 +437,8 @@ func (e *Engine) Run(ctx context.Context, exps []Experiment) ([]Result, error) {
 }
 
 // RunOne executes a single experiment synchronously, outside any worker
-// pool, with the same per-job seed derivation and panic confinement as
-// Run — the cell-level entry point the serve layer computes individual
+// pool, with the same per-job seed derivation, panic confinement and GC
+// pacing as Run — the cell-level entry point the serve layer computes individual
 // grid cells through. A RunOne result is bit-identical (modulo wall
 // clock) to the same experiment's result inside a pooled Run.
 func RunOne(ctx context.Context, exp Experiment) Result {
@@ -447,6 +448,7 @@ func RunOne(ctx context.Context, exp Experiment) Result {
 // runOne executes a single experiment with panic confinement, so one
 // misbehaving job reports as a failed Result instead of killing the pool.
 func runOne(ctx context.Context, exp Experiment, scratch *Scratch) (res Result) {
+	gcTune()
 	res.Experiment = exp
 	seed := DeriveSeed(exp.Seed, exp.Name)
 	jctx := &Ctx{

@@ -75,19 +75,25 @@ func (e *MEE) Covers(addr uint32) bool {
 	return addr >= e.Base && addr-e.Base < e.Size
 }
 
-// Init encrypts the current contents of the protected range in place, in
-// one pass over its backing: every block gets version 1 and a MAC, so a
-// block nothing has written since still detects tampering and replay.
-// Call it after loading initial images and before first use. The range
-// must lie inside one RAM region.
+// Init encrypts the current contents of the protected range in place, a
+// page at a time: every block gets version 1 and a MAC, so a block
+// nothing has written since still detects tampering and replay. Call it
+// after loading initial images and before first use. The range must lie
+// inside one RAM region.
 func (e *MEE) Init() error {
-	cells, err := e.mem.ramBacking(e.Base, e.Size)
-	if err != nil {
-		return fmt.Errorf("mem: MEE init: %w", err)
+	rs := e.mem.span(e.Base, int(e.Size))
+	if rs == nil || rs.Kind != RegionRAM {
+		return fmt.Errorf("mem: MEE init: range %#x+%#x is not inside one RAM region", e.Base, e.Size)
 	}
-	for b := range e.versions {
-		blk := cells[b*meeBlock : (b+1)*meeBlock]
-		e.seal(uint32(b), blk, blk)
+	var page [pageSize]byte
+	for lo := uint32(0); lo < e.Size; lo += pageSize {
+		buf := page[:min(pageSize, e.Size-lo)]
+		rs.readAt(e.Base-rs.Base+lo, buf)
+		for i := 0; i < len(buf); i += meeBlock {
+			blk := buf[i : i+meeBlock]
+			e.seal((lo+uint32(i))/meeBlock, blk, blk)
+		}
+		rs.writeAt(e.Base-rs.Base+lo, buf)
 	}
 	return nil
 }

@@ -15,8 +15,6 @@ package mem
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 
 	"github.com/intrust-sim/intrust/internal/isa"
 )
@@ -178,39 +176,61 @@ func (r Region) End() uint32 { return r.Base + r.Size }
 
 type regionState struct {
 	Region
-	backing // zero for MMIO
+	// pages holds a RAM or ROM region's bytes in pageSize pieces, each
+	// allocated on its first write; a nil page reads as zero. A platform
+	// touches a few MiB of its 32 MiB DRAM, so only those are ever
+	// allocated. MMIO regions have no pages.
+	pages []*[pageSize]byte
 }
 
-// backing is the storage of a RAM or ROM region. dirty has one bit per
-// page of data, set by every path that writes data (markDirty), so a
-// released backing re-zeroes only the pages it was given to write.
-type backing struct {
-	data  []byte
-	dirty []uint64
-}
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
 
-// pageShift is log2 of the dirty-tracking granule.
-const pageShift = 12
-
-// markDirty records that [off, off+n) of the backing may now be non-zero.
-func (b *backing) markDirty(off, n uint32) {
-	if n == 0 {
-		return
+// byteAt returns the byte at region offset off.
+func (rs *regionState) byteAt(off uint32) byte {
+	if p := rs.pages[off>>pageShift]; p != nil {
+		return p[off&pageMask]
 	}
-	for p, last := off>>pageShift, (off+n-1)>>pageShift; p <= last; p++ {
-		b.dirty[p>>6] |= 1 << (p & 63)
-	}
+	return 0
 }
 
-// zero clears every page marked dirty and the marks themselves: the
-// backing is all-zero again, as make() returns it.
-func (b *backing) zero() {
-	for i, w := range b.dirty {
-		for ; w != 0; w &= w - 1 {
-			lo := (i*64 + bits.TrailingZeros64(w)) << pageShift
-			clear(b.data[lo:min(lo+1<<pageShift, len(b.data))])
+// page returns the page holding region offset off, allocating it on
+// first use.
+func (rs *regionState) page(off uint32) *[pageSize]byte {
+	p := rs.pages[off>>pageShift]
+	if p == nil {
+		p = new([pageSize]byte)
+		rs.pages[off>>pageShift] = p
+	}
+	return p
+}
+
+// setByte stores b at region offset off.
+func (rs *regionState) setByte(off uint32, b byte) { rs.page(off)[off&pageMask] = b }
+
+// readAt copies the bytes at region offset off into buf, which must lie
+// inside the region. It allocates no page.
+func (rs *regionState) readAt(off uint32, buf []byte) {
+	for len(buf) > 0 {
+		n := min(len(buf), pageSize-int(off&pageMask))
+		if p := rs.pages[off>>pageShift]; p != nil {
+			copy(buf[:n], p[off&pageMask:])
+		} else {
+			clear(buf[:n])
 		}
-		b.dirty[i] = 0
+		buf, off = buf[n:], off+uint32(n)
+	}
+}
+
+// writeAt copies buf to region offset off; the range must lie inside
+// the region.
+func (rs *regionState) writeAt(off uint32, buf []byte) {
+	for len(buf) > 0 {
+		n := copy(rs.page(off)[off&pageMask:], buf)
+		buf, off = buf[n:], off+uint32(n)
 	}
 }
 
@@ -222,56 +242,6 @@ type Memory struct {
 
 // NewMemory returns an empty physical memory map.
 func NewMemory() *Memory { return &Memory{} }
-
-// backingPools recycles region backings by size. Megabyte-scale RAM
-// backings discarded after every attack run dominate the sweep's
-// allocation volume and, through the heap goal, its GC assist time at
-// high worker counts; recycling keeps that volume off the pacer.
-// Release zeroes a backing's written pages before pooling it, so a
-// pooled backing is all-zero and indistinguishable from a make()-fresh
-// one, and a pass that wrote a few MiB of a 32 MiB region re-zeroes just
-// those (and leaves the rest of the backing out of the resident set).
-var backingPools sync.Map // uint32 (size) -> *sync.Pool of *backing
-
-// poolMinBacking is the smallest backing worth pooling; below this the
-// sync.Pool round-trip costs more than the allocation it saves.
-const poolMinBacking = 1 << 16
-
-func backingPool(size uint32) *sync.Pool {
-	v, ok := backingPools.Load(size)
-	if !ok {
-		v, _ = backingPools.LoadOrStore(size, &sync.Pool{})
-	}
-	return v.(*sync.Pool)
-}
-
-func newBacking(size uint32) backing {
-	if size >= poolMinBacking {
-		if b, ok := backingPool(size).Get().(*backing); ok {
-			return *b
-		}
-	}
-	pages := (uint64(size) + 1<<pageShift - 1) >> pageShift
-	return backing{data: make([]byte, size), dirty: make([]uint64, (pages+63)/64)}
-}
-
-// Release returns every region backing to the package pool and empties
-// the map. It is an explicit end-of-lifetime declaration: the caller
-// asserts nothing else still references this Memory. Accesses after
-// Release fail as unmapped-address bus errors rather than aliasing a
-// future Memory's contents.
-func (m *Memory) Release() {
-	for _, rs := range m.regions {
-		if len(rs.data) < poolMinBacking {
-			continue
-		}
-		rs.zero()
-		b := rs.backing
-		backingPool(uint32(len(b.data))).Put(&b)
-		rs.backing = backing{}
-	}
-	m.regions = m.regions[:0]
-}
 
 // AddRegion adds a region to the map. Overlapping regions are rejected.
 func (m *Memory) AddRegion(r Region) error {
@@ -288,7 +258,7 @@ func (m *Memory) AddRegion(r Region) error {
 	}
 	rs := &regionState{Region: r}
 	if r.Kind != RegionMMIO {
-		rs.backing = newBacking(r.Size)
+		rs.pages = make([]*[pageSize]byte, (uint64(r.Size)+pageMask)>>pageShift)
 	}
 	m.regions = append(m.regions, rs)
 	return nil
@@ -364,7 +334,7 @@ func (m *Memory) readRaw(addr uint32, size int) (uint32, error) {
 	off := addr - rs.Base
 	var v uint32
 	for i := 0; i < size; i++ {
-		v |= uint32(rs.data[off+uint32(i)]) << (8 * i)
+		v |= uint32(rs.byteAt(off+uint32(i))) << (8 * i)
 	}
 	return v, nil
 }
@@ -383,35 +353,21 @@ func (m *Memory) writeRaw(addr uint32, size int, v uint32) error {
 	}
 	off := addr - rs.Base
 	for i := 0; i < size; i++ {
-		rs.data[off+uint32(i)] = byte(v >> (8 * i))
+		rs.setByte(off+uint32(i), byte(v>>(8*i)))
 	}
-	rs.markDirty(off, uint32(size))
 	return nil
 }
 
-// span returns the RAM or ROM region whose backing holds all of
-// [addr, addr+n), or nil when n is 0 or no single such region does. Raw
-// accesses it covers copy in one step; the rest go byte by byte, so ROM,
-// MMIO and unmapped-address errors come from one place.
+// span returns the RAM or ROM region that holds all of [addr, addr+n),
+// or nil when n is 0 or no single such region does. Raw accesses it
+// covers copy page by page; the rest go byte by byte, so ROM, MMIO and
+// unmapped-address errors come from one place.
 func (m *Memory) span(addr uint32, n int) *regionState {
 	rs := m.find(addr)
-	if rs == nil || rs.data == nil || n == 0 || uint64(addr-rs.Base)+uint64(n) > uint64(rs.Size) {
+	if rs == nil || rs.Kind == RegionMMIO || n == 0 || uint64(addr-rs.Base)+uint64(n) > uint64(rs.Size) {
 		return nil
 	}
 	return rs
-}
-
-// ramBacking returns the backing bytes of [addr, addr+n), which must lie
-// inside one RAM region. Writes through it bypass every check, as
-// WriteRaw does; the whole range counts as written.
-func (m *Memory) ramBacking(addr, n uint32) ([]byte, error) {
-	rs := m.span(addr, int(n))
-	if rs == nil || rs.Kind != RegionRAM {
-		return nil, fmt.Errorf("range %#x+%#x is not inside one RAM region", addr, n)
-	}
-	off := addr - rs.Base
-	rs.markDirty(off, n)
-	return rs.data[off : off+n : off+n], nil
 }
 
 // ReadRaw models a physical attacker (cold boot, bus interposer) reading
@@ -420,7 +376,7 @@ func (m *Memory) ramBacking(addr, n uint32) ([]byte, error) {
 // behind a memory encryption engine.
 func (m *Memory) ReadRaw(addr uint32, buf []byte) error {
 	if rs := m.span(addr, len(buf)); rs != nil {
-		copy(buf, rs.data[addr-rs.Base:])
+		rs.readAt(addr-rs.Base, buf)
 		return nil
 	}
 	for i := range buf {
@@ -437,8 +393,7 @@ func (m *Memory) ReadRaw(addr uint32, buf []byte) error {
 // DIMM interposer), bypassing the controller. Writing to ROM still fails.
 func (m *Memory) WriteRaw(addr uint32, buf []byte) error {
 	if rs := m.span(addr, len(buf)); rs != nil && rs.Kind == RegionRAM {
-		copy(rs.data[addr-rs.Base:], buf)
-		rs.markDirty(addr-rs.Base, uint32(len(buf)))
+		rs.writeAt(addr-rs.Base, buf)
 		return nil
 	}
 	for i := range buf {
@@ -462,8 +417,7 @@ func (m *Memory) LoadImage(base uint32, data []byte) error {
 		if rs.Kind == RegionMMIO {
 			return fmt.Errorf("mem: image overlaps MMIO at %#x", addr)
 		}
-		rs.data[addr-rs.Base] = b
-		rs.markDirty(addr-rs.Base, 1)
+		rs.setByte(addr-rs.Base, b)
 	}
 	return nil
 }

@@ -224,7 +224,10 @@ func TestLoadProgram(t *testing.T) {
 }
 
 // rawLayout maps ROM, RAM, MMIO and gaps next to one another, so raw
-// ranges can start in one kind of region and run into another.
+// ranges can start in one kind of region and run into another, and a
+// RAM region of several pages whose first page alone is written, so
+// ranges straddle a written page and an unwritten one (0x2000) and two
+// unwritten ones (0x3000).
 func rawLayout() *Memory {
 	m := NewMemory()
 	m.MustAddRegion(Region{Name: "rom", Base: 0x0, Size: 0x100, Kind: RegionROM})
@@ -232,11 +235,15 @@ func rawLayout() *Memory {
 	m.MustAddRegion(Region{Name: "ram1", Base: 0x400, Size: 0x100, Kind: RegionRAM})
 	m.MustAddRegion(Region{Name: "dev", Base: 0x500, Size: 0x10, Kind: RegionMMIO, Device: &testDevice{}})
 	m.MustAddRegion(Region{Name: "ram2", Base: 0x510, Size: 0xf0, Kind: RegionRAM})
+	m.MustAddRegion(Region{Name: "pages", Base: 0x1000, Size: 0x3000, Kind: RegionRAM})
 	img := make([]byte, 0x200)
 	for i := range img {
 		img[i] = byte(i*7 + 1)
 	}
 	if err := m.LoadImage(0, img); err != nil {
+		panic(err)
+	}
+	if err := m.LoadImage(0x1f00, img[:0x100]); err != nil {
 		panic(err)
 	}
 	return m
@@ -267,13 +274,30 @@ func sameErr(a, b error) bool {
 	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
+// contents returns a RAM or ROM region's bytes.
+func contents(rs *regionState) []byte {
+	b := make([]byte, rs.Size)
+	rs.readAt(0, b)
+	return b
+}
+
+// sameCells reports whether a and b hold the same bytes and device
+// registers and have allocated the same pages.
 func sameCells(a, b *Memory) bool {
 	for i, rs := range a.regions {
-		if !bytes.Equal(rs.data, b.regions[i].data) {
+		if rs.Kind == RegionMMIO {
+			if *rs.Device.(*testDevice) != *b.regions[i].Device.(*testDevice) {
+				return false
+			}
+			continue
+		}
+		if !bytes.Equal(contents(rs), contents(b.regions[i])) {
 			return false
 		}
-		if rs.Kind == RegionMMIO && *rs.Device.(*testDevice) != *b.regions[i].Device.(*testDevice) {
-			return false
+		for j, p := range rs.pages {
+			if (p == nil) != (b.regions[i].pages[j] == nil) {
+				return false
+			}
 		}
 	}
 	return true
@@ -282,9 +306,9 @@ func sameCells(a, b *Memory) bool {
 // Property: ReadRaw and WriteRaw return the same bytes, write the same
 // cells and fail with the same error as a byte-at-a-time loop, for ranges
 // that stay in one region and ranges that cross into ROM, MMIO, another
-// RAM region or unmapped space.
+// RAM region or unmapped space, and ranges that straddle a page.
 func TestRawAccessMatchesByteLoop(t *testing.T) {
-	edges := []uint32{0x0, 0x100, 0x200, 0x400, 0x500, 0x510, 0x600}
+	edges := []uint32{0x0, 0x100, 0x200, 0x400, 0x500, 0x510, 0x600, 0x1000, 0x2000, 0x3000, 0x4000}
 	f := func(edge uint8, back uint8, n uint8, fill byte) bool {
 		addr := edges[int(edge)%len(edges)] - uint32(back%24)
 		buf := bytes.Repeat([]byte{fill}, int(n%48))
@@ -302,11 +326,11 @@ func TestRawAccessMatchesByteLoop(t *testing.T) {
 
 func TestRawAccessErrors(t *testing.T) {
 	m := rawLayout()
-	romBefore := append([]byte(nil), m.regions[0].data...)
+	romBefore := contents(m.regions[0])
 	if err := m.WriteRaw(0x10, []byte{1, 2, 3, 4}); err == nil {
 		t.Error("WriteRaw to ROM succeeded")
 	}
-	if !bytes.Equal(m.regions[0].data, romBefore) {
+	if !bytes.Equal(contents(m.regions[0]), romBefore) {
 		t.Error("WriteRaw to ROM changed ROM")
 	}
 	// ROM stays readable raw.
@@ -320,7 +344,7 @@ func TestRawAccessErrors(t *testing.T) {
 	if err == nil || err.Error() != "unmapped address 0x200" {
 		t.Fatalf("WriteRaw past region end: %v", err)
 	}
-	if tail := m.regions[1].data[0xfc:]; !bytes.Equal(tail, []byte{0xa1, 0xa2, 0xa3, 0xa4}) {
+	if tail := contents(m.regions[1])[0xfc:]; !bytes.Equal(tail, []byte{0xa1, 0xa2, 0xa3, 0xa4}) {
 		t.Errorf("bytes before the unmapped address = %x", tail)
 	}
 	got = make([]byte, 6)

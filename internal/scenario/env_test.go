@@ -23,7 +23,6 @@ func TestSGXFuseFollowsCellSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Platform().Mem.Release()
 		if got, want := env.RNG.Int63(), rand.New(rand.NewSource(seed)).Int63(); got != want {
 			t.Fatalf("seed %d: Env.SGX drew from the cell RNG", seed)
 		}

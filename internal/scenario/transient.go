@@ -143,10 +143,7 @@ func transientScenarios() []*Spec {
 				// would not skip MEE.Init: every key derives from the
 				// cell-seeded fuse, so the 2 MiB EPC must be encrypted
 				// and MACed under a per-cell key either way, in one AES
-				// pass over its backing.
-				// Release the server DRAM backing once the attack result
-				// — which only copies bytes out — is in hand.
-				defer s.Platform().Mem.Release()
+				// pass over its pages.
 				// The l1tf-flush defense (§4.2) turns on SGX's microcode
 				// L1 flush on enclave exits.
 				s.MitigateL1TF = env.DefenseConfig().L1TFFlush
