@@ -6,7 +6,7 @@
 // Usage:
 //
 //	intrust [-quick] [fig1|arch|cachesca|transient|physical|all]
-//	intrust sweep [-arch a,b|all] [-attack scenario|family,...|all] [-defense none|stock|name,...|all] [-samples N] [-confidence C] [-maxsamples N] [-parallel N] [-shard N] [-json] [-diff] [-resume dir] [-cache-secret s] [-cpuprofile f] [-memprofile f] [-mutexprofile f]
+//	intrust sweep [-arch a,b|all] [-attack scenario|family,...|all] [-defense none|stock|name,...|all] [-samples N] [-confidence C] [-maxsamples N] [-parallel N] [-json] [-diff] [-resume dir] [-cache-secret s] [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //	intrust serve [-addr :8089] [-cache N] [-cache-bytes N] [-cache-dir d] [-cache-secret s] [-warm] [-maxinflight N] [-queue N] [-seed N] [-drain 30s] [-deadline 0] [-fault plan] [-fault-seed N]
 //	intrust attacks [-family f] [-markdown] [-o file]
 //	intrust defenses [-family f] [-markdown] [-o file]
@@ -239,7 +239,6 @@ func runSweep(args []string) int {
 	maxSamples := fs.Int("maxsamples", 0,
 		"adaptive sampling: per-cell sample cap for hard cells (0 = 4x the reference budget)")
 	parallel := fs.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	shard := fs.Int("shard", 0, "jobs per work-stealing shard (0 = auto); results are identical at every value")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable engine report instead of the text table")
 	diff := fs.Bool("diff", false, "also report which cells each defense flips versus the none baseline (adds none to the axis)")
 	resumeDir := fs.String("resume", "", "incremental sweep: persist cell results under this directory and recompute only changed cells on re-runs")
@@ -320,7 +319,6 @@ func runSweep(args []string) int {
 		return 2
 	}
 	eng := engine.New(*parallel)
-	eng.ShardSize = *shard
 	var results []engine.Result
 	var runErr error
 	start := time.Now()

@@ -14,27 +14,25 @@ import (
 // none+stock grid: every registered scenario on every architecture under
 // the undefended and stock defense layers, run through the ADAPTIVE
 // engine (so the comparison covers samples-used and confidence, the
-// fields most sensitive to scheduling), must be byte-identical across
-// every (parallel, shard-size) combination of the work-stealing
-// scheduler. This is the guarantee that lets the sweep earn multi-core
-// scaling without ever re-validating verdicts: workers, deques and
-// steals move work around, never results.
+// fields most sensitive to scheduling), must be byte-identical at every
+// worker count. This is the guarantee that lets the sweep earn
+// multi-core scaling without ever re-validating verdicts: which worker
+// claims a job, and with what Scratch store left behind by its previous
+// jobs, moves work around, never results.
 func TestDeterminismMatrix(t *testing.T) {
 	exps, err := SweepExperimentsWith(nil, nil, []string{"none", "stock"},
 		SweepOptions{Samples: 32, Adaptive: &stats.Policy{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(parallel, shard int) []engine.Result {
-		e := engine.New(parallel)
-		e.ShardSize = shard
-		results, err := e.Run(context.Background(), exps)
+	run := func(parallel int) []engine.Result {
+		results, err := engine.New(parallel).Run(context.Background(), exps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return results
 	}
-	ref := stripTiming(run(1, 1))
+	ref := stripTiming(run(1))
 
 	// The reference must actually carry the adaptive fields the matrix
 	// claims to compare.
@@ -48,34 +46,25 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Fatal("no cell carries a sampling decision; the matrix would compare nothing")
 	}
 
-	parallels := []int{1, 2, 8}
-	shards := []int{1, 4, 64}
+	parallels := []int{2, 8}
 	if testing.Short() || raceDetectorEnabled {
-		// The race detector (and -short) trims the matrix to its widest
-		// corners: maximum workers at the finest and coarsest steal
-		// granularity. Synchronization coverage is identical — every
-		// deque/steal code path runs — only the redundant middle
-		// combinations drop.
-		parallels, shards = []int{8}, []int{1, 64}
+		// The race detector (and -short) keeps only the widest pool,
+		// where the most workers contend for the claim counter.
+		parallels = []int{8}
 	}
 	for _, par := range parallels {
-		for _, shard := range shards {
-			if par == 1 && shard == 1 {
-				continue
+		t.Run(fmt.Sprintf("parallel=%d", par), func(t *testing.T) {
+			got := stripTiming(run(par))
+			if reflect.DeepEqual(ref, got) {
+				return
 			}
-			t.Run(fmt.Sprintf("parallel=%d/shard=%d", par, shard), func(t *testing.T) {
-				got := stripTiming(run(par, shard))
-				if reflect.DeepEqual(ref, got) {
-					return
+			for i := range ref {
+				if !reflect.DeepEqual(ref[i], got[i]) {
+					t.Fatalf("cell %s diverged from the parallel=1 reference:\nref: %+v\ngot: %+v",
+						ref[i].Name, ref[i], got[i])
 				}
-				for i := range ref {
-					if !reflect.DeepEqual(ref[i], got[i]) {
-						t.Fatalf("cell %s diverged from the (parallel=1, shard=1) reference:\nref: %+v\ngot: %+v",
-							ref[i].Name, ref[i], got[i])
-					}
-				}
-				t.Fatal("results differ from reference")
-			})
-		}
+			}
+			t.Fatal("results differ from reference")
+		})
 	}
 }

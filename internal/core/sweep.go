@@ -310,12 +310,13 @@ func resolvedKey(ds []*defense.Spec) string {
 	return strings.Join(names, "+")
 }
 
-// sweepCost estimates a cell's relative cost for the engine's shard
-// packing: the sample budget (already raised to the scenario's floor)
-// weighted by platform class — a server hierarchy costs several times an
-// embedded one per sample. One-shot scenarios settle in a single mount
-// regardless of budget and cost only the class weight. The estimate
-// shapes scheduling exclusively; results never depend on it.
+// sweepCost estimates a cell's relative cost for the engine's claim
+// order, most expensive first: the sample budget (already raised to the
+// scenario's floor) weighted by platform class — a server hierarchy
+// costs several times an embedded one per sample. One-shot scenarios
+// settle in a single mount regardless of budget and cost only the class
+// weight. The estimate shapes scheduling exclusively; results never
+// depend on it.
 func sweepCost(sc *scenario.Spec, arch string, samples int) int {
 	weight := 1
 	switch scenario.ClassOf(arch) {

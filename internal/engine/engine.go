@@ -4,14 +4,14 @@
 //
 // An Experiment names one measurement (platform class, architecture,
 // attack family, sample count) and carries a Run closure. The Engine
-// schedules a slice of experiments over GOMAXPROCS workers (or an
-// explicit parallelism) with sharded work-stealing: jobs group into
-// shards by cost estimate, each worker drains its own deque and steals
-// from the most-loaded peer when it runs dry. Every job gets its own
+// runs a slice of experiments on GOMAXPROCS workers (or an explicit
+// parallelism) by list scheduling in LPT order: the jobs sort once by
+// descending cost estimate, and each idle worker claims the next job in
+// that order from one shared counter. Every job gets its own
 // deterministically derived RNG and results commit in submission order —
 // so a sweep produces byte-identical results at -parallel 1 and
-// -parallel N, at any shard size — and outcomes render either through
-// the existing text tables or as machine-readable JSON (see report.go).
+// -parallel N — and outcomes render either through the existing text
+// tables or as machine-readable JSON (see report.go).
 //
 // Every future scaling direction (sharding experiments across processes,
 // batching trace collection, multi-backend execution) plugs into this
@@ -56,31 +56,26 @@ const (
 // fault-injection plane the engine probes before every job.
 func SetFaultPlane(p *fault.Plane) { faultPlane.Store(p) }
 
-// gcTuneOnce applies the engine's GC pacing once per process, on the
-// first job either entry point (Run or RunOne) executes. The workload
-// is churn-heavy with a small live set: a cell's platforms, traces and
-// page tables are born and die inside it, so with the default GOGC=100
-// the heap goal sits barely above the live set and every worker spends
-// measurable time in mark assists — at high worker counts the assists
-// alone erased the scheduler's gains (GOMAXPROCS=8 ran slower than 1),
-// and serve's cold cells, computed through RunOne between cache hits,
-// doubled the collector's cycles under request traffic. Raising the
-// target trades bounded peak RSS for assist-free throughput; it is
-// deliberately process-wide and never restored, because interleaving
-// restores from concurrent runs would leave the setting at whichever
-// run exited last.
-var gcTuneOnce sync.Once
-
 // sweepGCPercent is the pacing target the engine applies when the
 // operator has not chosen one.
 const sweepGCPercent = 300
 
-func gcTune() {
-	gcTuneOnce.Do(func() {
-		if pct, ok := gcTuneTarget(os.Getenv("GOGC")); ok {
-			debug.SetGCPercent(pct)
-		}
-	})
+// init applies the engine's GC pacing once per process, when the package
+// loads, so every entry point (Run, RunOne, and a serve process that so
+// far has answered only cache hits) runs under the same collector from
+// the start. The workload is churn-heavy with a small live set: a cell's
+// platforms, traces and page tables are born and die inside it, so with
+// the default GOGC=100 the heap goal sits barely above the live set and
+// every worker spends measurable time in mark assists — at high worker
+// counts the assists alone made GOMAXPROCS=8 run slower than 1, and
+// serve's cold cells, computed through RunOne between cache hits,
+// doubled the collector's cycles under request traffic. Raising the
+// target trades bounded peak RSS for assist-free throughput; it is
+// deliberately process-wide and never restored.
+func init() {
+	if pct, ok := gcTuneTarget(os.Getenv("GOGC")); ok {
+		debug.SetGCPercent(pct)
+	}
 }
 
 // gcTuneTarget decides whether the engine may retune the collector: an
@@ -118,8 +113,8 @@ type Experiment struct {
 	Samples int `json:"samples,omitempty"`
 	// Cost is the scheduler's relative cost estimate for this job (for
 	// the sweep: the cell's sample floor weighted by architecture).
-	// It only shapes shard packing and steal order — never results.
-	// Zero means "unknown" and schedules as 1.
+	// It only shapes the order in which workers claim jobs — never
+	// results. Zero means "unknown" and schedules as 1.
 	Cost int `json:"cost,omitempty"`
 	// Seed is the base RNG seed; the job seed is Seed XOR FNV(Name).
 	Seed int64 `json:"seed,omitempty"`
@@ -215,12 +210,6 @@ func (r *Result) Duration() time.Duration { return time.Duration(r.DurationNS) }
 type Engine struct {
 	// Parallel is the worker count. New clamps it to >= 1.
 	Parallel int
-	// ShardSize is the number of experiments per scheduling shard —
-	// the unit of work-stealing granularity. Smaller shards steal at a
-	// finer grain (better balance, more queue traffic); <= 0 picks a
-	// size that gives each worker a handful of shards. Results are
-	// byte-identical at any shard size.
-	ShardSize int
 }
 
 // New returns an engine with the given parallelism; parallel <= 0 sizes
@@ -249,177 +238,50 @@ func jobCost(exp *Experiment) int64 {
 	return 1
 }
 
-// shardQueue is one worker's deque of shards (each shard a slice of job
-// indices). The owner pops from the front — expensive shards first, and
-// at one worker exactly submission order — while thieves pop from the
-// back, so owner and thieves only collide on the last shard. The pad
-// keeps neighboring queues of the scheduler's contiguous slice on
-// separate cache lines: the remaining-cost counter is written under
-// every pop and was a false-sharing hazard at high worker counts.
-type shardQueue struct {
-	mu     sync.Mutex
-	shards [][]int
-	cost   int64 // summed cost of the queued shards
-	_      [64]byte
-}
-
-func (q *shardQueue) push(shard []int, cost int64) {
-	q.shards = append(q.shards, shard)
-	q.cost += cost
-}
-
-func (q *shardQueue) popFront(costs []int64) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.shards) == 0 {
-		return nil
-	}
-	sh := q.shards[0]
-	q.shards = q.shards[1:]
-	q.take(sh, costs)
-	return sh
-}
-
-func (q *shardQueue) popBack(costs []int64) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.shards) == 0 {
-		return nil
-	}
-	sh := q.shards[len(q.shards)-1]
-	q.shards = q.shards[:len(q.shards)-1]
-	q.take(sh, costs)
-	return sh
-}
-
-func (q *shardQueue) take(sh []int, costs []int64) {
-	for _, i := range sh {
-		q.cost -= costs[i]
-	}
-}
-
-func (q *shardQueue) remaining() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.cost
-}
-
-// scheduler is the sharded work-stealing run state: per-worker deques
-// seeded by cost-balanced static assignment, rebalanced at runtime by
-// stealing whole shards from the most-loaded victim.
-type scheduler struct {
-	queues []shardQueue
-	costs  []int64
-}
-
-// newScheduler shards the jobs and assigns them to workers. Jobs sort by
-// descending cost (stable, so equal costs keep submission order), chunk
-// into shards of shardSize, and greedy-assign — most expensive shard
-// first, always to the least-loaded worker (LPT). The assignment is a
-// starting point, not a commitment: whatever it gets wrong, stealing
-// repairs at runtime.
-func newScheduler(exps []Experiment, workers, shardSize int) *scheduler {
-	costs := make([]int64, len(exps))
-	order := make([]int, len(exps))
-	for i := range exps {
-		costs[i] = jobCost(&exps[i])
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-
-	if shardSize <= 0 {
-		// A handful of shards per worker: enough steal granularity to
-		// level a skewed tail without per-job queue traffic.
-		shardSize = len(exps) / (workers * 4)
-		if shardSize < 1 {
-			shardSize = 1
-		}
-	}
-
-	s := &scheduler{queues: make([]shardQueue, workers), costs: costs}
-	for at := 0; at < len(order); at += shardSize {
-		end := at + shardSize
-		if end > len(order) {
-			end = len(order)
-		}
-		shard := order[at:end:end]
-		var c int64
-		for _, i := range shard {
-			c += costs[i]
-		}
-		least := 0
-		for w := 1; w < workers; w++ {
-			if s.queues[w].cost < s.queues[least].cost {
-				least = w
-			}
-		}
-		s.queues[least].push(shard, c)
-	}
-	return s
-}
-
-// next returns worker self's next shard: its own front, else a shard
-// stolen from the back of the most-loaded victim, else nil (run drained).
-func (s *scheduler) next(self int) []int {
-	if sh := s.queues[self].popFront(s.costs); sh != nil {
-		return sh
-	}
-	for {
-		victim, best := -1, int64(0)
-		for w := range s.queues {
-			if w == self {
-				continue
-			}
-			if c := s.queues[w].remaining(); c > best {
-				victim, best = w, c
-			}
-		}
-		if victim < 0 {
-			return nil
-		}
-		if sh := s.queues[victim].popBack(s.costs); sh != nil {
-			return sh
-		}
-		// Lost the race to the victim's own drain; rescan. Remaining
-		// cost only decreases, so this terminates.
-	}
-}
-
 // Run executes all experiments and returns one Result per experiment, in
-// submission order regardless of completion order. Scheduling is sharded
-// work-stealing: jobs group into shards by cost estimate, each worker
-// drains its own deque and steals from the most-loaded peer when empty.
-// Each worker carries one Scratch store across all jobs it executes. A
-// failing experiment does not abort the others; the aggregate error (nil
-// if none failed) joins every failure in submission order. Context
-// cancellation stops unstarted jobs, marking them with the context error.
+// submission order regardless of completion order. Scheduling is list
+// scheduling in LPT order: the job indices sort once by descending cost
+// estimate (stable, so equal costs keep submission order), and each
+// worker claims the next index in that order with one atomic add until
+// the order is used up. The most expensive jobs start first, and the
+// cheap tail fills in behind them one job at a time. Each worker
+// carries one Scratch store across all jobs it executes. A failing
+// experiment does not abort the others; the aggregate error (nil if none
+// failed) joins every failure in submission order. Context cancellation
+// stops unstarted jobs, marking them with the context error.
 func (e *Engine) Run(ctx context.Context, exps []Experiment) ([]Result, error) {
 	results := make([]Result, len(exps))
 	workers := e.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	sched := newScheduler(exps, workers, e.ShardSize)
+	order := make([]int, len(exps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return jobCost(&exps[order[a]]) > jobCost(&exps[order[b]])
+	})
+	var claimed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			scratch := NewScratch()
 			for {
-				shard := sched.next(self)
-				if shard == nil {
+				k := claimed.Add(1) - 1
+				if k >= int64(len(order)) {
 					return
 				}
-				for _, i := range shard {
-					if err := ctx.Err(); err != nil {
-						results[i] = Result{Experiment: exps[i], Err: err.Error()}
-						continue
-					}
-					results[i] = runOne(ctx, exps[i], scratch)
+				i := order[k]
+				if err := ctx.Err(); err != nil {
+					results[i] = Result{Experiment: exps[i], Err: err.Error()}
+					continue
 				}
+				results[i] = runOne(ctx, exps[i], scratch)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
@@ -437,8 +299,8 @@ func (e *Engine) Run(ctx context.Context, exps []Experiment) ([]Result, error) {
 }
 
 // RunOne executes a single experiment synchronously, outside any worker
-// pool, with the same per-job seed derivation, panic confinement and GC
-// pacing as Run — the cell-level entry point the serve layer computes individual
+// pool, with the same per-job seed derivation and panic confinement as
+// Run — the cell-level entry point the serve layer computes individual
 // grid cells through. A RunOne result is bit-identical (modulo wall
 // clock) to the same experiment's result inside a pooled Run.
 func RunOne(ctx context.Context, exp Experiment) Result {
@@ -448,7 +310,6 @@ func RunOne(ctx context.Context, exp Experiment) Result {
 // runOne executes a single experiment with panic confinement, so one
 // misbehaving job reports as a failed Result instead of killing the pool.
 func runOne(ctx context.Context, exp Experiment, scratch *Scratch) (res Result) {
-	gcTune()
 	res.Experiment = exp
 	seed := DeriveSeed(exp.Seed, exp.Name)
 	jctx := &Ctx{
@@ -513,8 +374,8 @@ type Summary struct {
 // keeps no shared progress counters for it to read — workers write
 // disjoint results[i] slots and every aggregate here is computed once
 // after the pool drains, so a wide run spends no locks or cross-core
-// cache-line traffic on bookkeeping (the padded shard deques are the
-// dispatch path's only shared mutable state).
+// cache-line traffic on bookkeeping (the claim counter is the dispatch
+// path's only shared mutable state).
 func Summarize(results []Result, wall time.Duration) Summary {
 	s := Summary{Experiments: len(results), Verdicts: map[string]int{}, WallNS: wall.Nanoseconds()}
 	for i := range results {

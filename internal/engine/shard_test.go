@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// skewedExperiments is the steal-heavy fixture: a few giant jobs and a
-// long tail of tiny ones, so the static LPT assignment front-loads the
-// giants and the tail must rebalance by stealing.
+// skewedExperiments is the skewed-cost fixture: a few giant jobs and a
+// long tail of tiny ones, so the LPT order front-loads the giants and
+// the tail fills in behind them.
 func skewedExperiments(n int) []Experiment {
 	exps := noisyExperiments(n)
 	for i := range exps {
@@ -25,31 +25,6 @@ func skewedExperiments(n int) []Experiment {
 		}
 	}
 	return exps
-}
-
-// TestDeterministicAcrossShardSizes is the engine half of the
-// determinism matrix: one payload, every (parallel, shard) combination,
-// byte-identical results.
-func TestDeterministicAcrossShardSizes(t *testing.T) {
-	exps := noisyExperiments(48)
-	ref, err := New(1).Run(context.Background(), exps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stripTiming(ref)
-	for _, par := range []int{1, 2, 8} {
-		for _, shard := range []int{1, 4, 64} {
-			e := New(par)
-			e.ShardSize = shard
-			got, err := e.Run(context.Background(), exps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, stripTiming(got)) {
-				t.Errorf("results differ at parallel=%d shard=%d", par, shard)
-			}
-		}
-	}
 }
 
 // TestCostShapesOnlyScheduling pins that Cost is advisory: rewriting
@@ -78,9 +53,9 @@ func TestCostShapesOnlyScheduling(t *testing.T) {
 	}
 }
 
-// TestSkewedScheduleRunsEveryJobOnce drives the steal-heavy fixture
-// through a wide pool and checks the scheduling invariant directly:
-// every job executes exactly once, whatever got stolen from where.
+// TestSkewedScheduleRunsEveryJobOnce drives the skewed fixture through a
+// wide pool and checks the scheduling invariant directly: every job
+// executes exactly once, whichever worker claimed it.
 func TestSkewedScheduleRunsEveryJobOnce(t *testing.T) {
 	const n = 97
 	var runs [n]int32
@@ -93,59 +68,51 @@ func TestSkewedScheduleRunsEveryJobOnce(t *testing.T) {
 			return inner(ctx)
 		}
 	}
-	for _, shard := range []int{1, 4, 64} {
-		for i := range runs {
-			atomic.StoreInt32(&runs[i], 0)
-		}
-		e := New(8)
-		e.ShardSize = shard
-		if _, err := e.Run(context.Background(), exps); err != nil {
-			t.Fatal(err)
-		}
-		for i := range runs {
-			if got := atomic.LoadInt32(&runs[i]); got != 1 {
-				t.Fatalf("shard=%d: job %d ran %d times, want exactly once", shard, i, got)
-			}
+	if _, err := New(8).Run(context.Background(), exps); err != nil {
+		t.Fatal(err)
+	}
+	for i := range runs {
+		if got := atomic.LoadInt32(&runs[i]); got != 1 {
+			t.Fatalf("job %d ran %d times, want exactly once", i, got)
 		}
 	}
 }
 
-// TestSchedulerStealPathDoesNotAllocate is the alloc-regression pin for
-// the scheduler itself: draining a steal-heavy schedule — pops, steals,
-// victim scans — touches the heap zero times after newScheduler builds
-// the deques. GC pressure from the dispatch path was part of the
-// oversubscription regression this scheduler replaces.
-func TestSchedulerStealPathDoesNotAllocate(t *testing.T) {
-	exps := skewedExperiments(256)
-	const runs = 10
-	// Deque construction (sorting, slice growth) happens once per run
-	// and may allocate; build the schedulers up front so the measured
-	// closure is the dispatch hot path alone. AllocsPerRun invokes the
-	// closure runs+1 times (one warm-up).
-	scheds := make([]*scheduler, runs+1)
-	for i := range scheds {
-		scheds[i] = newScheduler(exps, 8, 4)
+// TestClaimOrderIsLPT pins the claim order: at one worker, jobs run in
+// descending Cost, and jobs of equal Cost (zero counts as 1) run in
+// submission order. The ties are many and the run long enough that an
+// unstable sort would reorder them.
+func TestClaimOrderIsLPT(t *testing.T) {
+	const n = 64
+	costs := []int{1, 50, 0, 1000, 7, 50, 1}
+	cost := func(i int) int { return max(costs[i%len(costs)], 1) }
+	var ran []int
+	exps := make([]Experiment, n)
+	for i := range exps {
+		i := i
+		exps[i] = Experiment{
+			Name: fmt.Sprintf("lpt-%d", i),
+			Cost: costs[i%len(costs)],
+			Run: func(*Ctx) (Outcome, error) {
+				ran = append(ran, i)
+				return Outcome{}, nil
+			},
+		}
 	}
-	at := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		s := scheds[at]
-		at++
-		var drained int
-		for {
-			// Worker 7 owns the least and steals the most: exercise the
-			// victim-scan loop on every shard.
-			sh := s.next(7)
-			if sh == nil {
-				break
-			}
-			drained += len(sh)
+	if _, err := New(1).Run(context.Background(), exps); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != n {
+		t.Fatalf("ran %d jobs, want %d", len(ran), n)
+	}
+	// (cost desc, index asc) is a strict total order, so a strictly
+	// increasing run of n jobs is exactly the stable LPT order.
+	for k := 1; k < n; k++ {
+		prev, cur := ran[k-1], ran[k]
+		if cost(prev) < cost(cur) || cost(prev) == cost(cur) && prev > cur {
+			t.Fatalf("claim %d ran job %d (cost %d) after job %d (cost %d); order %v",
+				k, cur, cost(cur), prev, cost(prev), ran)
 		}
-		if drained != len(exps) {
-			t.Fatalf("drained %d jobs, want %d", drained, len(exps))
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("scheduler drain allocated %.1f objects/run, want 0", allocs)
 	}
 }
 

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/attack/transient"
@@ -41,5 +43,36 @@ func TestSGXFuseFollowsCellSeed(t *testing.T) {
 	}
 	if bytes.Equal(a, b) {
 		t.Fatalf("seeds 1 and 2 gave the same quoting key %x", a)
+	}
+}
+
+// TestForeshadowMountIsCollected pins the collection at the end of a
+// Foreshadow mount. With automatic collection off, a mount returns with
+// only its outcome added to the heap, not the SGX server it assembled
+// (about 7 MiB), so no later cycle's goal is sized on that server.
+func TestForeshadowMountIsCollected(t *testing.T) {
+	sc, ok := Default.Lookup("foreshadow")
+	if !ok {
+		t.Fatal("foreshadow is not registered")
+	}
+	env, err := NewEnv("sgx", 8, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := sc.Run(env)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Verdict == "" {
+		t.Fatal("foreshadow returned no verdict")
+	}
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Errorf("a Foreshadow mount returned with %.1f MiB more heap than it started with; want its server collected",
+			float64(grew)/(1<<20))
 	}
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/intrust-sim/intrust/internal/attack/transient"
 	"github.com/intrust-sim/intrust/internal/axis"
@@ -134,26 +135,39 @@ func transientScenarios() []*Spec {
 			ID: "foreshadow", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Foreshadow (L1TF): extract the SGX quoting enclave's attestation key through the EPC",
 			Applies: sgxOnly,
+			// Each mount assembles a server and MEE-initializes its
+			// 2 MiB EPC: about 7 MiB that dies with the cell, several
+			// times any other cell's. A collection cycle that runs while
+			// two of them are live marks them all, and at the engine's
+			// GOGC=300 the heap may then grow by four times that before
+			// the next cycle, long after they are gone. Collecting once
+			// the mount returns sizes the next heap goal on what is
+			// live without them.
 			Run: func(env *Env) (Outcome, error) {
-				s, err := env.SGX()
-				if err != nil {
-					return Outcome{}, err
-				}
-				// The SGX instance is rebuilt per pass. Pooling the server
-				// would not skip MEE.Init: every key derives from the
-				// cell-seeded fuse, so the 2 MiB EPC must be encrypted
-				// and MACed under a per-cell key either way, in one AES
-				// pass over its pages.
-				// The l1tf-flush defense (§4.2) turns on SGX's microcode
-				// L1 flush on enclave exits.
-				s.MitigateL1TF = env.DefenseConfig().L1TFFlush
-				r, err := transient.ForeshadowSGX(s, len(sweepSecret), s.MitigateL1TF)
-				if err != nil {
-					return Outcome{}, err
-				}
-				return transientOutcome("foreshadow", env,
-					r, "Foreshadow against the EPC (quoting-enclave key)"), nil
+				out, err := foreshadow(env)
+				runtime.GC()
+				return out, err
 			},
 		},
 	}
+}
+
+func foreshadow(env *Env) (Outcome, error) {
+	s, err := env.SGX()
+	if err != nil {
+		return Outcome{}, err
+	}
+	// The SGX instance is rebuilt per pass. Pooling the server would not
+	// skip MEE.Init: every key derives from the cell-seeded fuse, so the
+	// 2 MiB EPC must be encrypted and MACed under a per-cell key either
+	// way, in one AES pass over its pages.
+	// The l1tf-flush defense (§4.2) turns on SGX's microcode L1 flush on
+	// enclave exits.
+	s.MitigateL1TF = env.DefenseConfig().L1TFFlush
+	r, err := transient.ForeshadowSGX(s, len(sweepSecret), s.MitigateL1TF)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return transientOutcome("foreshadow", env,
+		r, "Foreshadow against the EPC (quoting-enclave key)"), nil
 }
