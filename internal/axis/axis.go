@@ -7,7 +7,7 @@ package axis
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -56,11 +56,17 @@ type Entry interface {
 // case-insensitive; enumeration order is deterministic (family in
 // FamilyOrder ranking, then name) regardless of registration order, so
 // registry-driven sweeps keep the engine's reproducibility guarantees.
+// Register keeps the entries in that order as they arrive, so no
+// enumeration sorts: a lookup path that walks the catalog (a /cell
+// address resolving, a sweep cell's stock wiring) pays a copy, not a
+// sort.
 type Registry[T Entry] struct {
-	kind   string
-	check  func(T) error
-	mu     sync.RWMutex
-	byName map[string]T // key: lower-cased name
+	kind     string
+	check    func(T) error
+	mu       sync.RWMutex
+	byName   map[string]T // key: lower-cased name
+	ordered  []T          // every entry, in All's order
+	families []string     // the distinct families of ordered, in order
 }
 
 // New returns an empty registry of kind (the noun its errors use).
@@ -95,7 +101,29 @@ func (r *Registry[T]) Register(e T) error {
 		return fmt.Errorf("%s: name %q already registered (as %q)", r.kind, name, prev.Name())
 	}
 	r.byName[key] = e
+	i, _ := slices.BinarySearchFunc(r.ordered, e, compareEntries[T])
+	r.ordered = slices.Insert(r.ordered, i, e)
+	if i, found := slices.BinarySearchFunc(r.families, e.Family(), compareFamilies); !found {
+		r.families = slices.Insert(r.families, i, e.Family())
+	}
 	return nil
+}
+
+// compareFamilies orders families by FamilyOrder rank, unknown families
+// after the known ones, alphabetically.
+func compareFamilies(a, b string) int {
+	if c := familyRank(a) - familyRank(b); c != 0 {
+		return c
+	}
+	return strings.Compare(a, b)
+}
+
+// compareEntries is All's order: family, then name.
+func compareEntries[T Entry](a, b T) int {
+	if c := compareFamilies(a.Family(), b.Family()); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name(), b.Name())
 }
 
 // MustRegister is Register panicking on error — for init-time catalog
@@ -116,33 +144,20 @@ func (r *Registry[T]) Lookup(name string) (T, bool) {
 
 // All returns every entry in deterministic order: families in
 // FamilyOrder ranking (unknown families after, alphabetically), names
-// alphabetically within a family.
+// alphabetically within a family. The slice is the caller's own.
 func (r *Registry[T]) All() []T {
 	r.mu.RLock()
-	out := make([]T, 0, len(r.byName))
-	for _, e := range r.byName {
-		out = append(out, e)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		fi, fj := out[i].Family(), out[j].Family()
-		if fi != fj {
-			ri, rj := familyRank(fi), familyRank(fj)
-			if ri != rj {
-				return ri < rj
-			}
-			return fi < fj
-		}
-		return out[i].Name() < out[j].Name()
-	})
-	return out
+	defer r.mu.RUnlock()
+	return append(make([]T, 0, len(r.ordered)), r.ordered...)
 }
 
 // ByFamily returns the entries of one family (matched
 // case-insensitively), in All's order.
 func (r *Registry[T]) ByFamily(family string) []T {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	var out []T
-	for _, e := range r.All() {
+	for _, e := range r.ordered {
 		if strings.EqualFold(e.Family(), family) {
 			out = append(out, e)
 		}
@@ -153,22 +168,17 @@ func (r *Registry[T]) ByFamily(family string) []T {
 // Families returns the distinct families with at least one entry, in
 // FamilyOrder ranking.
 func (r *Registry[T]) Families() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, e := range r.All() {
-		if !seen[e.Family()] {
-			seen[e.Family()] = true
-			out = append(out, e.Family())
-		}
-	}
-	return out
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.Clone(r.families)
 }
 
 // Names returns every entry's name in All's order.
 func (r *Registry[T]) Names() []string {
-	all := r.All()
-	out := make([]string, len(all))
-	for i, e := range all {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]string, len(r.ordered))
+	for i, e := range r.ordered {
 		out[i] = e.Name()
 	}
 	return out

@@ -108,6 +108,53 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestRegistryAllReturnsCopy pins that the registry's kept order never
+// leaks: every enumeration hands out a slice of its own, so a caller
+// writing into it changes no later call, and an entry registered after
+// an enumeration lands in order in the next one.
+func TestRegistryAllReturnsCopy(t *testing.T) {
+	r := newTestRegistry()
+	for _, e := range []*entry{{"bb", FamilyCacheSCA}, {"mm", FamilyTransient}, {"aa", FamilyCacheSCA}} {
+		r.MustRegister(e)
+	}
+	all := r.All()
+	all[0] = &entry{"intruder", FamilyPhysical}
+	fams := r.Families()
+	fams[0] = "intruder"
+	byFam := r.ByFamily(FamilyCacheSCA)
+	byFam[0] = &entry{"intruder", FamilyCacheSCA}
+	names := r.Names()
+	names[0] = "intruder"
+
+	if got, want := r.Names(), []string{"aa", "bb", "mm"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names after writes into returned slices = %v, want %v", got, want)
+	}
+	if got := r.All(); got[0].Name() != "aa" {
+		t.Errorf("All()[0] after a write into an earlier All = %q, want \"aa\"", got[0].Name())
+	}
+	if got, want := r.Families(), []string{FamilyCacheSCA, FamilyTransient}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Families after a write into an earlier Families = %v, want %v", got, want)
+	}
+	if got := r.ByFamily(FamilyCacheSCA); len(got) != 2 || got[0].Name() != "aa" {
+		t.Errorf("ByFamily after a write into an earlier ByFamily = %v", got)
+	}
+
+	r.MustRegister(&entry{"ab", FamilyCacheSCA})
+	r.MustRegister(&entry{"pp", FamilyPhysical})
+	if got, want := r.Names(), []string{"aa", "ab", "bb", "mm", "pp"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Names after late registrations = %v, want %v", got, want)
+	}
+	if got, want := r.Families(), []string{FamilyCacheSCA, FamilyTransient, FamilyPhysical}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Families after late registrations = %v, want %v", got, want)
+	}
+	if len(all) != 3 || len(fams) != 2 {
+		t.Errorf("earlier enumerations grew with later registrations: %d entries, %d families", len(all), len(fams))
+	}
+	if got := newTestRegistry().All(); got == nil || len(got) != 0 {
+		t.Errorf("empty registry's All = %#v, want an empty non-nil slice", got)
+	}
+}
+
 // TestRegistryConcurrentAccess exercises the registry from many
 // goroutines — meaningful under `go test -race`.
 func TestRegistryConcurrentAccess(t *testing.T) {
@@ -122,6 +169,8 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				r.Lookup(fmt.Sprintf("s-%d-%d", g, i/2))
 				r.All()
 				r.ByFamily(FamilyCacheSCA)
+				r.Families()
+				r.Names()
 				r.Len()
 			}
 		}(g)

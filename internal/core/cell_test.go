@@ -240,3 +240,40 @@ func TestCellExperimentRejectsNonCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveCellAllocs pins the allocation count of resolving one named
+// cell address, the work every /cell request does before it looks at the
+// cache. The expanders scan the kept-ordered registries instead of
+// sorting the catalog and building lookup maps per call; a count above
+// the bound means a per-call sort, map or copy came back. Allocation
+// counts do not depend on the machine, so the gate holds on every runner
+// except under the race detector, whose runtime allocates on its own
+// account.
+func TestResolveCellAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const bound = 4
+	opt := CellOptions{Samples: 32}
+	if _, err := ResolveCell("spectre-v1", "sgx", "none", opt); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		ResolveCell("spectre-v1", "sgx", "none", opt)
+	}); n > bound {
+		t.Errorf("ResolveCell allocates %v objects per call, want at most %d", n, bound)
+	}
+}
+
+// BenchmarkResolveCell times resolving one named cell address: the
+// three axis expansions and the option canonicalization, without the
+// serve stack around them.
+func BenchmarkResolveCell(b *testing.B) {
+	opt := CellOptions{Samples: 32}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ResolveCell("spectre-v1", "sgx", "none", opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,7 +12,9 @@ import (
 // hostile input directly from the CLI (-arch/-attack/-defense), so the
 // parsers must reject anything unknown with an error — never panic —
 // and every accepted selection must be well-formed: no duplicates, no
-// empty entries, only registered names.
+// empty entries, only registered names. Each target also replays the
+// input through the reference expanders of ref_test.go and requires the
+// same selection and the same error text.
 
 // splitTokens turns raw fuzz input into an axis list the way the CLI
 // does: comma-separated, whitespace trimmed, empties dropped — plus the
@@ -30,8 +33,14 @@ func FuzzExpandAxis(f *testing.F) {
 	for _, seed := range []string{"", "all", "ALL", "sgx", "SGX,sancus", "sgx,sgx", "enigma", " sgx ,", "all,enigma", ","} {
 		f.Add(seed)
 	}
+	for _, seed := range foldSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		out, err := expandAxis(splitTokens(raw), AllArchitectures, "architecture")
+		toks := splitTokens(raw)
+		out, err := expandAxis(toks, AllArchitectures, "architecture")
+		want, wantErr := refExpandAxis(toks, AllArchitectures, "architecture")
+		checkAgainstRef(t, fmt.Sprintf("expandAxis(%q)", raw), out, want, err, wantErr, func(a, b string) bool { return a == b })
 		if err != nil {
 			return
 		}
@@ -57,11 +66,17 @@ func FuzzExpandAxis(f *testing.F) {
 
 func FuzzExpandScenarios(f *testing.F) {
 	for _, seed := range []string{"", "all", "cachesca", "CACHESCA,flush+reload", "flush+reload,flush+reload",
-		"rowhammer", "physical,clkscrew", "transient, ", "+", "evict+time"} {
+		"rowhammer", "physical,clkscrew", "transient, ", "+", "evict+time", "Transient,PHYSICAL,all"} {
+		f.Add(seed)
+	}
+	for _, seed := range foldSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		out, err := expandScenarios(splitTokens(raw))
+		toks := splitTokens(raw)
+		out, err := expandScenarios(toks)
+		want, wantErr := refExpandScenarios(toks)
+		checkAgainstRef(t, fmt.Sprintf("expandScenarios(%q)", raw), out, want, err, wantErr, func(a, b *scenario.Spec) bool { return a == b })
 		if err != nil {
 			return
 		}
@@ -84,11 +99,17 @@ func FuzzExpandScenarios(f *testing.F) {
 func FuzzExpandDefenses(f *testing.F) {
 	for _, seed := range []string{"", "all", "none", "stock", "NONE,Stock", "way-partition",
 		"ct-aes+clock-jitter", "clock-jitter+CT-AES", "ct-aes+ct-aes", "moat", "+", "++", "a+", "none,all,stock",
-		"way-partition+moat", " way-partition , none "} {
+		"way-partition+moat", " way-partition , none ", "cachesca", "ct-aes,CT-AES,ct-aes+ct-aes"} {
+		f.Add(seed)
+	}
+	for _, seed := range foldSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		out, err := expandDefenses(splitTokens(raw))
+		toks := splitTokens(raw)
+		out, err := expandDefenses(toks)
+		want, wantErr := refExpandDefenses(toks)
+		checkAgainstRef(t, fmt.Sprintf("expandDefenses(%q)", raw), out, want, err, wantErr, sameSel)
 		if err != nil {
 			return
 		}

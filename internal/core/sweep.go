@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -110,13 +111,15 @@ func resolveAxes(archs, attacks, defenses []string) ([]string, []*scenario.Spec,
 // names are still validated), matching is case-insensitive, duplicates
 // collapse while preserving order — experiment names must stay unique
 // within a run (the engine's seeding contract keys on them).
+//
+// The axes hold at most a few dozen values, so every membership test is
+// a linear scan: a /cell address resolves through here on each request,
+// and building lookup maps per call cost more than the scans they saved.
+// Tokens compare by strings.ToLower against the lower-cased value, never
+// by strings.EqualFold, which also folds 'ſ' (U+017F) into 's' and so
+// would accept tokens such as "ſgx" that lower-casing rejects.
 func expandAxis(req, all []string, what string) ([]string, error) {
-	canon := make(map[string]string, len(all))
-	for _, v := range all {
-		canon[strings.ToLower(v)] = v
-	}
 	useAll := len(req) == 0
-	seen := map[string]bool{}
 	var out []string
 	for _, r := range req {
 		tok := strings.ToLower(strings.TrimSpace(r))
@@ -127,12 +130,11 @@ func expandAxis(req, all []string, what string) ([]string, error) {
 			useAll = true
 			continue
 		}
-		c, ok := canon[tok]
-		if !ok {
+		i := slices.IndexFunc(all, func(v string) bool { return strings.ToLower(v) == tok })
+		if i < 0 {
 			return nil, fmt.Errorf("unknown %s %q (want one of %s, or all)", what, r, strings.Join(all, "|"))
 		}
-		if !seen[c] {
-			seen[c] = true
+		if c := all[i]; !slices.Contains(out, c) {
 			out = append(out, c)
 		}
 	}
@@ -148,18 +150,16 @@ func expandAxis(req, all []string, what string) ([]string, error) {
 // anywhere selects the whole registry. Duplicates collapse while
 // preserving selection order.
 func expandScenarios(req []string) ([]*scenario.Spec, error) {
-	families := map[string]bool{}
-	for _, f := range scenario.Default.Families() {
-		families[strings.ToLower(f)] = true
-	}
 	useAll := len(req) == 0
-	seen := map[string]bool{}
 	var out []*scenario.Spec
 	add := func(s *scenario.Spec) {
-		if !seen[s.Name()] {
-			seen[s.Name()] = true
+		if !slices.Contains(out, s) {
 			out = append(out, s)
 		}
+	}
+	families := scenario.Default.Families()
+	isFamily := func(tok string) bool {
+		return slices.ContainsFunc(families, func(f string) bool { return strings.ToLower(f) == tok })
 	}
 	for _, r := range req {
 		tok := strings.ToLower(strings.TrimSpace(r))
@@ -167,7 +167,7 @@ func expandScenarios(req []string) ([]*scenario.Spec, error) {
 		case tok == "":
 		case tok == "all":
 			useAll = true
-		case families[tok]:
+		case isFamily(tok):
 			for _, s := range scenario.Default.ByFamily(tok) {
 				add(s)
 			}
@@ -175,7 +175,7 @@ func expandScenarios(req []string) ([]*scenario.Spec, error) {
 			s, ok := scenario.Default.Lookup(tok)
 			if !ok {
 				return nil, fmt.Errorf("unknown attack %q (want a family [%s], a scenario name from `intrust attacks`, or all)",
-					r, strings.Join(scenario.Default.Families(), "|"))
+					r, strings.Join(families, "|"))
 			}
 			add(s)
 		}
@@ -227,10 +227,8 @@ func expandDefenses(req []string) ([]defenseSel, error) {
 		return []defenseSel{{label: "stock", stock: true}}, nil
 	}
 	var out []defenseSel
-	seen := map[string]bool{}
 	add := func(s defenseSel) {
-		if !seen[s.label] {
-			seen[s.label] = true
+		if !slices.ContainsFunc(out, func(o defenseSel) bool { return o.label == s.label }) {
 			out = append(out, s)
 		}
 	}
@@ -271,7 +269,6 @@ func expandDefenses(req []string) ([]defenseSel, error) {
 func namedDefenseSel(tok string) (defenseSel, error) {
 	parts := strings.Split(tok, "+")
 	var ds []*defense.Spec
-	seen := map[string]bool{}
 	for _, p := range parts {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -282,12 +279,9 @@ func namedDefenseSel(tok string) (defenseSel, error) {
 			return defenseSel{}, fmt.Errorf("unknown defense %q (want one of %s; none; stock; all; or a +combination)",
 				p, strings.Join(defense.Default.Names(), "|"))
 		}
-		key := strings.ToLower(d.Name())
-		if seen[key] {
-			continue
+		if !slices.Contains(ds, d) {
+			ds = append(ds, d)
 		}
-		seen[key] = true
-		ds = append(ds, d)
 	}
 	if len(ds) == 0 {
 		return defenseSel{}, fmt.Errorf("empty defense token %q", tok)

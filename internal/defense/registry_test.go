@@ -132,3 +132,23 @@ func TestStockForDerivesFromMetadata(t *testing.T) {
 		t.Errorf("stockFor(sgx) = %v, want none", got)
 	}
 }
+
+// raceDetectorEnabled is set by race_test.go under `go test -race`.
+var raceDetectorEnabled bool
+
+// TestStockForAllocs pins the allocation count of resolving one
+// architecture's stock wiring, which every stock sweep cell and every
+// cold /cell compute does: the registry hands back a copy of its kept
+// order and nothing is sorted. sgx ships no stock defense, so that copy
+// is the one allocation; a count above the bound means a per-call sort
+// or map came back. Skipped under the race detector, whose runtime
+// allocates on its own account.
+func TestStockForAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race runtime allocates on its own account")
+	}
+	const bound = 1
+	if n := testing.AllocsPerRun(100, func() { StockFor("sgx") }); n > bound {
+		t.Errorf("StockFor(\"sgx\") allocates %v objects per call, want at most %d", n, bound)
+	}
+}

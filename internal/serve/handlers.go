@@ -234,21 +234,22 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	// client holds a body for this address, that body is current. A warm
 	// revalidate (and even a cold one) is therefore a 304 with zero
 	// compute.
-	etag := cellETag(key)
+	addr := key.Encode()
+	etag := cellETag(addr)
 	w.Header().Set("ETag", etag)
 	if etagMatch(r.Header.Get("If-None-Match"), etag) {
 		s.met.revalidations.Add(1)
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if body, ok := s.cache.get(key.Encode()); ok {
+	if body, ok := s.cache.get(addr); ok {
 		writeCell(w, body, "hit")
 		return
 	}
 	// The persistent tier: a restart-warm cell serves (and promotes into
 	// the LRU) without admission or engine work; anything the store
 	// refuses falls through to compute as a plain miss.
-	if body, ok := s.diskLoad(key.Encode()); ok {
+	if body, ok := s.diskLoad(addr); ok {
 		writeCell(w, body, "disk")
 		return
 	}
@@ -269,10 +270,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 }
 
 // cellETag renders a cell's entity tag: a digest of the canonical
-// content address. Strong (no W/ prefix) because equal addresses imply
-// byte-equal bodies.
-func cellETag(key core.CellKey) string {
-	sum := sha256.Sum256([]byte(key.Encode()))
+// content address (a CellKey's Encode). Strong (no W/ prefix) because
+// equal addresses imply byte-equal bodies.
+func cellETag(addr string) string {
+	sum := sha256.Sum256([]byte(addr))
 	return `"` + hex.EncodeToString(sum[:16]) + `"`
 }
 
