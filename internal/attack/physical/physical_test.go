@@ -2,6 +2,7 @@ package physical
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -10,28 +11,24 @@ import (
 )
 
 func TestKocherTimingRecoversExponent(t *testing.T) {
-	mod := big.NewInt(1)
-	mod.Lsh(mod, 61)
-	mod.Sub(mod, big.NewInt(1))
-	exp := big.NewInt(0xB6D5) // 16-bit secret exponent
+	const mod = 1<<61 - 1
+	const exp = 0xB6D5 // 16-bit secret exponent
 	rng := rand.New(rand.NewSource(1))
 	samples := CollectTimingSamples(exp, mod, 600, rng)
-	rec := KocherTiming(samples, mod, exp.BitLen())
-	if rec.Cmp(exp) != 0 {
-		match := MatchingBits(rec, exp, exp.BitLen())
-		t.Fatalf("recovered %#x want %#x (%d/%d bits)", rec, exp, match, exp.BitLen())
+	rec := KocherTiming(samples, mod, bits.Len64(exp))
+	if rec != exp {
+		match := MatchingBits(rec, exp, bits.Len64(exp))
+		t.Fatalf("recovered %#x want %#x (%d/%d bits)", rec, exp, match, bits.Len64(exp))
 	}
 }
 
 func TestKocherTimingDefeatedByLadder(t *testing.T) {
-	mod := big.NewInt(1)
-	mod.Lsh(mod, 61)
-	mod.Sub(mod, big.NewInt(1))
-	exp := big.NewInt(0xB6D5)
+	const mod = 1<<61 - 1
+	const exp = 0xB6D5
 	rng := rand.New(rand.NewSource(2))
 	samples := CollectLadderSamples(exp, mod, 600, rng)
-	rec := KocherTiming(samples, mod, exp.BitLen())
-	if rec.Cmp(exp) == 0 {
+	rec := KocherTiming(samples, mod, bits.Len64(exp))
+	if rec == exp {
 		t.Fatal("timing attack succeeded against the Montgomery ladder")
 	}
 }

@@ -11,6 +11,7 @@ package physical
 import (
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"github.com/intrust-sim/intrust/internal/softcrypto"
@@ -18,114 +19,104 @@ import (
 
 // TimingSample is one (message, total execution time) observation.
 type TimingSample struct {
-	Msg  *big.Int
+	Msg  uint64
 	Time int
 }
 
+// victim is a timed modular exponentiation: square-and-multiply or the
+// Montgomery ladder.
+type victim func(base, exp, m uint64) (uint64, softcrypto.ExpTiming)
+
 // CollectTimingSamples runs the square-and-multiply victim on random
 // messages and records total times — the attacker's measurement phase.
-func CollectTimingSamples(exp, mod *big.Int, n int, rng *rand.Rand) []TimingSample {
-	return ExtendTimingSamples(nil, exp, mod, n, rng)
+func CollectTimingSamples(exp, mod uint64, n int, rng *rand.Rand) []TimingSample {
+	return extendSamples(make([]TimingSample, 0, n), softcrypto.ModExpSquareMultiply, exp, mod, n, rng)
 }
 
 // ExtendTimingSamples appends n more measurements to an existing sample
 // set — the sequential sampling hook: incremental extension draws the
 // same message sequence as one larger CollectTimingSamples call.
-func ExtendTimingSamples(samples []TimingSample, exp, mod *big.Int, n int, rng *rand.Rand) []TimingSample {
-	for i := 0; i < n; i++ {
-		msg := new(big.Int).Rand(rng, mod)
-		_, tm := softcrypto.ModExpSquareMultiply(msg, exp, mod)
-		samples = append(samples, TimingSample{Msg: msg, Time: tm.Total})
-	}
-	return samples
+func ExtendTimingSamples(samples []TimingSample, exp, mod uint64, n int, rng *rand.Rand) []TimingSample {
+	return extendSamples(samples, softcrypto.ModExpSquareMultiply, exp, mod, n, rng)
 }
 
 // CollectLadderSamples is the same measurement against the Montgomery
 // ladder countermeasure.
-func CollectLadderSamples(exp, mod *big.Int, n int, rng *rand.Rand) []TimingSample {
-	out := make([]TimingSample, n)
-	for i := range out {
-		msg := new(big.Int).Rand(rng, mod)
-		_, tm := softcrypto.ModExpLadder(msg, exp, mod)
-		out[i] = TimingSample{Msg: msg, Time: tm.Total}
+func CollectLadderSamples(exp, mod uint64, n int, rng *rand.Rand) []TimingSample {
+	return extendSamples(make([]TimingSample, 0, n), softcrypto.ModExpLadder, exp, mod, n, rng)
+}
+
+// extendSamples times v on n messages drawn uniformly below mod. Each
+// draw is big.Int.Rand's, into one reused Int, so the RNG stream is the
+// one every Kocher cell has always consumed. The limit and the draw share
+// one word backing, the call's only allocation.
+func extendSamples(samples []TimingSample, v victim, exp, mod uint64, n int, rng *rand.Rand) []TimingSample {
+	const nw = 64 / bits.UintSize // words per uint64
+	w := make([]big.Word, 2*nw)
+	var limit, msg big.Int
+	limit.SetBits(w[:0:nw]).SetUint64(mod)
+	msg.SetBits(w[nw:nw])
+	for i := 0; i < n; i++ {
+		m := msg.Rand(rng, &limit).Uint64()
+		_, tm := v(m, exp, mod)
+		samples = append(samples, TimingSample{Msg: m, Time: tm.Total})
 	}
-	return out
+	return samples
 }
 
-// kocherState tracks the attacker's per-message simulation of the victim's
-// intermediate value and predicted cumulative cost for the key prefix
-// guessed so far.
-type kocherState struct {
-	result *big.Int
-	cost   float64
-}
-
-// KocherTiming recovers a bits-long exponent from timing samples by
+// KocherTiming recovers an nbits-long exponent from timing samples by
 // hypothesis testing: for each next bit, simulate both choices for every
 // message and keep the one whose predicted cumulative times correlate
-// better with the measured totals ([23]).
-func KocherTiming(samples []TimingSample, mod *big.Int, bits int) *big.Int {
-	states := make([]kocherState, len(samples))
-	for i := range states {
-		states[i] = kocherState{result: big.NewInt(1)}
+// better with the measured totals ([23]). The simulation uses the
+// victim's cost model: a square and, for a 1-bit, a multiply, each
+// followed by the extra reduction when the result exceeds half the
+// modulus. Both hypotheses square the same state, so the square is
+// computed once per message and bit.
+func KocherTiming(samples []TimingSample, mod uint64, nbits int) uint64 {
+	n := len(samples)
+	half := mod >> 1
+	// Each message's intermediate value and predicted cost under the
+	// hypotheses 0 and 1 for the current bit.
+	res := [2][]uint64{make([]uint64, n), make([]uint64, n)}
+	cost := [2][]float64{make([]float64, n), make([]float64, n)}
+	ys := make([]float64, n)
+	for i, s := range samples {
+		res[1][i] = 1
+		ys[i] = float64(s.Time)
 	}
-	recovered := new(big.Int)
-	recovered.SetBit(recovered, bits-1, 1) // MSB of a bits-long exponent is 1
-	// Advance all states through the MSB (always a squaring+multiply with
-	// result 1 then msg — simulate exactly like the victim).
-	advance(states, samples, mod, 1)
-
-	for pos := bits - 2; pos >= 0; pos-- {
-		corr1, states1 := tryBit(states, samples, mod, 1)
-		corr0, states0 := tryBit(states, samples, mod, 0)
-		if corr1 >= corr0 {
-			recovered.SetBit(recovered, pos, 1)
-			states = states1
-		} else {
-			states = states0
+	// step simulates the next bit from the state hypothesis b left. It
+	// reads each message's state before writing both hypotheses over it,
+	// so it runs in place.
+	step := func(b int) {
+		r0, c0 := res[b], cost[b]
+		for i, s := range samples {
+			r := softcrypto.MulMod(r0[i], r0[i], mod)
+			c := c0[i] + 10
+			if r > half {
+				c += 3
+			}
+			res[0][i], cost[0][i] = r, c
+			r = softcrypto.MulMod(r, s.Msg, mod)
+			c += 10
+			if r > half {
+				c += 3
+			}
+			res[1][i], cost[1][i] = r, c
+		}
+	}
+	// The MSB of an nbits-long exponent is 1; the initial state (1, 0)
+	// starts in hypothesis 1's buffers.
+	recovered, b := uint64(1)<<(nbits-1), 1
+	step(b)
+	for pos := nbits - 2; pos >= 0; pos-- {
+		step(b)
+		b = 0
+		if pearson(cost[1], ys) >= pearson(cost[0], ys) {
+			recovered |= 1 << pos
+			b = 1
 		}
 	}
 	return recovered
-}
-
-// tryBit simulates one more key bit for every message and returns the
-// correlation of predicted cost with measured time.
-func tryBit(states []kocherState, samples []TimingSample, mod *big.Int, bit uint) (float64, []kocherState) {
-	next := make([]kocherState, len(states))
-	for i := range states {
-		next[i] = kocherState{result: new(big.Int).Set(states[i].result), cost: states[i].cost}
-	}
-	advance(next, samples, mod, bit)
-	xs := make([]float64, len(next))
-	ys := make([]float64, len(next))
-	for i := range next {
-		xs[i] = next[i].cost
-		ys[i] = float64(samples[i].Time)
-	}
-	return pearson(xs, ys), next
-}
-
-// advance applies one square(-and-multiply) step with the same cost model
-// as the victim implementation.
-func advance(states []kocherState, samples []TimingSample, mod *big.Int, bit uint) {
-	half := new(big.Int).Rsh(mod, 1)
-	for i := range states {
-		s := &states[i]
-		s.result.Mul(s.result, s.result)
-		s.result.Mod(s.result, mod)
-		s.cost += 10
-		if s.result.Cmp(half) > 0 {
-			s.cost += 3
-		}
-		if bit == 1 {
-			s.result.Mul(s.result, samples[i].Msg)
-			s.result.Mod(s.result, mod)
-			s.cost += 10
-			if s.result.Cmp(half) > 0 {
-				s.cost += 3
-			}
-		}
-	}
 }
 
 func pearson(xs, ys []float64) float64 {
@@ -150,10 +141,10 @@ func pearson(xs, ys []float64) float64 {
 
 // MatchingBits counts equal bits between two exponents over the low n
 // bits — the attack success metric.
-func MatchingBits(a, b *big.Int, n int) int {
+func MatchingBits(a, b uint64, n int) int {
 	m := 0
 	for i := 0; i < n; i++ {
-		if a.Bit(i) == b.Bit(i) {
+		if a>>i&1 == b>>i&1 {
 			m++
 		}
 	}

@@ -173,6 +173,16 @@ func (r *Registry[T]) Families() []string {
 	return slices.Clone(r.families)
 }
 
+// IsFamily reports whether tok names a family with at least one entry.
+// tok must already be lower-cased: families match by lower-casing, never
+// by Unicode case folding, which would accept tokens such as "phyſical".
+// Unlike Families, it copies nothing.
+func (r *Registry[T]) IsFamily(tok string) bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return slices.ContainsFunc(r.families, func(f string) bool { return strings.ToLower(f) == tok })
+}
+
 // Names returns every entry's name in All's order.
 func (r *Registry[T]) Names() []string {
 	r.mu.RLock()

@@ -155,6 +155,28 @@ func TestRegistryAllReturnsCopy(t *testing.T) {
 	}
 }
 
+// TestRegistryIsFamily pins the family test the attacks axis resolves
+// tokens with: a lower-cased token matches a family with entries,
+// whatever the family's case, and nothing else does — not a family
+// without entries, not an unlowered token, not a Unicode case fold.
+func TestRegistryIsFamily(t *testing.T) {
+	r := newTestRegistry()
+	r.MustRegister(&entry{"aa", FamilyPhysical})
+	r.MustRegister(&entry{"bb", "Alpha"})
+	for tok, want := range map[string]bool{
+		"physical":  true,
+		"alpha":     true,
+		"transient": false,
+		"Alpha":     false,
+		"phyſical":  false,
+		"":          false,
+	} {
+		if got := r.IsFamily(tok); got != want {
+			t.Errorf("IsFamily(%q) = %v, want %v", tok, got, want)
+		}
+	}
+}
+
 // TestRegistryConcurrentAccess exercises the registry from many
 // goroutines — meaningful under `go test -race`.
 func TestRegistryConcurrentAccess(t *testing.T) {
@@ -170,6 +192,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 				r.All()
 				r.ByFamily(FamilyCacheSCA)
 				r.Families()
+				r.IsFamily(FamilyPhysical)
 				r.Names()
 				r.Len()
 			}

@@ -253,7 +253,7 @@ func TestResolveCellAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("the race runtime allocates on its own account")
 	}
-	const bound = 4
+	const bound = 3
 	opt := CellOptions{Samples: 32}
 	if _, err := ResolveCell("spectre-v1", "sgx", "none", opt); err != nil {
 		t.Fatal(err)

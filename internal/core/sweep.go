@@ -157,17 +157,13 @@ func expandScenarios(req []string) ([]*scenario.Spec, error) {
 			out = append(out, s)
 		}
 	}
-	families := scenario.Default.Families()
-	isFamily := func(tok string) bool {
-		return slices.ContainsFunc(families, func(f string) bool { return strings.ToLower(f) == tok })
-	}
 	for _, r := range req {
 		tok := strings.ToLower(strings.TrimSpace(r))
 		switch {
 		case tok == "":
 		case tok == "all":
 			useAll = true
-		case isFamily(tok):
+		case scenario.Default.IsFamily(tok):
 			for _, s := range scenario.Default.ByFamily(tok) {
 				add(s)
 			}
@@ -175,7 +171,7 @@ func expandScenarios(req []string) ([]*scenario.Spec, error) {
 			s, ok := scenario.Default.Lookup(tok)
 			if !ok {
 				return nil, fmt.Errorf("unknown attack %q (want a family [%s], a scenario name from `intrust attacks`, or all)",
-					r, strings.Join(families, "|"))
+					r, strings.Join(scenario.Default.Families(), "|"))
 			}
 			add(s)
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"github.com/intrust-sim/intrust/internal/attack/physical"
@@ -43,9 +44,8 @@ func LeakIf(b bool) string {
 
 // kocherTarget returns the shared 61-bit modexp victim parameters every
 // Kocher-timing measurement (TAB5 and the sweep) attacks.
-func kocherTarget() (mod, exp *big.Int) {
-	mod = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 61), big.NewInt(1))
-	return mod, big.NewInt(0xB6D5)
+func kocherTarget() (mod, exp uint64) {
+	return 1<<61 - 1, 0xB6D5
 }
 
 // KocherRecovers mounts the Kocher timing attack with the given sample
@@ -54,10 +54,9 @@ func kocherTarget() (mod, exp *big.Int) {
 // from n timings. TAB5 and the sweep's kocher-timing scenario measure
 // exactly this, from this one definition, so their victims cannot drift
 // apart.
-func KocherRecovers(collect func(exp, mod *big.Int, n int, rng *rand.Rand) []physical.TimingSample, n int, rng *rand.Rand) bool {
+func KocherRecovers(collect func(exp, mod uint64, n int, rng *rand.Rand) []physical.TimingSample, n int, rng *rand.Rand) bool {
 	mod, exp := kocherTarget()
-	rec := physical.KocherTiming(collect(exp, mod, n, rng), mod, exp.BitLen())
-	return rec.Cmp(exp) == 0
+	return physical.KocherTiming(collect(exp, mod, n, rng), mod, bits.Len64(exp)) == exp
 }
 
 // aesTracePoints is the per-trace sample count of the AES victims (160
@@ -122,7 +121,7 @@ func physicalScenarios() []*Spec {
 				plan.Walk(func(n int) bool {
 					samples = physical.ExtendTimingSamples(samples, exp, mod, n-done, env.RNG)
 					done = n
-					ok = physical.KocherTiming(samples, mod, exp.BitLen()).Cmp(exp) == 0
+					ok = physical.KocherTiming(samples, mod, bits.Len64(exp)) == exp
 					return ok
 				})
 				return Outcome{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // This file implements the RSA victims of Section 5: modular
@@ -14,10 +15,12 @@ import (
 
 // ExpTiming records the simulated execution time of a modular
 // exponentiation. PerBit holds the cost of each key-bit iteration, MSB
-// first; Total is their sum.
+// first, in its first bits.Len64(exp) entries (the rest are zero); Total
+// is their sum. It is a value, so timing an exponentiation allocates
+// nothing.
 type ExpTiming struct {
 	Total  int
-	PerBit []int
+	PerBit [64]int
 }
 
 // Cost model constants (cycles): a modular squaring, a modular multiply,
@@ -34,36 +37,41 @@ const (
 // reduction: present when the pre-reduction value's low half exceeds the
 // modulus half. The predicate must be computable by an attacker simulating
 // the algorithm, which this one is.
-func extraReduction(v, mod *big.Int) bool {
-	half := new(big.Int).Rsh(mod, 1)
-	return v.Cmp(half) > 0
+func extraReduction(v, mod uint64) bool {
+	return v > mod>>1
+}
+
+// MulMod returns a*b mod m for m >= 1. One operand must already be below
+// m, which keeps the 128-bit product's high word below m as bits.Div64
+// requires; the victims reduce the base first, so theirs always are.
+func MulMod(a, b, m uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	_, r := bits.Div64(hi, lo, m)
+	return r
 }
 
 // ModExpSquareMultiply computes base^exp mod m by left-to-right square-
 // and-multiply, returning the data-dependent timing trace. The multiply is
 // executed only for 1-bits — the timing channel.
-func ModExpSquareMultiply(base, exp, m *big.Int) (*big.Int, ExpTiming) {
-	result := big.NewInt(1)
-	b := new(big.Int).Mod(base, m)
-	bits := exp.BitLen()
-	t := ExpTiming{PerBit: make([]int, 0, bits)}
-	for i := bits - 1; i >= 0; i-- {
-		cost := 0
-		result.Mul(result, result)
-		result.Mod(result, m)
-		cost += costSquare
+func ModExpSquareMultiply(base, exp, m uint64) (uint64, ExpTiming) {
+	result := uint64(1)
+	b := base % m
+	var t ExpTiming
+	n := bits.Len64(exp)
+	for i := n - 1; i >= 0; i-- {
+		result = MulMod(result, result, m)
+		cost := costSquare
 		if extraReduction(result, m) {
 			cost += costExtraRed
 		}
-		if exp.Bit(i) == 1 {
-			result.Mul(result, b)
-			result.Mod(result, m)
+		if exp>>i&1 == 1 {
+			result = MulMod(result, b, m)
 			cost += costMultiply
 			if extraReduction(result, m) {
 				cost += costExtraRed
 			}
 		}
-		t.PerBit = append(t.PerBit, cost)
+		t.PerBit[n-1-i] = cost
 		t.Total += cost
 	}
 	return result, t
@@ -73,26 +81,21 @@ func ModExpSquareMultiply(base, exp, m *big.Int) (*big.Int, ExpTiming) {
 // iteration performs exactly one square and one multiply regardless of the
 // key bit, and the extra-reduction cost is charged unconditionally —
 // constant-time per bit.
-func ModExpLadder(base, exp, m *big.Int) (*big.Int, ExpTiming) {
-	r0 := big.NewInt(1)
-	r1 := new(big.Int).Mod(base, m)
-	bits := exp.BitLen()
-	t := ExpTiming{PerBit: make([]int, 0, bits)}
-	for i := bits - 1; i >= 0; i-- {
-		if exp.Bit(i) == 0 {
-			r1.Mul(r1, r0)
-			r1.Mod(r1, m)
-			r0.Mul(r0, r0)
-			r0.Mod(r0, m)
+func ModExpLadder(base, exp, m uint64) (uint64, ExpTiming) {
+	r0, r1 := uint64(1), base%m
+	var t ExpTiming
+	n := bits.Len64(exp)
+	for i := n - 1; i >= 0; i-- {
+		if exp>>i&1 == 0 {
+			r1 = MulMod(r1, r0, m)
+			r0 = MulMod(r0, r0, m)
 		} else {
-			r0.Mul(r0, r1)
-			r0.Mod(r0, m)
-			r1.Mul(r1, r1)
-			r1.Mod(r1, m)
+			r0 = MulMod(r0, r1, m)
+			r1 = MulMod(r1, r1, m)
 		}
 		// Constant cost: one multiply + one square + worst-case reduction.
 		cost := costSquare + costMultiply + 2*costExtraRed
-		t.PerBit = append(t.PerBit, cost)
+		t.PerBit[n-1-i] = cost
 		t.Total += cost
 	}
 	return r0, t

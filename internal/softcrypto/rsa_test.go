@@ -9,28 +9,46 @@ import (
 
 func TestModExpMatchesBigExp(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	f := func() bool {
-		base := new(big.Int).Rand(rng, big.NewInt(1<<62))
-		exp := new(big.Int).Rand(rng, big.NewInt(1<<62))
-		mod := new(big.Int).Add(new(big.Int).Rand(rng, big.NewInt(1<<62)), big.NewInt(3))
-		want := new(big.Int).Exp(base, exp, mod)
+	check := func(base, exp, mod uint64) bool {
+		want := new(big.Int).Exp(new(big.Int).SetUint64(base), new(big.Int).SetUint64(exp), new(big.Int).SetUint64(mod))
+		if exp == 0 {
+			want.SetInt64(1) // both victims return the unreduced 1 for an empty exponent
+		}
 		sm, _ := ModExpSquareMultiply(base, exp, mod)
 		ladder, _ := ModExpLadder(base, exp, mod)
-		return sm.Cmp(want) == 0 && ladder.Cmp(want) == 0
+		return want.IsUint64() && sm == want.Uint64() && ladder == want.Uint64()
+	}
+	f := func() bool {
+		base := new(big.Int).Rand(rng, big.NewInt(1<<62)).Uint64()
+		exp := new(big.Int).Rand(rng, big.NewInt(1<<62)).Uint64()
+		mod := new(big.Int).Rand(rng, big.NewInt(1<<62)).Uint64() + 3
+		return check(base, exp, mod)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+	// The word-size edges: the 128-bit product of two residues of a
+	// modulus near 2^64 must still divide exactly, and a modulus of 1 or 2
+	// must not trip the reduction.
+	for _, mod := range []uint64{1, 2, 3, 1<<61 - 1, 1 << 63, 1<<64 - 59, 1<<64 - 1} {
+		for i := 0; i < 50; i++ {
+			base, exp := rng.Uint64(), rng.Uint64()
+			if i == 0 {
+				exp = 0
+			}
+			if !check(base, exp, mod) {
+				t.Fatalf("base %#x exp %#x mod %#x: victims disagree with big.Int.Exp", base, exp, mod)
+			}
+		}
+	}
 }
 
 func TestSquareMultiplyTimingLeaksKeyBits(t *testing.T) {
-	mod := big.NewInt(1)
-	mod.Lsh(mod, 127)
-	mod.Sub(mod, big.NewInt(1)) // Mersenne-ish odd modulus
-	base := big.NewInt(0x1234567)
-	heavy, _ := new(big.Int).SetString("ffffffffffffffff", 16) // all ones
-	light := big.NewInt(0x8000000000000000 >> 1)               // single one... plus MSB
-	light.SetBit(light, 63, 1)
+	const mod = 1<<61 - 1 // Mersenne modulus
+	base := uint64(0x1234567)
+	heavy := uint64(0xffffffffffffffff)      // all ones
+	light := uint64(0x8000000000000000 >> 1) // single one... plus MSB
+	light |= 1 << 63
 	_, tHeavy := ModExpSquareMultiply(base, heavy, mod)
 	_, tLight := ModExpSquareMultiply(base, light, mod)
 	if tHeavy.Total <= tLight.Total {
@@ -40,15 +58,13 @@ func TestSquareMultiplyTimingLeaksKeyBits(t *testing.T) {
 }
 
 func TestLadderTimingConstantPerBit(t *testing.T) {
-	mod := big.NewInt(1)
-	mod.Lsh(mod, 127)
-	mod.Sub(mod, big.NewInt(1))
-	base := big.NewInt(99991)
+	const mod = 1<<61 - 1
+	base := uint64(99991)
 	rng := rand.New(rand.NewSource(7))
 	var total int
 	for trial := 0; trial < 20; trial++ {
-		exp := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64))
-		exp.SetBit(exp, 63, 1) // fixed bit length
+		exp := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 64)).Uint64()
+		exp |= 1 << 63 // fixed bit length
 		_, tm := ModExpLadder(base, exp, mod)
 		if trial == 0 {
 			total = tm.Total
@@ -65,14 +81,13 @@ func TestLadderTimingConstantPerBit(t *testing.T) {
 
 func TestSquareMultiplyTimingVariesAcrossMessages(t *testing.T) {
 	// The Kocher attack needs message-dependent timing for a FIXED key.
-	mod := big.NewInt(1)
-	mod.Lsh(mod, 127)
-	mod.Sub(mod, big.NewInt(1))
-	exp, _ := new(big.Int).SetString("deadbeefcafe1234", 16)
+	const mod = 1<<61 - 1
+	exp := uint64(0xdeadbeefcafe1234)
 	rng := rand.New(rand.NewSource(8))
+	limit := new(big.Int).SetUint64(mod)
 	seen := map[int]bool{}
 	for i := 0; i < 50; i++ {
-		msg := new(big.Int).Rand(rng, mod)
+		msg := new(big.Int).Rand(rng, limit).Uint64()
 		_, tm := ModExpSquareMultiply(msg, exp, mod)
 		seen[tm.Total] = true
 	}
