@@ -14,10 +14,13 @@ import (
 	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/cpu"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/isa"
 	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/power"
 	"github.com/intrust-sim/intrust/internal/softcrypto"
 	"github.com/intrust-sim/intrust/internal/stats"
+	"github.com/intrust-sim/intrust/internal/tee"
+	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
 // ---------------------------------------------------------------------
@@ -388,7 +391,7 @@ func BenchmarkAblationMEECost(b *testing.B) {
 		p := platform.NewServer()
 		if withMEE {
 			// Attach an MEE over the measured range.
-			if _, err := NewSGX(p); err != nil {
+			if _, err := sgx.New(p); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -438,7 +441,7 @@ func BenchmarkSpectreLeakRate(b *testing.B) {
 // per pass.
 func BenchmarkForeshadowExtraction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := NewSGX(platform.NewServer())
+		s, err := sgx.New(platform.NewServer())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -466,7 +469,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 func BenchmarkCPUSimulation(b *testing.B) {
 	p := platform.NewServer()
-	prog := MustAssemble(`
+	prog := isa.MustAssemble(`
         li   t0, 0
         li   t1, 1000
 loop:   addi t0, t0, 1
@@ -555,12 +558,12 @@ func BenchmarkAttestationReport(b *testing.B) {
 
 func BenchmarkEnclaveCall(b *testing.B) {
 	p := platform.NewServer()
-	s, err := NewSGX(p)
+	s, err := sgx.New(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := s.CreateEnclave(EnclaveConfig{
-		Name: "bench", Program: MustAssemble(".org 0\nhlt"), DataSize: 4096,
+	e, err := s.CreateEnclave(tee.EnclaveConfig{
+		Name: "bench", Program: isa.MustAssemble(".org 0\nhlt"), DataSize: 4096,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -47,7 +47,7 @@ func runAttest(args []string) int {
 	}
 	sub := args[0]
 	fs := flag.NewFlagSet("attest "+sub, flag.ExitOnError)
-	arch := fs.String("arch", "", "architecture ("+strings.Join(core.AllArchitectures, ",")+")")
+	arch := fs.String("arch", "", "architecture ("+strings.Join(platform.Architectures, ",")+")")
 	config := fs.String("config", attestsvc.ConfigStock, "enclave defense configuration (none|stock)")
 	tcb := fs.Uint("tcb", 0, "claimed TCB version (0 = the config's canonical version)")
 	nonceHex := fs.String("nonce", "", "challenger nonce (hex); bound into the quote and checked on verify")

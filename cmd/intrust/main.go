@@ -67,6 +67,7 @@ import (
 	"github.com/intrust-sim/intrust/internal/diskcache"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/fault"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/serve"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -180,7 +181,7 @@ func main() {
 // target), and -o redirects either rendering to a file.
 func runAttacks(args []string) int {
 	fs := flag.NewFlagSet("attacks", flag.ExitOnError)
-	family := fs.String("family", "", "restrict the listing to one family ("+strings.Join(core.AllAttackFamilies, "|")+")")
+	family := fs.String("family", "", "restrict the listing to one family ("+strings.Join(axis.FamilyOrder, "|")+")")
 	markdown := fs.Bool("markdown", false, "emit the EXPERIMENTS.md catalog index instead of the table")
 	outPath := fs.String("o", "", "write to this file instead of stdout")
 	fs.Parse(args)
@@ -230,7 +231,7 @@ func runAttacks(args []string) int {
 // engine worker pool and renders the results as text or JSON.
 func runSweep(args []string) int {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	archFlag := fs.String("arch", "all", "comma-separated architectures ("+strings.Join(core.AllArchitectures, ",")+") or all")
+	archFlag := fs.String("arch", "all", "comma-separated architectures ("+strings.Join(platform.Architectures, ",")+") or all")
 	attackFlag := fs.String("attack", "all", "comma-separated scenario or family names (see `intrust attacks`) or all")
 	defenseFlag := fs.String("defense", "stock", "comma-separated defense axis: none|stock|all, names from `intrust defenses`, or +combinations")
 	samples := fs.Int("samples", 256, "sample budget per experiment (traces, probe rounds); the adaptive reference budget")

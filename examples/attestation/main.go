@@ -8,19 +8,23 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/intrust-sim/intrust"
+	"github.com/intrust-sim/intrust/internal/attest"
+	"github.com/intrust-sim/intrust/internal/isa"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/tee"
+	"github.com/intrust-sim/intrust/internal/tee/smart"
+	"github.com/intrust-sim/intrust/internal/tee/tytan"
 )
 
 func main() {
 	// A SMART-enabled microcontroller.
-	dev := intrust.NewEmbeddedPlatform()
-	sm, err := intrust.NewSMART(dev)
+	dev := platform.NewEmbedded()
+	sm, err := smart.New(dev)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Application firmware at 0x8000; it re-enables interrupts and halts.
-	fw := intrust.MustAssemble(`
+	fw := isa.MustAssemble(`
         .org 0x8000
 app:    li   t0, 1
         csrw status, t0
@@ -34,10 +38,10 @@ app:    li   t0, 1
 	// The verifier (cloud backend) challenges the device. A sensor
 	// interrupt arrives right before attestation: SMART holds it off for
 	// the whole run (its real-time cost).
-	verifier := intrust.NewVerifier(intrust.VerifierPolicy{Freshness: true})
+	verifier := attest.NewVerifier(attest.Policy{Freshness: true})
 	nonce, _ := verifier.Challenge()
 	dev.Core(0).SetCSR(0x011 /* tvec */, 0x9000)
-	if err := dev.Mem.LoadProgram(intrust.MustAssemble(".org 0x9000\nhlt")); err != nil {
+	if err := dev.Mem.LoadProgram(isa.MustAssemble(".org 0x9000\nhlt")); err != nil {
 		log.Fatal(err)
 	}
 	dev.Core(0).RaiseIRQ()
@@ -69,11 +73,11 @@ app:    li   t0, 1
 	}
 
 	// TyTAN on a fresh device: same attestation, bounded latency.
-	ty, err := intrust.NewTyTAN(intrust.NewEmbeddedPlatform())
+	ty, err := tytan.New(platform.NewEmbedded())
 	if err != nil {
 		log.Fatal(err)
 	}
-	prog := intrust.MustAssemble(".org 0\nhlt")
+	prog := isa.MustAssemble(".org 0\nhlt")
 	tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "rt-app", Program: prog, DataSize: 64}, ty.SignImage(prog.Segments[0].Data))
 	if err != nil {
 		log.Fatal(err)

@@ -9,8 +9,9 @@ import (
 	"log"
 	"math/rand"
 
-	"github.com/intrust-sim/intrust"
+	"github.com/intrust-sim/intrust/internal/attack/cachesca"
 	"github.com/intrust-sim/intrust/internal/cache"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 const (
@@ -25,30 +26,30 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 
 	// Scenario 1: undefended shared cache (SGX / TrustZone situation).
-	plat := intrust.NewServerPlatform()
-	victim, err := intrust.NewCacheVictim(plat.Core(0).Hier, key, victimDomain, tableBase)
+	plat := platform.NewServer()
+	victim, err := cachesca.NewVictim(plat.Core(0).Hier, key, victimDomain, tableBase)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("== undefended platform (SGX / TrustZone have no cache defense) ==")
-	fmt.Println(intrust.FlushReload(victim, samples, attackerDomain, rng))
-	fmt.Println(intrust.PrimeProbe(victim, plat.LLC, samples, attackerDomain, rng))
-	fmt.Println(intrust.EvictTime(victim, samples*8, rng))
+	fmt.Println(cachesca.FlushReload(victim, samples, attackerDomain, rng))
+	fmt.Println(cachesca.PrimeProbe(victim, plat.LLC, samples, attackerDomain, rng))
+	fmt.Println(cachesca.EvictTime(victim, samples*8, rng))
 
 	// Scenario 2: Sanctum — LLC partitioning between domains.
-	plat2 := intrust.NewServerPlatform()
-	victim2, err := intrust.NewCacheVictim(plat2.Core(0).Hier, key, victimDomain, tableBase)
+	plat2 := platform.NewServer()
+	victim2, err := cachesca.NewVictim(plat2.Core(0).Hier, key, victimDomain, tableBase)
 	if err != nil {
 		log.Fatal(err)
 	}
 	plat2.LLC.SetPartition(victimDomain, 0x00ff)
 	plat2.LLC.SetPartition(attackerDomain, 0xff00)
 	fmt.Println("\n== Sanctum-style LLC partition ==")
-	fmt.Println(intrust.PrimeProbe(victim2, plat2.LLC, samples, attackerDomain, rng))
+	fmt.Println(cachesca.PrimeProbe(victim2, plat2.LLC, samples, attackerDomain, rng))
 
 	// Scenario 3: Sanctuary — enclave memory excluded from shared caches.
-	plat3 := intrust.NewServerPlatform()
-	victim3, err := intrust.NewCacheVictim(plat3.Core(0).Hier, key, victimDomain, tableBase)
+	plat3 := platform.NewServer()
+	victim3, err := cachesca.NewVictim(plat3.Core(0).Hier, key, victimDomain, tableBase)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,11 +60,11 @@ func main() {
 		return cache.LevelAll
 	}
 	fmt.Println("\n== Sanctuary-style cache exclusion ==")
-	fmt.Println(intrust.PrimeProbe(victim3, plat3.LLC, samples, attackerDomain, rng))
+	fmt.Println(cachesca.PrimeProbe(victim3, plat3.LLC, samples, attackerDomain, rng))
 
 	// Bonus: the TLB and BTB channels the paper cites ([15], [28]).
 	tlb := cache.NewTLB(32, 4)
 	secret := []byte{0xA5, 0x3C}
-	_, bits := intrust.TLBAttack(tlb, secret, 1, 2)
+	_, bits := cachesca.TLBAttack(tlb, secret, 1, 2)
 	fmt.Printf("\nTLB prime+probe: %d/%d secret bits through the shared TLB\n", bits, len(secret)*8)
 }

@@ -9,7 +9,6 @@ import (
 	"log"
 	"math/rand"
 
-	"github.com/intrust-sim/intrust"
 	"github.com/intrust-sim/intrust/internal/attack/physical"
 )
 
@@ -20,14 +19,14 @@ func main() {
 	for _, kind := range []physical.GlitchKind{
 		physical.GlitchClock, physical.GlitchVoltage, physical.GlitchEM, physical.GlitchOptical,
 	} {
-		pts := intrust.GlitchCampaign(kind, 21, 200, rng)
+		pts := physical.GlitchCampaign(kind, 21, 200, rng)
 		s, faults := physical.BestGlitchStrength(pts)
 		fmt.Printf("  %-8v sweet spot at strength %.2f (%d/200 exploitable faults)\n", kind, s, faults)
 	}
 
 	// Phase 1-3: the full CLKSCREW chain against TrustZone.
 	fmt.Println("\nCLKSCREW against the TrustZone secure world:")
-	res, err := intrust.CLKSCREW(42)
+	res, err := physical.CLKSCREW(42)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"log"
 	"math/rand"
 
-	"github.com/intrust-sim/intrust"
 	"github.com/intrust-sim/intrust/internal/attack/physical"
+	"github.com/intrust-sim/intrust/internal/power"
 )
 
 func main() {
@@ -22,13 +22,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, ok := intrust.TracesToDisclosure(victim, intrust.PowerProbe(0.8, 1), key, 4096, rng)
+	n, ok := physical.TracesToDisclosure(victim, power.PowerProbe(0.8, 1), key, 4096, rng)
 	fmt.Printf("unprotected AES : CPA recovers the key after %d traces (success=%v)\n", n, ok)
 
 	// Difference-of-means DPA on the same victim.
-	traces := intrust.NewTraceArena(16)
-	intrust.ExtendArena(traces, victim, intrust.PowerProbe(0.5, 2), 1500, rng)
-	dpaKey := intrust.DPAKeyArena(traces)
+	traces := power.NewArena(16)
+	physical.ExtendArena(traces, victim, power.PowerProbe(0.5, 2), 1500, rng)
+	dpaKey := physical.DPAKeyArena(traces)
 	fmt.Printf("classic DPA     : %d/16 key bytes from 1500 traces\n",
 		physical.CorrectBytes(dpaKey, key))
 
@@ -38,18 +38,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nM, okM := intrust.TracesToDisclosure(masked, intrust.PowerProbe(0.8, 3), key, 4096, rng)
+	nM, okM := physical.TracesToDisclosure(masked, power.PowerProbe(0.8, 3), key, 4096, rng)
 	fmt.Printf("1st-order masked: CPA fails within %d traces (success=%v)\n", nM, okM)
 
 	// Hiding (random delays): raises the budget without removing leakage.
-	hidden := intrust.PowerProbe(0.8, 4)
+	hidden := power.PowerProbe(0.8, 4)
 	hidden.JitterMax = 6
-	nH, okH := intrust.TracesToDisclosure(victim, hidden, key, 4096, rng)
+	nH, okH := physical.TracesToDisclosure(victim, hidden, key, 4096, rng)
 	fmt.Printf("hiding (jitter) : CPA needs %d traces (success=%v)\n", nH, okH)
 
 	// EM emanations: same attack, weaker coupling.
-	emTraces := intrust.NewTraceArena(16)
-	intrust.ExtendArena(emTraces, victim, intrust.EMProbe(0.8, 5), 1024, rng)
+	emTraces := power.NewArena(16)
+	physical.ExtendArena(emTraces, victim, power.EMProbe(0.8, 5), 1024, rng)
 	fmt.Printf("EM probe        : %d/16 key bytes from 1024 traces\n",
-		physical.CorrectBytes(intrust.CPAKeyArena(emTraces), key))
+		physical.CorrectBytes(physical.CPAKeyArena(emTraces), key))
 }

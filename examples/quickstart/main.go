@@ -7,20 +7,24 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/intrust-sim/intrust"
+	"github.com/intrust-sim/intrust/internal/attest"
+	"github.com/intrust-sim/intrust/internal/isa"
+	"github.com/intrust-sim/intrust/internal/platform"
+	"github.com/intrust-sim/intrust/internal/tee"
+	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
 func main() {
 	// 1. A server-class platform with SGX.
-	plat := intrust.NewServerPlatform()
-	sgx, err := intrust.NewSGX(plat)
+	plat := platform.NewServer()
+	host, err := sgx.New(plat)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. An enclave holding a monotonic counter. The program reads the
 	// counter from its (encrypted) data page, increments and stores it.
-	prog := intrust.MustAssemble(`
+	prog := isa.MustAssemble(`
         .org 0
 entry:  lw   t0, 0(a0)     ; a0 = enclave data base
         addi t0, t0, 1
@@ -28,16 +32,13 @@ entry:  lw   t0, 0(a0)     ; a0 = enclave data base
         mv   a0, t0         ; return the new value
         hlt
 `)
-	e, err := sgx.CreateEnclave(intrust.EnclaveConfig{
+	e, err := host.CreateEnclave(tee.EnclaveConfig{
 		Name: "counter", Program: prog, DataSize: 4096,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	enc := e.(interface {
-		Call(args ...uint32) ([2]uint32, error)
-		DataBase() uint32
-	})
+	enc := e.(*sgx.Enclave)
 	for i := 0; i < 3; i++ {
 		ret, err := enc.Call(enc.DataBase())
 		if err != nil {
@@ -48,17 +49,14 @@ entry:  lw   t0, 0(a0)     ; a0 = enclave data base
 
 	// 3. Remote attestation: the verifier challenges with a nonce and
 	// checks the Ed25519 quote against the platform's public key.
-	verifier := intrust.NewVerifier(intrust.VerifierPolicy{Freshness: true})
-	verifier.Trust("sgx", sgx.QuotingPublic().Public())
+	verifier := attest.NewVerifier(attest.Policy{Freshness: true})
+	verifier.Trust("sgx", host.QuotingPublic().Public())
 	verifier.AllowMeasurement("counter", e.Measurement())
 	nonce, err := verifier.Challenge()
 	if err != nil {
 		log.Fatal(err)
 	}
-	quoter := e.(interface {
-		Quote(nonce []byte) (*intrust.Quote, error)
-	})
-	quote, err := quoter.Quote(nonce)
+	quote, err := enc.Quote(nonce)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +80,7 @@ entry:  lw   t0, 0(a0)     ; a0 = enclave data base
 	// 5. The hardware guarantees: the OS, DMA devices and physical bus
 	// probes all fail to read the enclave's plaintext.
 	dataOff := enc.DataBase() - e.Base()
-	fmt.Printf("OS access probe:   %v\n", intrust.ProbeOSAccess(sgx, e, dataOff, 3).Detail)
-	fmt.Printf("DMA attack probe:  %v\n", intrust.ProbeDMA(sgx, e, dataOff, 3).Detail)
-	fmt.Printf("bus snoop probe:   %v\n", intrust.ProbeBusSnoop(sgx, e, dataOff, 3).Detail)
+	fmt.Printf("OS access probe:   %v\n", tee.ProbeOSAccess(host, e, dataOff, 3).Detail)
+	fmt.Printf("DMA attack probe:  %v\n", tee.ProbeDMA(host, e, dataOff, 3).Detail)
+	fmt.Printf("bus snoop probe:   %v\n", tee.ProbeBusSnoop(host, e, dataOff, 3).Detail)
 }

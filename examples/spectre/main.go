@@ -9,57 +9,60 @@ import (
 	"fmt"
 	"log"
 
-	"github.com/intrust-sim/intrust"
+	"github.com/intrust-sim/intrust/internal/attack/transient"
+	"github.com/intrust-sim/intrust/internal/cpu"
+	"github.com/intrust-sim/intrust/internal/platform"
+	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
 func main() {
 	secret := []byte("HW-TRUST-SECRET!")
 
 	fmt.Println("== Spectre v1 (bounds-check bypass) ==")
-	res, err := intrust.SpectreV1(intrust.HighEndFeatures(), secret, false)
+	res, err := transient.SpectreV1(cpu.HighEndFeatures(), secret, false)
 	must(err)
 	fmt.Printf("speculative core : %s -> %q\n", res, printable(res.Recovered))
-	res, err = intrust.SpectreV1(intrust.HighEndFeatures(), secret, true)
+	res, err = transient.SpectreV1(cpu.HighEndFeatures(), secret, true)
 	must(err)
 	fmt.Printf("with fence       : %s\n", res)
-	res, err = intrust.SpectreV1(intrust.EmbeddedFeatures(), secret, false)
+	res, err = transient.SpectreV1(cpu.EmbeddedFeatures(), secret, false)
 	must(err)
 	fmt.Printf("in-order core    : %s (IoT devices lack speculation)\n", res)
 
 	fmt.Println("\n== Spectre v2 (BTB injection) and ret2spec (RSB) ==")
-	res, err = intrust.SpectreBTB(intrust.HighEndFeatures(), secret, false)
+	res, err = transient.SpectreBTB(cpu.HighEndFeatures(), secret, false)
 	must(err)
 	fmt.Printf("shared BTB       : %s\n", res)
-	res, err = intrust.SpectreBTB(intrust.HighEndFeatures(), secret, true)
+	res, err = transient.SpectreBTB(cpu.HighEndFeatures(), secret, true)
 	must(err)
 	fmt.Printf("predictor flush  : %s\n", res)
-	res, err = intrust.Ret2spec(intrust.HighEndFeatures(), secret)
+	res, err = transient.Ret2spec(cpu.HighEndFeatures(), secret)
 	must(err)
 	fmt.Printf("poisoned RSB     : %s\n", res)
 
 	fmt.Println("\n== Meltdown (kernel memory from user space) ==")
-	res, err = intrust.Meltdown(intrust.HighEndFeatures(), secret)
+	res, err = transient.Meltdown(cpu.HighEndFeatures(), secret)
 	must(err)
 	fmt.Printf("vulnerable core  : %s -> %q\n", res, printable(res.Recovered))
-	fixed := intrust.HighEndFeatures()
+	fixed := cpu.HighEndFeatures()
 	fixed.FaultForwarding = false
-	res, err = intrust.Meltdown(fixed, secret)
+	res, err = transient.Meltdown(fixed, secret)
 	must(err)
 	fmt.Printf("fixed silicon    : %s\n", res)
 
 	fmt.Println("\n== Foreshadow (L1TF vs SGX) ==")
-	plat := intrust.NewServerPlatform()
-	sgx, err := intrust.NewSGX(plat)
+	plat := platform.NewServer()
+	host, err := sgx.New(plat)
 	must(err)
-	res, err = intrust.ForeshadowSGX(sgx, 16, false)
+	res, err = transient.ForeshadowSGX(host, 16, false)
 	must(err)
 	fmt.Printf("quoting enclave  : %s (attestation key bytes!)\n", res)
 
-	plat2 := intrust.NewServerPlatform()
-	sgx2, err := intrust.NewSGX(plat2)
+	plat2 := platform.NewServer()
+	host2, err := sgx.New(plat2)
 	must(err)
-	sgx2.MitigateL1TF = true
-	res, err = intrust.ForeshadowSGX(sgx2, 16, true)
+	host2.MitigateL1TF = true
+	res, err = transient.ForeshadowSGX(host2, 16, true)
 	must(err)
 	fmt.Printf("with L1 flush    : %s\n", res)
 }

@@ -1,17 +1,23 @@
+// Package intrust holds only tests: the module exports no Go API, and
+// cmd/intrust (CLI and HTTP server) is its interface.
 package intrust
+
+//go:generate go run ./cmd/intrust attacks -markdown -o EXPERIMENTS.md
+//go:generate go run ./cmd/intrust defenses -markdown -o docs/DEFENSES.md
 
 import (
 	"os"
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/core"
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/scenario"
 )
 
 // TestExperimentsIndexInSync pins the generated EXPERIMENTS.md to the
-// live scenario registry: the doc reference in intrust.go must never go
-// stale again. Regenerate with `go generate ./...`.
+// live scenario registry, so the catalog index never goes stale.
+// Regenerate with `go generate ./...` (the directives above).
 func TestExperimentsIndexInSync(t *testing.T) {
 	disk, err := os.ReadFile("EXPERIMENTS.md")
 	if err != nil {
@@ -23,7 +29,7 @@ func TestExperimentsIndexInSync(t *testing.T) {
 	}
 	// Sanity on content the catalog promises: every registered scenario
 	// appears by name.
-	for _, s := range AllScenarios() {
+	for _, s := range scenario.Default.All() {
 		if !strings.Contains(string(disk), "`"+s.Name()+"`") {
 			t.Errorf("EXPERIMENTS.md does not mention scenario %q", s.Name())
 		}
@@ -46,38 +52,38 @@ func TestDefensesIndexInSync(t *testing.T) {
 	// appears by name, and every blocked-scenario reference resolves in
 	// the scenario registry (the cross-catalog consistency the paper's
 	// defense matrix depends on).
-	for _, d := range AllDefenses() {
+	for _, d := range defense.Default.All() {
 		if !strings.Contains(string(disk), "`"+d.Name()+"`") {
 			t.Errorf("docs/DEFENSES.md does not mention defense %q", d.Name())
 		}
 		for _, blocked := range d.BlocksList {
-			if _, ok := LookupScenario(blocked); !ok {
+			if _, ok := scenario.Default.Lookup(blocked); !ok {
 				t.Errorf("defense %q claims to block unknown scenario %q", d.Name(), blocked)
 			}
 		}
 	}
 }
 
-// TestFacadeDefenseAPI exercises the defense surface exactly as a
-// downstream scheduler would: enumerate the catalog, look a defense up,
+// TestFacadeDefenseAPI exercises the defense catalog as a scheduler
+// would: enumerate the catalog, look a defense up,
 // resolve an architecture's stock set, build a defended environment,
 // mount a scenario through it.
 func TestFacadeDefenseAPI(t *testing.T) {
-	if got := len(AllDefenses()); got < 10 {
+	if got := len(defense.Default.All()); got < 10 {
 		t.Fatalf("catalog lists %d defenses, want >= 10", got)
 	}
-	d, ok := LookupDefense("Way-Partition")
+	d, ok := defense.Default.Lookup("Way-Partition")
 	if !ok {
 		t.Fatal("way-partition not registered (case-insensitive lookup)")
 	}
-	if stock := StockDefenses("sanctum"); len(stock) != 1 || stock[0].Name() != d.Name() {
+	if stock := defense.StockFor("sanctum"); len(stock) != 1 || stock[0].Name() != d.Name() {
 		t.Errorf("StockDefenses(sanctum) = %v, want [way-partition]", stock)
 	}
-	s, ok := LookupScenario("flush+reload")
+	s, ok := scenario.Default.Lookup("flush+reload")
 	if !ok {
 		t.Fatal("flush+reload not registered")
 	}
-	env, err := NewScenarioEnvWithDefenses("sgx", 48, 1, nil, []*Defense{d})
+	env, err := scenario.NewEnvWithDefenses("sgx", 48, 1, nil, []*defense.Spec{d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,30 +91,30 @@ func TestFacadeDefenseAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ScenarioVerdictClass(out.Verdict); got != "mitigated" {
+	if got := scenario.VerdictClass(out.Verdict); got != "mitigated" {
 		t.Errorf("flush+reload on way-partitioned SGX = %q (class %q), want mitigated", out.Verdict, got)
 	}
 }
 
-// TestFacadeScenarioAPI exercises the redesigned surface exactly as a
-// downstream scheduler would: enumerate the catalog, look a scenario up,
+// TestFacadeScenarioAPI exercises the scenario catalog as a scheduler
+// would: enumerate the catalog, look a scenario up,
 // build an environment, mount it.
 func TestFacadeScenarioAPI(t *testing.T) {
-	all := AllScenarios()
+	all := scenario.Default.All()
 	if len(all) < 15 {
 		t.Fatalf("catalog lists %d scenarios, want >= 15", len(all))
 	}
-	if got := len(ScenarioFamilies()); got != 4 {
+	if got := len(scenario.Default.Families()); got != 4 {
 		t.Errorf("scenario families = %d, want 4 (cachesca, transient, physical, attestation)", got)
 	}
-	s, ok := LookupScenario("spectre-v1")
+	s, ok := scenario.Default.Lookup("spectre-v1")
 	if !ok {
 		t.Fatal("spectre-v1 not registered")
 	}
 	if ok, reason := s.Applicable("sancus"); !ok || reason != "" {
 		t.Errorf("spectre-v1 on sancus: applicable=%v reason=%q", ok, reason)
 	}
-	env, err := NewScenarioEnv("sancus", 8, 1, nil)
+	env, err := scenario.NewEnv("sancus", 8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +127,14 @@ func TestFacadeScenarioAPI(t *testing.T) {
 	}
 	// A private registry, checked by the catalog's rules, is independent
 	// of the default catalog.
-	reg := NewScenarioRegistry()
-	if err := reg.Register(&ScenarioSpec{
+	reg := scenario.NewRegistry()
+	if err := reg.Register(&scenario.Spec{
 		ID: "rowhammer", In: "physical",
-		Run: func(*ScenarioEnv) (ScenarioOutcome, error) { return ScenarioOutcome{Verdict: "n/a"}, nil },
+		Run: func(*scenario.Env) (scenario.Outcome, error) { return scenario.Outcome{Verdict: "n/a"}, nil },
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := LookupScenario("rowhammer"); ok {
+	if _, ok := scenario.Default.Lookup("rowhammer"); ok {
 		t.Error("custom registration leaked into the default catalog")
 	}
 }
@@ -138,14 +144,14 @@ func TestFacadeScenarioAPI(t *testing.T) {
 // on the stock defense layer, and the full 3-D grid (none + stock +
 // every cataloged defense) at least 1000.
 func TestFacadeSweepScale(t *testing.T) {
-	exps, err := SweepExperiments(nil, nil, nil, 16)
+	exps, err := core.SweepExperiments(nil, nil, nil, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(exps) < 100 {
 		t.Errorf("default sweep enumerates %d cells, want >= 100", len(exps))
 	}
-	exps, err = SweepExperiments(nil, nil, []string{"none", "stock", "all"}, 16)
+	exps, err = core.SweepExperiments(nil, nil, []string{"none", "stock", "all"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
@@ -237,7 +238,7 @@ func ResolveCell(scenarioTok, archTok, defenseTok string, opt CellOptions) (Cell
 	if len(scens) != 1 || strings.TrimSpace(scenarioTok) == "" || strings.EqualFold(strings.TrimSpace(scenarioTok), "all") {
 		return CellKey{}, fmt.Errorf("scenario %q selects %d scenarios; a cell addresses exactly one (use /sweep for grids)", scenarioTok, len(scens))
 	}
-	archs, err := expandAxis([]string{archTok}, AllArchitectures, "architecture")
+	archs, err := expandAxis([]string{archTok}, platform.Architectures, "architecture")
 	if err != nil {
 		return CellKey{}, err
 	}
@@ -313,7 +314,7 @@ func (k CellKey) Experiment() (engine.Experiment, error) {
 	if !ok || sc.Name() != k.Scenario {
 		return engine.Experiment{}, fmt.Errorf("cell key: unknown or non-canonical scenario %q", k.Scenario)
 	}
-	archs, err := expandAxis([]string{k.Arch}, AllArchitectures, "architecture")
+	archs, err := expandAxis([]string{k.Arch}, platform.Architectures, "architecture")
 	if err != nil {
 		return engine.Experiment{}, err
 	}

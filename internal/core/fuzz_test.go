@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 )
 
@@ -38,8 +39,8 @@ func FuzzExpandAxis(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		toks := splitTokens(raw)
-		out, err := expandAxis(toks, AllArchitectures, "architecture")
-		want, wantErr := refExpandAxis(toks, AllArchitectures, "architecture")
+		out, err := expandAxis(toks, platform.Architectures, "architecture")
+		want, wantErr := refExpandAxis(toks, platform.Architectures, "architecture")
 		checkAgainstRef(t, fmt.Sprintf("expandAxis(%q)", raw), out, want, err, wantErr, func(a, b string) bool { return a == b })
 		if err != nil {
 			return
@@ -49,7 +50,7 @@ func FuzzExpandAxis(f *testing.F) {
 		}
 		seen := map[string]bool{}
 		known := map[string]bool{}
-		for _, a := range AllArchitectures {
+		for _, a := range platform.Architectures {
 			known[a] = true
 		}
 		for _, v := range out {

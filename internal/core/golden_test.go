@@ -12,6 +12,7 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
@@ -103,7 +104,7 @@ func TestGoldenGrid(t *testing.T) {
 	results := goldenGrid(t, SweepOptions{Samples: goldenSamples, Adaptive: &stats.Policy{}})
 	gotLines := goldenLines(results)
 
-	nScen, nArch, nDef := scenario.Default.Len(), len(AllArchitectures), defense.Default.Len()
+	nScen, nArch, nDef := scenario.Default.Len(), len(platform.Architectures), defense.Default.Len()
 	if wantCells := nScen * nArch * nDef; len(gotLines) != wantCells {
 		t.Errorf("grid covers %d cells, want %d (%d scenarios x %d architectures x %d defenses)",
 			len(gotLines), wantCells, nScen, nArch, nDef)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/defense"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 )
 
@@ -167,7 +168,7 @@ func refResolveCell(scenarioTok, archTok, defenseTok string, opt CellOptions) (C
 	if len(scens) != 1 || strings.TrimSpace(scenarioTok) == "" || strings.EqualFold(strings.TrimSpace(scenarioTok), "all") {
 		return CellKey{}, fmt.Errorf("scenario %q selects %d scenarios; a cell addresses exactly one (use /sweep for grids)", scenarioTok, len(scens))
 	}
-	archs, err := refExpandAxis([]string{archTok}, AllArchitectures, "architecture")
+	archs, err := refExpandAxis([]string{archTok}, platform.Architectures, "architecture")
 	if err != nil {
 		return CellKey{}, err
 	}

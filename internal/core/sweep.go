@@ -9,18 +9,10 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
-
-// AllArchitectures lists the sweepable architecture keys in the paper's
-// Section 3 order (high-end to embedded).
-var AllArchitectures = scenario.Architectures
-
-// AllAttackFamilies lists the sweepable attack families: the paper's
-// Section 4.1 (cache side channels), Section 4.2 (transient execution)
-// and Section 5 (classical physical).
-var AllAttackFamilies = scenario.FamilyOrder
 
 // SweepExperiments enumerates the scenario × architecture × defense grid
 // as engine jobs: for every requested (scenario, architecture, defense
@@ -91,7 +83,7 @@ func SweepExperimentsWith(archs, attacks, defenses []string, opt SweepOptions) (
 // sweep, the CLI and the serve layer walk the same cells in the same
 // order.
 func resolveAxes(archs, attacks, defenses []string) ([]string, []*scenario.Spec, []defenseSel, error) {
-	archs, err := expandAxis(archs, AllArchitectures, "architecture")
+	archs, err := expandAxis(archs, platform.Architectures, "architecture")
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
@@ -60,7 +61,7 @@ func TestSweepCoversRegistryGrid(t *testing.T) {
 	if nScen < 15 {
 		t.Fatalf("registry holds %d scenarios, want >= 15", nScen)
 	}
-	if want := nScen * len(AllArchitectures); len(results) != want {
+	if want := nScen * len(platform.Architectures); len(results) != want {
 		t.Fatalf("sweep produced %d results, want %d", len(results), want)
 	}
 	if len(results) < 100 {
@@ -76,7 +77,7 @@ func TestSweepCoversRegistryGrid(t *testing.T) {
 	// Every registered scenario is reachable from SweepExperiments, on
 	// every architecture, under the default stock layer.
 	for _, sc := range scenario.Default.All() {
-		for _, arch := range AllArchitectures {
+		for _, arch := range platform.Architectures {
 			name := "sweep/" + sc.Family() + "/" + sc.Name() + "/" + arch + "/stock"
 			r, ok := byName[name]
 			if !ok {
@@ -325,8 +326,8 @@ func TestSweepAxisExpansion(t *testing.T) {
 	nScen := scenario.Default.Len()
 	// "all" is honored anywhere in the list, not only as the sole entry.
 	exps, err := SweepExperiments([]string{"sgx", "all"}, []string{"spectre-v1"}, nil, 10)
-	if err != nil || len(exps) != len(AllArchitectures) {
-		t.Errorf(`["sgx","all"] expanded to %d experiments (err=%v), want %d`, len(exps), err, len(AllArchitectures))
+	if err != nil || len(exps) != len(platform.Architectures) {
+		t.Errorf(`["sgx","all"] expanded to %d experiments (err=%v), want %d`, len(exps), err, len(platform.Architectures))
 	}
 	exps, err = SweepExperiments([]string{"sgx"}, []string{"cachesca", "all"}, nil, 10)
 	if err != nil || len(exps) != nScen {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/defense"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/scenario"
 )
 
@@ -104,7 +105,7 @@ func TestBlocksClaimsHoldInGoldenGrid(t *testing.T) {
 	for _, d := range defense.Default.All() {
 		label := strings.ToLower(d.Name())
 		for _, sc := range d.BlocksList {
-			for _, arch := range AllArchitectures {
+			for _, arch := range platform.Architectures {
 				got, ok := class[[3]string{sc, arch, label}]
 				if !ok {
 					t.Errorf("golden grid has no cell %s/%s/%s", sc, arch, label)

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // catalogNames is the contract of the shipped catalog: these names are
@@ -58,7 +60,7 @@ func TestApplicabilityMatchesPaper(t *testing.T) {
 			t.Fatalf("scenario %s not registered", name)
 		}
 		out := map[string]bool{}
-		for _, arch := range Architectures {
+		for _, arch := range platform.Architectures {
 			ok, reason := s.Applicable(arch)
 			if !ok && reason == "" {
 				t.Errorf("%s/%s: not applicable but no reason given", name, arch)

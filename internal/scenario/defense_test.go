@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/intrust-sim/intrust/internal/defense"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // mountWith mounts one scenario on one architecture under an explicit
@@ -128,7 +129,7 @@ func TestStockEnvMatchesRegistry(t *testing.T) {
 		"trustzone": "none", "sanctuary": "cache-coloring",
 		"smart": "none", "sancus": "none", "trustlite": "none", "tytan": "none",
 	}
-	for _, arch := range Architectures {
+	for _, arch := range platform.Architectures {
 		env, err := NewEnv(arch, 8, 1, nil)
 		if err != nil {
 			t.Fatal(err)

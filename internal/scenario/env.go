@@ -15,12 +15,6 @@ import (
 	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
-// Architectures lists the sweepable architecture keys in the paper's
-// Section 3 order (high-end to embedded). The canonical list lives in
-// internal/platform so the scenario and defense registries share one
-// architecture axis.
-var Architectures = platform.Architectures
-
 // Platform classes as used in applicability reasoning and experiment
 // metadata (Figure 1's three columns).
 const (
@@ -88,7 +82,7 @@ func VictimKey() []byte { return []byte("sweep aes key 16") }
 // the wiring that used to be a hard-coded switch in NewPlatform —
 // while NewEnvWithDefenses mounts any explicit mitigation set.
 type Env struct {
-	// Arch is the target architecture key (one of Architectures).
+	// Arch is the target architecture key (one of platform.Architectures).
 	Arch string
 	// Class is the architecture's platform class (ClassServer,
 	// ClassMobile or ClassEmbedded).

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/intrust-sim/intrust/internal/axis"
+	"github.com/intrust-sim/intrust/internal/platform"
 )
 
 // familyHeading maps a family key to its catalog heading.
@@ -57,20 +58,20 @@ Two kinds of experiments exist:
 
 ## Paper artifacts
 
-| Artifact | CLI mode | Facade entry point | Paper section |
+| Artifact | CLI mode | Go entry point | Paper section |
 |---|---|---|---|
-| Figure 1 adversary/requirement heatmap | ` + "`intrust fig1`" + ` | ` + "`Figure1`" + ` | §2 |
-| TAB2 architecture feature matrix | ` + "`intrust arch`" + ` | ` + "`Table2Architectures`" + ` | §3 |
-| TAB3 cache attacks vs defenses | ` + "`intrust cachesca`" + ` | ` + "`Table3CacheSCA`" + ` | §4.1 |
-| TAB4 transient attacks vs configurations | ` + "`intrust transient`" + ` | ` + "`Table4Transient`" + ` | §4.2 |
-| TAB5 physical attacks vs countermeasures | ` + "`intrust physical`" + ` | ` + "`Table5Physical`" + ` | §5 |
-| Scenario × architecture sweep | ` + "`intrust sweep`" + ` | ` + "`SweepExperiments`" + ` | §3–§5 |
+| Figure 1 adversary/requirement heatmap | ` + "`intrust fig1`" + ` | ` + "`core.Figure1`" + ` | §2 |
+| TAB2 architecture feature matrix | ` + "`intrust arch`" + ` | ` + "`core.Table2Architectures`" + ` | §3 |
+| TAB3 cache attacks vs defenses | ` + "`intrust cachesca`" + ` | ` + "`core.Table3CacheSCA`" + ` | §4.1 |
+| TAB4 transient attacks vs configurations | ` + "`intrust transient`" + ` | ` + "`core.Table4Transient`" + ` | §4.2 |
+| TAB5 physical attacks vs countermeasures | ` + "`intrust physical`" + ` | ` + "`core.Table5Physical`" + ` | §5 |
+| Scenario × architecture sweep | ` + "`intrust sweep`" + ` | ` + "`core.SweepExperiments`" + ` | §3–§5 |
 
 ## Attack-scenario catalog
 
 `)
 	fmt.Fprintf(&b, "%d scenarios over %d architectures — %d grid cells per full sweep.\n",
-		r.Len(), len(Architectures), r.Len()*len(Architectures))
+		r.Len(), len(platform.Architectures), r.Len()*len(platform.Architectures))
 	for _, family := range r.Families() {
 		b.WriteString("\n### " + familyHeading(family) + "\n\n")
 		b.WriteString("| Scenario | Paper § | What it mounts | Sampling | Applicable architectures |\n")
@@ -84,7 +85,7 @@ Two kinds of experiments exist:
 			// One representative n/a reason per scenario keeps the
 			// table readable; the sweep reports the reason per cell.
 			if _, na := axis.ApplicableArchitectures(s.Applicable); len(na) > 0 {
-				for _, arch := range Architectures {
+				for _, arch := range platform.Architectures {
 					if reason, ok := na[arch]; ok {
 						notes = append(notes, fmt.Sprintf("`%s` n/a elsewhere: %s", s.Name(), reason))
 						break
