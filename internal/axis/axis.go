@@ -227,3 +227,16 @@ func ApplicableCell(applicable func(arch string) (bool, string)) string {
 	}
 	return strings.Join(archs, ", ")
 }
+
+// NotOnEmbedded returns the applicability rule of an entry that needs
+// hardware the embedded platform class lacks (a shared cache, a TLB, a
+// branch predictor, an MMU): it holds on every other architecture and
+// gives reason on the embedded ones.
+func NotOnEmbedded(reason string) func(arch string) (bool, string) {
+	return func(arch string) (bool, string) {
+		if c, _ := platform.ArchClass(arch); c == platform.ClassEmbedded {
+			return false, reason
+		}
+		return true, ""
+	}
+}

@@ -223,3 +223,15 @@ func TestApplicableCell(t *testing.T) {
 		t.Errorf("ApplicableCell(sgxOnly) = %q, want \"sgx\"", got)
 	}
 }
+
+func TestNotOnEmbedded(t *testing.T) {
+	archs, na := ApplicableArchitectures(NotOnEmbedded("no cache"))
+	if !reflect.DeepEqual(archs, []string{"sgx", "sanctum", "trustzone", "sanctuary"}) {
+		t.Errorf("NotOnEmbedded applies on %v, want the server and mobile architectures", archs)
+	}
+	for _, arch := range []string{"smart", "sancus", "trustlite", "tytan"} {
+		if na[arch] != "no cache" {
+			t.Errorf("NotOnEmbedded on %s: reason %q, want \"no cache\"", arch, na[arch])
+		}
+	}
+}

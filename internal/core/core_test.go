@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
@@ -119,7 +120,8 @@ func TestTable2MatchesPaperClaims(t *testing.T) {
 // it carries derives from that fuse, so building a probe twice yields the
 // same key material — the attestation key, the report MAC of the probe
 // enclave (Sancus's module key has no other window), and SGX's quoting
-// seed.
+// seed. Every probe also runs on a platform of the class its
+// architecture is built on, which TAB2's class column prints.
 func TestArchProbesReplayKeys(t *testing.T) {
 	keys := func(ap *archProbe) []byte {
 		k := append([]byte{}, ap.attestKey...)
@@ -135,13 +137,16 @@ func TestArchProbesReplayKeys(t *testing.T) {
 		}
 		return k
 	}
-	for _, b := range archBuilders() {
-		t.Run(b.key, func(t *testing.T) {
+	for _, arch := range platform.Architectures {
+		t.Run(arch, func(t *testing.T) {
 			var got [2][]byte
 			for i := range got {
-				ap, err := b.build()
+				ap, err := buildProbe(arch)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if c, _ := platform.ArchClass(arch); ap.arch.Platform().Class != c {
+					t.Fatalf("probe runs on a %v platform, want %v", ap.arch.Platform().Class, c)
 				}
 				got[i] = keys(ap)
 			}

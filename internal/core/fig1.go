@@ -6,7 +6,6 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/attack/physical"
 	"github.com/intrust-sim/intrust/internal/attack/transient"
-	"github.com/intrust-sim/intrust/internal/cpu"
 	"github.com/intrust-sim/intrust/internal/engine"
 	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/power"
@@ -56,8 +55,6 @@ func fig1Experiments(quick bool) []engine.Experiment {
 	if quick {
 		secret = secret[:4]
 	}
-	classes := [3]string{"server", "mobile", "embedded"}
-
 	exps := []engine.Experiment{
 		// Classical physical attacks: channel strength (CPA key bytes at
 		// a fixed trace budget) x proximity assumption.
@@ -93,17 +90,16 @@ func fig1Experiments(quick bool) []engine.Experiment {
 	// Microarchitectural attacks: Spectre extraction rate per platform
 	// feature set (speculation width etc.) plus Meltdown-class
 	// forwarding — one independent experiment per platform class.
-	feats := []func() cpu.Features{cpu.HighEndFeatures, cpu.MobileFeatures, cpu.EmbeddedFeatures}
-	for i := range feats {
-		feat, class := feats[i], classes[i]
+	for _, class := range platform.Classes {
+		class := class
 		exps = append(exps, engine.Experiment{
-			Name: "fig1/microarch-" + class, Platform: class, Attack: "transient",
+			Name: "fig1/microarch-" + class.Key(), Platform: class.Key(), Attack: "transient",
 			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				sp, err := transient.SpectreV1(feat(), secret, false)
+				sp, err := transient.SpectreV1(class.Features(), secret, false)
 				if err != nil {
 					return engine.Outcome{}, err
 				}
-				md, err := transient.Meltdown(feat(), secret)
+				md, err := transient.Meltdown(class.Features(), secret)
 				if err != nil {
 					return engine.Outcome{}, err
 				}
@@ -113,7 +109,7 @@ func fig1Experiments(quick bool) []engine.Experiment {
 					Payload: microMeasure{
 						Level: quantize(score),
 						Basis: fmt.Sprintf("[%s spectre %d/%d meltdown %d/%d] ",
-							class, sp.Correct, len(secret), md.Correct, len(secret)),
+							class.Key(), sp.Correct, len(secret), md.Correct, len(secret)),
 					},
 				}, nil
 			},
@@ -128,8 +124,8 @@ func fig1Experiments(quick bool) []engine.Experiment {
 		Name: "fig1/requirements", Attack: "measurement",
 		Run: func(*engine.Ctx) (engine.Outcome, error) {
 			var m reqMeasure
-			for i, mk := range []func() *platform.Platform{platform.NewServer, platform.NewMobile, platform.NewEmbedded} {
-				p := mk()
+			for i, class := range platform.Classes {
+				p := class.New()
 				s, err := p.PerfScore()
 				if err != nil {
 					return engine.Outcome{}, fmt.Errorf("platform refuses injected workload: %w", err)
@@ -164,18 +160,13 @@ func Figure1(quick bool) (*Fig1Result, error) {
 	res.Rows = append(res.Rows, byName["fig1/cpa-proximity"].Payload.(Fig1Row))
 
 	micro := Fig1Row{Name: "microarchitectural attacks"}
-	for i, class := range [3]string{"server", "mobile", "embedded"} {
-		m := byName["fig1/microarch-"+class].Payload.(microMeasure)
-		switch i {
-		case 0:
-			micro.Server = m.Level
-		case 1:
-			micro.Mobile = m.Level
-		case 2:
-			micro.Embedded = m.Level
-		}
+	var levels [3]Level
+	for i, class := range platform.Classes {
+		m := byName["fig1/microarch-"+class.Key()].Payload.(microMeasure)
+		levels[i] = m.Level
 		micro.Basis += m.Basis
 	}
+	micro.Server, micro.Mobile, micro.Embedded = levels[0], levels[1], levels[2]
 	res.Rows = append(res.Rows, micro)
 
 	req := byName["fig1/requirements"].Payload.(reqMeasure)

@@ -299,12 +299,12 @@ func resolvedKey(ds []*defense.Spec) string {
 // settle in a single mount regardless of budget and cost only the class
 // weight. The estimate shapes scheduling exclusively; results never
 // depend on it.
-func sweepCost(sc *scenario.Spec, arch string, samples int) int {
+func sweepCost(sc *scenario.Spec, class platform.Class, samples int) int {
 	weight := 1
-	switch scenario.ClassOf(arch) {
-	case scenario.ClassServer:
+	switch class {
+	case platform.ClassServer:
 		weight = 4
-	case scenario.ClassMobile:
+	case platform.ClassMobile:
 		weight = 2
 	}
 	if sc.RunSeq == nil {
@@ -324,14 +324,15 @@ func sweepExperiment(sc *scenario.Spec, arch string, sel defenseSel, opt SweepOp
 		samples = sc.Floor
 	}
 	defs, display := sel.forArch(arch)
+	class, _ := platform.ArchClass(arch)
 	exp := engine.Experiment{
 		Name:     fmt.Sprintf("sweep/%s/%s/%s/%s", sc.Family(), sc.Name(), arch, sel.label),
-		Platform: scenario.ClassOf(arch),
+		Platform: class.Key(),
 		Arch:     arch,
 		Attack:   sc.Family(),
 		Defense:  display,
 		Samples:  samples,
-		Cost:     sweepCost(sc, arch, samples),
+		Cost:     sweepCost(sc, class, samples),
 	}
 	// The engine derives the job seed as Seed ^ FNV(Name), and Name ends
 	// in the axis token — so "none" and "stock" cells with identical

@@ -38,155 +38,154 @@ func runTable(title string, columns []string, exps []engine.Experiment, notes ..
 	return t, nil
 }
 
-// enclaveProgram is the common single-page enclave image used by probes.
-const enclaveProgram = ".org 0\nhlt"
-
-// archProbe holds one architecture instance prepared with a secret-bearing
-// enclave (where the architecture supports one).
+// archProbe holds one architecture instance prepared with an enclave
+// holding probeSecret at secretOff (where the architecture supports one).
 type archProbe struct {
 	arch      tee.Architecture
 	enclave   tee.Enclave
 	secretOff uint32
-	secret    byte
 	attestKey []byte
-	notes     string
 }
 
-// archBuilder constructs one architecture probe. Each TAB2 experiment
-// builds its own probe on its own platform instance, so the eight probes
-// run concurrently without sharing state.
-type archBuilder struct {
-	key   string
-	build func() (*archProbe, error)
+// probeSecret is the plaintext byte every probe enclave holds.
+const probeSecret = byte(0x5C)
+
+// probeProgram assembles the common single-page enclave image.
+func probeProgram() *isa.Program { return isa.MustAssemble(".org 0\nhlt") }
+
+// archProbes builds each architecture's TAB2 probe on a platform of its
+// class (buildProbe). Each TAB2 experiment builds its own probe on its
+// own platform instance, so the eight probes run concurrently without
+// sharing state.
+var archProbes = map[string]func(p *platform.Platform) (*archProbe, error){
+	"sgx": func(p *platform.Platform) (*archProbe, error) {
+		s, err := sgx.New(p)
+		if err != nil {
+			return nil, err
+		}
+		e, err := s.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: probeProgram(), DataSize: 4096})
+		if err != nil {
+			return nil, err
+		}
+		enc := e.(*sgx.Enclave)
+		if err := enc.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		return &archProbe{arch: s, enclave: e,
+			secretOff: enc.DataBase() - enc.Base(), attestKey: s.ReportKey()}, nil
+	},
+	"sanctum": func(p *platform.Platform) (*archProbe, error) {
+		s, err := sanctum.New(p)
+		if err != nil {
+			return nil, err
+		}
+		e, err := s.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: probeProgram(), DataSize: 4096})
+		if err != nil {
+			return nil, err
+		}
+		enc := e.(*sanctum.Enclave)
+		if err := enc.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		return &archProbe{arch: s, enclave: e,
+			secretOff: enc.DataPage() - enc.Base(), attestKey: s.MonitorKey()}, nil
+	},
+	"trustzone": func(p *platform.Platform) (*archProbe, error) {
+		tz, err := trustzone.New(p)
+		if err != nil {
+			return nil, err
+		}
+		e, err := tz.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: probeProgram()})
+		if err != nil {
+			return nil, err
+		}
+		enc := e.(*trustzone.Enclave)
+		if err := enc.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		return &archProbe{arch: tz, enclave: e,
+			secretOff: enc.DataBase() - enc.Base(), attestKey: tz.DeviceKey()}, nil
+	},
+	"sanctuary": func(p *platform.Platform) (*archProbe, error) {
+		tz, err := trustzone.New(p)
+		if err != nil {
+			return nil, err
+		}
+		sy, err := sanctuary.New(tz)
+		if err != nil {
+			return nil, err
+		}
+		e, err := sy.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: probeProgram(), DataSize: 4096})
+		if err != nil {
+			return nil, err
+		}
+		enc := e.(*sanctuary.Enclave)
+		if err := enc.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		return &archProbe{arch: sy, enclave: e,
+			secretOff: enc.DataBase() - enc.Base(), attestKey: tz.DeviceKey()}, nil
+	},
+	"smart": func(p *platform.Platform) (*archProbe, error) {
+		s, err := smart.New(p)
+		if err != nil {
+			return nil, err
+		}
+		// An attestation-only root of trust: no enclave to probe.
+		return &archProbe{arch: s, attestKey: s.Key()}, nil
+	},
+	"sancus": func(p *platform.Platform) (*archProbe, error) {
+		s, err := sancus.New(p)
+		if err != nil {
+			return nil, err
+		}
+		m, err := s.RegisterModule(tee.EnclaveConfig{Name: "probe", Program: probeProgram(), DataSize: 64}, 1)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.Mem.WriteRaw(m.Base(), []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		return &archProbe{arch: s, enclave: m}, nil
+	},
+	"trustlite": func(p *platform.Platform) (*archProbe, error) {
+		tl, err := trustlite.New(p)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := tl.LoadTrustlet(tee.EnclaveConfig{Name: "probe", Program: probeProgram(), DataSize: 64})
+		if err != nil {
+			return nil, err
+		}
+		if err := tr.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		tl.Boot()
+		return &archProbe{arch: tl, enclave: tr, attestKey: tl.PlatformKey()}, nil
+	},
+	"tytan": func(p *platform.Platform) (*archProbe, error) {
+		ty, err := tytan.New(p)
+		if err != nil {
+			return nil, err
+		}
+		prog := probeProgram()
+		tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "probe", Program: prog, DataSize: 64}, ty.SignImage(prog.Segments[0].Data))
+		if err != nil {
+			return nil, err
+		}
+		if err := tr.WriteData(0, []byte{probeSecret}); err != nil {
+			return nil, err
+		}
+		ty.TrustLite().Boot()
+		return &archProbe{arch: ty, enclave: tr, attestKey: ty.TrustLite().PlatformKey()}, nil
+	},
 }
 
-func archBuilders() []archBuilder {
-	secret := byte(0x5C)
-	prog := func() *isa.Program { return isa.MustAssemble(enclaveProgram) }
-	return []archBuilder{
-		{"sgx", func() (*archProbe, error) {
-			s, err := sgx.New(platform.NewServer())
-			if err != nil {
-				return nil, err
-			}
-			e, err := s.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: prog(), DataSize: 4096})
-			if err != nil {
-				return nil, err
-			}
-			enc := e.(*sgx.Enclave)
-			if err := enc.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: s, enclave: e,
-				secretOff: enc.DataBase() - enc.Base(), secret: secret, attestKey: s.ReportKey()}, nil
-		}},
-		{"sanctum", func() (*archProbe, error) {
-			s, err := sanctum.New(platform.NewServer())
-			if err != nil {
-				return nil, err
-			}
-			e, err := s.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: prog(), DataSize: 4096})
-			if err != nil {
-				return nil, err
-			}
-			enc := e.(*sanctum.Enclave)
-			if err := enc.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: s, enclave: e,
-				secretOff: enc.DataPage() - enc.Base(), secret: secret, attestKey: s.MonitorKey()}, nil
-		}},
-		{"trustzone", func() (*archProbe, error) {
-			tz, err := trustzone.New(platform.NewMobile())
-			if err != nil {
-				return nil, err
-			}
-			e, err := tz.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: prog()})
-			if err != nil {
-				return nil, err
-			}
-			enc := e.(*trustzone.Enclave)
-			if err := enc.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: tz, enclave: e,
-				secretOff: enc.DataBase() - enc.Base(), secret: secret, attestKey: tz.DeviceKey()}, nil
-		}},
-		{"sanctuary", func() (*archProbe, error) {
-			tz, err := trustzone.New(platform.NewMobile())
-			if err != nil {
-				return nil, err
-			}
-			sy, err := sanctuary.New(tz)
-			if err != nil {
-				return nil, err
-			}
-			e, err := sy.CreateEnclave(tee.EnclaveConfig{Name: "probe", Program: prog(), DataSize: 4096})
-			if err != nil {
-				return nil, err
-			}
-			enc := e.(*sanctuary.Enclave)
-			if err := enc.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: sy, enclave: e,
-				secretOff: enc.DataBase() - enc.Base(), secret: secret, attestKey: tz.DeviceKey()}, nil
-		}},
-		{"smart", func() (*archProbe, error) {
-			s, err := smart.New(platform.NewEmbedded())
-			if err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: s, attestKey: s.Key(),
-				notes: "attestation-only root of trust"}, nil
-		}},
-		{"sancus", func() (*archProbe, error) {
-			s, err := sancus.New(platform.NewEmbedded())
-			if err != nil {
-				return nil, err
-			}
-			m, err := s.RegisterModule(tee.EnclaveConfig{Name: "probe", Program: prog(), DataSize: 64}, 1)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Platform().Mem.WriteRaw(m.Base(), []byte{secret}); err != nil {
-				return nil, err
-			}
-			return &archProbe{arch: s, enclave: m, secretOff: 0, secret: secret}, nil
-		}},
-		{"trustlite", func() (*archProbe, error) {
-			tl, err := trustlite.New(platform.NewEmbedded())
-			if err != nil {
-				return nil, err
-			}
-			tr, err := tl.LoadTrustlet(tee.EnclaveConfig{Name: "probe", Program: prog(), DataSize: 64})
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			tl.Boot()
-			return &archProbe{arch: tl, enclave: tr, secretOff: 0, secret: secret, attestKey: tl.PlatformKey()}, nil
-		}},
-		{"tytan", func() (*archProbe, error) {
-			ty, err := tytan.New(platform.NewEmbedded())
-			if err != nil {
-				return nil, err
-			}
-			p := prog()
-			tr, err := ty.LoadSignedTrustlet(tee.EnclaveConfig{Name: "probe", Program: p, DataSize: 64}, ty.SignImage(p.Segments[0].Data))
-			if err != nil {
-				return nil, err
-			}
-			if err := tr.WriteData(0, []byte{secret}); err != nil {
-				return nil, err
-			}
-			ty.TrustLite().Boot()
-			return &archProbe{arch: ty, enclave: tr, secretOff: 0, secret: secret,
-				attestKey: ty.TrustLite().PlatformKey()}, nil
-		}},
-	}
+// buildProbe builds arch's TAB2 probe on a fresh platform of the class
+// the architecture is built on.
+func buildProbe(arch string) (*archProbe, error) {
+	class, _ := platform.ArchClass(arch)
+	return archProbes[arch](class.New())
 }
 
 // probeRow executes the TAB2 probe battery against one architecture and
@@ -195,9 +194,9 @@ func probeRow(ap *archProbe) []string {
 	caps := ap.arch.Capabilities()
 	osCell, dmaCell, snoopCell := "n/a", "n/a", "n/a"
 	if ap.enclave != nil {
-		osCell = secure(tee.ProbeOSAccess(ap.arch, ap.enclave, ap.secretOff, ap.secret).Secure)
-		dmaCell = secure(tee.ProbeDMA(ap.arch, ap.enclave, ap.secretOff, ap.secret).Secure)
-		snoopCell = secure(tee.ProbeBusSnoop(ap.arch, ap.enclave, ap.secretOff, ap.secret).Secure)
+		osCell = secure(tee.ProbeOSAccess(ap.arch, ap.enclave, ap.secretOff, probeSecret).Secure)
+		dmaCell = secure(tee.ProbeDMA(ap.arch, ap.enclave, ap.secretOff, probeSecret).Secure)
+		snoopCell = secure(tee.ProbeBusSnoop(ap.arch, ap.enclave, ap.secretOff, probeSecret).Secure)
 	}
 	attestCell := "-"
 	if ap.enclave != nil && ap.attestKey != nil {
@@ -220,7 +219,7 @@ func probeRow(ap *archProbe) []string {
 		}
 	}
 	return []string{
-		ap.arch.Name(), ap.arch.Class().String(), yn(caps.MultipleEnclaves),
+		ap.arch.Name(), ap.arch.Platform().Class.String(), yn(caps.MultipleEnclaves),
 		osCell, dmaCell, snoopCell, string(caps.CacheDefense),
 		attestCell, sealCell, yn(caps.RealTime),
 	}
@@ -231,12 +230,12 @@ func probeRow(ap *archProbe) []string {
 // job per architecture.
 func Table2Architectures() (*Table, error) {
 	var exps []engine.Experiment
-	for _, b := range archBuilders() {
-		build := b.build
+	for _, arch := range platform.Architectures {
+		arch := arch
 		exps = append(exps, engine.Experiment{
-			Name: "tab2/" + b.key, Arch: b.key, Attack: "probe",
+			Name: "tab2/" + arch, Arch: arch, Attack: "probe",
 			Run: func(*engine.Ctx) (engine.Outcome, error) {
-				ap, err := build()
+				ap, err := buildProbe(arch)
 				if err != nil {
 					return engine.Outcome{}, err
 				}

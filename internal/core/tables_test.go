@@ -124,15 +124,17 @@ func TestBlocksClaimsHoldInGoldenGrid(t *testing.T) {
 	t.Logf("Blocks claims in the golden grid: %d mitigated, %d n/a", counts[scenario.ClassMitigated], counts[scenario.ClassNA])
 }
 
-// TestPhysicalRendersPinned pins the quick TAB5 and FIG1 renders byte
-// for byte against checked-in files. Both run their CPA rows on the
-// arena kernels, whose statistics equal the float64 reference bit for
-// bit, so any change to the kernels, the trace stream or the row
-// assembly shows up here. The CLI's "[... regenerated in ...]" timing
-// line is printed outside the render and is not part of the pin.
-// Regenerate with -update only after intentionally changing what a row
-// reports.
-func TestPhysicalRendersPinned(t *testing.T) {
+// TestPaperRendersPinned pins the quick TAB5 and FIG1 renders and the
+// TAB2 render byte for byte against checked-in files. TAB5 and FIG1 run
+// their CPA rows on the arena kernels, whose statistics equal the
+// float64 reference bit for bit, so any change to the kernels, the trace
+// stream or the row assembly shows up here; TAB2 probes every
+// architecture's TEE model on its class platform, so a change to a
+// model, a probe or the class an architecture is built on shows up too.
+// The CLI's "[... regenerated in ...]" timing line is printed outside
+// the render and is not part of the pin. Regenerate with -update only
+// after intentionally changing what a row reports.
+func TestPaperRendersPinned(t *testing.T) {
 	for _, tc := range []struct {
 		file   string
 		render func() (string, error)
@@ -151,6 +153,13 @@ func TestPhysicalRendersPinned(t *testing.T) {
 			}
 			return f.Render(), nil
 		}},
+		{"tab2.txt", func() (string, error) {
+			tab, err := Table2Architectures()
+			if err != nil {
+				return "", err
+			}
+			return tab.String(), nil
+		}},
 	} {
 		got, err := tc.render()
 		if err != nil {
@@ -164,7 +173,7 @@ func TestPhysicalRendersPinned(t *testing.T) {
 		}
 		want, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("render pin missing (run `go test ./internal/core -run TestPhysicalRendersPinned -update`): %v", err)
+			t.Fatalf("render pin missing (run `go test ./internal/core -run TestPaperRendersPinned -update`): %v", err)
 		}
 		if got != string(want) {
 			t.Errorf("%s render changed:\n--- pinned\n%s--- now\n%s", tc.file, want, got)

@@ -19,50 +19,11 @@ func init() {
 	}
 }
 
-// classOf returns an architecture's platform class (ClassEmbedded for
-// unknown keys never arises: Applicable rejects unknown keys first).
-func classOf(arch string) platform.Class {
-	c, _ := platform.ArchClass(arch)
-	return c
-}
-
 // needsSharedCache gates the cache-isolation defenses: the embedded
 // platforms have no shared cache levels, so there is nothing to
 // partition, color or flush (paper §4.1: "none [of the embedded
 // architectures] even considers cache side channels").
-func needsSharedCache(arch string) (bool, string) {
-	if classOf(arch) == platform.ClassEmbedded {
-		return false, "no shared cache levels on the embedded platform: nothing to partition or flush"
-	}
-	return true, ""
-}
-
-// needsTLB gates TLB partitioning: the MPU-based embedded cores have no
-// MMU and therefore no TLB.
-func needsTLB(arch string) (bool, string) {
-	if classOf(arch) == platform.ClassEmbedded {
-		return false, "no MMU and no TLB on the MPU-based embedded core: nothing to partition"
-	}
-	return true, ""
-}
-
-// needsPredictor gates predictor flushing: the in-order embedded cores
-// have no branch-predictor state to flush.
-func needsPredictor(arch string) (bool, string) {
-	if classOf(arch) == platform.ClassEmbedded {
-		return false, "no branch predictor on the in-order embedded core: nothing to flush"
-	}
-	return true, ""
-}
-
-// needsMMU gates the fault-forwarding fix: the MPU-based embedded cores
-// have no supervisor/user address-space split for a load to fault on.
-func needsMMU(arch string) (bool, string) {
-	if classOf(arch) == platform.ClassEmbedded {
-		return false, "no MMU on the MPU-based embedded core: no faulting load to forward"
-	}
-	return true, ""
-}
+var needsSharedCache = axis.NotOnEmbedded("no shared cache levels on the embedded platform: nothing to partition or flush")
 
 // sgxOnly gates the L1TF flush: the terminal fault it closes targets
 // SGX's EPC, which no other surveyed architecture has.
@@ -143,7 +104,7 @@ func catalog() []*Spec {
 			Summary: "TLB way partitioning between address spaces, the TLBleed countermeasure: " +
 				"the victim's translations can no longer evict the attacker's entries",
 			BlocksList: []string{"tlb-channel"},
-			Applies:    needsTLB,
+			Applies:    axis.NotOnEmbedded("no MMU and no TLB on the MPU-based embedded core: nothing to partition"),
 			Apply: func(c *Config) {
 				va, aa := c.VictimASID, c.AttackerASID
 				c.PlatformHooks = append(c.PlatformHooks, func(p *platform.Platform) {
@@ -178,7 +139,7 @@ func catalog() []*Spec {
 			Summary: "IBPB-style predictor flush on context switch: BTB/PHT state trained by one domain " +
 				"is invalidated before another runs",
 			BlocksList: []string{"spectre-btb", "branch-shadow"},
-			Applies:    needsPredictor,
+			Applies:    axis.NotOnEmbedded("no branch predictor on the in-order embedded core: nothing to flush"),
 			Apply:      func(c *Config) { c.PredictorFlush = true },
 		},
 		{
@@ -186,7 +147,7 @@ func catalog() []*Spec {
 			Summary: "fixed silicon: a faulting load returns no data to the transient instructions behind it, " +
 				"so the Meltdown window has nothing to encode",
 			BlocksList: []string{"meltdown"},
-			Applies:    needsMMU,
+			Applies:    axis.NotOnEmbedded("no MMU on the MPU-based embedded core: no faulting load to forward"),
 			Apply:      func(c *Config) { c.NoFaultForwarding = true },
 		},
 		{

@@ -181,16 +181,8 @@ func TestApplicableDefensesChangeWiring(t *testing.T) {
 				t.Errorf("%s on %s: Configure changed nothing", d.Name(), arch)
 				continue
 			}
-			var p *platform.Platform
-			switch c.Class {
-			case platform.ClassServer:
-				p = platform.NewServer()
-			case platform.ClassMobile:
-				p = platform.NewMobile()
-			default:
-				p = platform.NewEmbedded()
-			}
-			c.Apply(p)
+			class, _ := platform.ArchClass(arch)
+			c.Apply(class.New())
 		}
 	}
 }

@@ -39,8 +39,6 @@ import (
 type Config struct {
 	// Arch is the target architecture key (input).
 	Arch string
-	// Class is the architecture's platform class (input).
-	Class platform.Class
 
 	// VictimDomain and AttackerDomain are the cache security domains of
 	// the shared victim geometry (input).
@@ -108,13 +106,11 @@ type Config struct {
 // NewConfig returns the undefended wiring for one architecture with the
 // given victim geometry. It errors on unknown architectures.
 func NewConfig(arch string, victimDomain, attackerDomain int, victimASID, attackerASID int, tableBase, tableSize uint32) (*Config, error) {
-	class, ok := platform.ArchClass(arch)
-	if !ok {
+	if _, ok := platform.ArchClass(arch); !ok {
 		return nil, fmt.Errorf("defense: unknown architecture %q", arch)
 	}
 	return &Config{
-		Arch: arch, Class: class,
-		VictimDomain: victimDomain, AttackerDomain: attackerDomain,
+		Arch: arch, VictimDomain: victimDomain, AttackerDomain: attackerDomain,
 		VictimASID: victimASID, AttackerASID: attackerASID,
 		VictimTableBase: tableBase, VictimTableSize: tableSize,
 	}, nil

@@ -59,17 +59,40 @@ const (
 	ClassEmbedded
 )
 
+// Classes lists the platform classes in Figure 1's column order.
+var Classes = []Class{ClassServer, ClassMobile, ClassEmbedded}
+
+// classes is everything a Class carries, indexed by Class: its key, its
+// display name, its platform constructor and its cores' feature set.
+var classes = [...]struct {
+	key, name string
+	build     func() *Platform
+	features  func() cpu.Features
+}{
+	ClassServer:   {"server", "server/desktop", NewServer, cpu.HighEndFeatures},
+	ClassMobile:   {"mobile", "mobile", NewMobile, cpu.MobileFeatures},
+	ClassEmbedded: {"embedded", "embedded", NewEmbedded, cpu.EmbeddedFeatures},
+}
+
+// String returns the class's display name ("server/desktop" for
+// ClassServer), the spelling TAB2's class column prints.
 func (c Class) String() string {
-	switch c {
-	case ClassServer:
-		return "server/desktop"
-	case ClassMobile:
-		return "mobile"
-	case ClassEmbedded:
-		return "embedded"
+	if int(c) < len(classes) {
+		return classes[c].name
 	}
 	return "class?"
 }
+
+// Key returns the class's one-word key: "server", "mobile" or
+// "embedded". Sweep results carry it as their platform, and detail lines
+// and applicability reasons name the class by it.
+func (c Class) Key() string { return classes[c].key }
+
+// New assembles a fresh platform of the class.
+func (c Class) New() *Platform { return classes[c].build() }
+
+// Features returns the CPU feature set of the class's cores.
+func (c Class) Features() cpu.Features { return classes[c].features() }
 
 // EnergyModel prices retired instructions and static draw.
 type EnergyModel struct {

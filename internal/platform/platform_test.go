@@ -1,6 +1,9 @@
 package platform
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestBuildAllPlatforms(t *testing.T) {
 	for _, p := range []*Platform{NewServer(), NewMobile(), NewEmbedded()} {
@@ -110,5 +113,54 @@ func TestPowerBudgetZeroCycles(t *testing.T) {
 	p := NewEmbedded()
 	if p.AvgPowerW(p.Core(0)) != 0 {
 		t.Error("power nonzero with no cycles")
+	}
+}
+
+// TestClassTable pins what each platform class carries: its constructor
+// builds a platform of that class whose cores run the class's feature
+// set, and its key and display name keep the spellings sweep results,
+// detail lines and TAB2's class column print. Classes is Figure 1's
+// column order, and every architecture key resolves to a class.
+func TestClassTable(t *testing.T) {
+	want := []struct {
+		class     Class
+		key, name string
+	}{
+		{ClassServer, "server", "server/desktop"},
+		{ClassMobile, "mobile", "mobile"},
+		{ClassEmbedded, "embedded", "embedded"},
+	}
+	if len(Classes) != len(want) {
+		t.Fatalf("Classes = %v, want %d classes", Classes, len(want))
+	}
+	for i, w := range want {
+		c := Classes[i]
+		if c != w.class {
+			t.Errorf("Classes[%d] = %v, want %v", i, c, w.class)
+		}
+		p := c.New()
+		if p.Class != c {
+			t.Errorf("%v.New() built a %v platform", c, p.Class)
+		}
+		if got := p.Core(0).Feat; !reflect.DeepEqual(got, c.Features()) {
+			t.Errorf("%v.New() core 0 runs %+v, want %v.Features() = %+v", c, got, c, c.Features())
+		}
+		if c.Key() != w.key || c.String() != w.name {
+			t.Errorf("class %d: Key %q, String %q; want %q, %q", c, c.Key(), c.String(), w.key, w.name)
+		}
+		if n := testing.AllocsPerRun(10, func() { _ = c.Key() }); n != 0 {
+			t.Errorf("%v.Key() allocates %v times", c, n)
+		}
+	}
+	if got := Class(len(want)).String(); got != "class?" {
+		t.Errorf("out-of-range class prints %q, want \"class?\"", got)
+	}
+	for _, arch := range Architectures {
+		if _, ok := ArchClass(arch); !ok {
+			t.Errorf("architecture %q has no platform class", arch)
+		}
+	}
+	if _, ok := ArchClass("bogus"); ok {
+		t.Error("ArchClass resolved an unknown architecture")
 	}
 }

@@ -58,8 +58,8 @@ func signWire(qk *attest.QuotingKey, q *attest.Quote) ([]byte, error) {
 // produce to revoke its baseline TCB (prime+probe breaks the undefended
 // shared-cache platforms; differential fault injection breaks the
 // undefended embedded ones).
-func brokenEvidenceFor(arch string) string {
-	if ClassOf(arch) == ClassEmbedded {
+func brokenEvidenceFor(class platform.Class) string {
+	if class == platform.ClassEmbedded {
 		return "dfa-piret-quisquater"
 	}
 	return "prime+probe"
@@ -171,7 +171,7 @@ func attestationScenarios() []*Spec {
 				// The sweep found a broken undefended cell for this arch:
 				// its baseline TCB is revoked, minimum version = stock.
 				rev := attestsvc.Revoke([]attestsvc.Cell{{
-					Scenario: brokenEvidenceFor(env.Arch),
+					Scenario: brokenEvidenceFor(env.Class),
 					Arch:     env.Arch,
 					Defense:  attestsvc.ConfigNone,
 					Class:    attestsvc.ClassBroken,

@@ -22,31 +22,8 @@ func init() {
 }
 
 // noSharedCache is the applicability rule for the cache-resident attacks.
-func noSharedCache(arch string) (bool, string) {
-	if ClassOf(arch) == ClassEmbedded {
-		return false, "no shared caches on the embedded platform: cache side channels not applicable " +
-			"(paper §4.1: none of the embedded architectures even considers them)"
-	}
-	return true, ""
-}
-
-// noSharedTLB gates the TLB channel: the embedded core has an MPU, no MMU
-// and therefore no TLB to share.
-func noSharedTLB(arch string) (bool, string) {
-	if ClassOf(arch) == ClassEmbedded {
-		return false, "no MMU and no TLB on the MPU-based embedded core: the TLB channel is not applicable"
-	}
-	return true, ""
-}
-
-// noPredictor gates branch shadowing: the in-order embedded core has no
-// branch predictor to shadow.
-func noPredictor(arch string) (bool, string) {
-	if ClassOf(arch) == ClassEmbedded {
-		return false, "no branch predictor on the in-order embedded core: branch shadowing is not applicable"
-	}
-	return true, ""
-}
+var noSharedCache = axis.NotOnEmbedded("no shared caches on the embedded platform: cache side channels not applicable " +
+	"(paper §4.1: none of the embedded architectures even considers them)")
 
 // cacheVerdict grades a key-recovery result against the classic OST
 // 64-bit-reduction threshold (>= 14/16 first-round key nibbles).
@@ -221,7 +198,7 @@ func cacheScenarios() []*Spec {
 		{
 			ID: "tlb-channel", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "TLB Prime+Probe (TLBleed): secret-dependent page translations observed via shared TLB sets",
-			Applies: noSharedTLB,
+			Applies: axis.NotOnEmbedded("no MMU and no TLB on the MPU-based embedded core: the TLB channel is not applicable"),
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				correct, bits := seqBitChannel(env, plan, func(chunk []byte) int {
@@ -235,7 +212,7 @@ func cacheScenarios() []*Spec {
 		{
 			ID: "branch-shadow", In: axis.FamilyCacheSCA, Section: "4.1",
 			Summary: "BTB/PHT branch shadowing (Lee et al.): secret-dependent branches via the shared predictor",
-			Applies: noPredictor,
+			Applies: axis.NotOnEmbedded("no branch predictor on the in-order embedded core: branch shadowing is not applicable"),
 			RunSeq: func(env *Env, plan *stats.Plan) (Outcome, error) {
 				p := env.NewPlatform()
 				var pred cachesca.BranchPredictor = p.Core(0).Pred

@@ -128,7 +128,7 @@ func TestNewEnvValidatesAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Class != ClassServer || env.Samples != 256 || env.RNG == nil {
+	if env.Class != platform.ClassServer || env.Samples != 256 || env.RNG == nil {
 		t.Errorf("env defaults wrong: %+v", env)
 	}
 	if _, err := env.SGX(); err == nil {

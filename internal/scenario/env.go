@@ -15,37 +15,6 @@ import (
 	"github.com/intrust-sim/intrust/internal/tee/sgx"
 )
 
-// Platform classes as used in applicability reasoning and experiment
-// metadata (Figure 1's three columns).
-const (
-	// ClassServer covers servers and desktop computers.
-	ClassServer = "server"
-	// ClassMobile covers smartphones and tablets.
-	ClassMobile = "mobile"
-	// ClassEmbedded covers low-energy IoT and embedded devices.
-	ClassEmbedded = "embedded"
-)
-
-// ClassOf returns an architecture's platform class, or "" for unknown
-// architectures.
-func ClassOf(arch string) string {
-	c, ok := platform.ArchClass(arch)
-	if !ok {
-		return ""
-	}
-	switch c {
-	case platform.ClassServer:
-		return ClassServer
-	case platform.ClassMobile:
-		return ClassMobile
-	}
-	return ClassEmbedded
-}
-
-// KnownArchitecture reports whether arch is one of the eight surveyed
-// architectures.
-func KnownArchitecture(arch string) bool { return ClassOf(arch) != "" }
-
 // Shared victim geometry: the T-table AES victim lives in domain 5 with
 // its tables at 0x40000 (0x2000 bytes: four T-tables plus the S-box); the
 // cache attacker observes from domain 9. The TLB channel uses ASIDs 1
@@ -84,9 +53,11 @@ func VictimKey() []byte { return []byte("sweep aes key 16") }
 type Env struct {
 	// Arch is the target architecture key (one of platform.Architectures).
 	Arch string
-	// Class is the architecture's platform class (ClassServer,
-	// ClassMobile or ClassEmbedded).
-	Class string
+	// Class is the platform class Arch is built on
+	// (platform.ArchClass): it builds the cell's platforms (NewPlatform),
+	// gives its cores' features (Features), and names the class in detail
+	// lines by its Key.
+	Class platform.Class
 	// Samples is the sample budget (traces, timings, probe rounds).
 	Samples int
 	// Seed is the job's derived seed, for APIs that take a seed rather
@@ -127,8 +98,8 @@ func NewEnv(arch string, samples int, seed int64, rng *rand.Rand) (*Env, error) 
 // architecture — the sweep reports non-applicable combinations as n/a
 // cells before ever constructing an environment.
 func NewEnvWithDefenses(arch string, samples int, seed int64, rng *rand.Rand, defenses []*defense.Spec) (*Env, error) {
-	class := ClassOf(arch)
-	if class == "" {
+	class, ok := platform.ArchClass(arch)
+	if !ok {
 		return nil, fmt.Errorf("scenario: unknown architecture %q", arch)
 	}
 	if samples <= 0 {
@@ -219,15 +190,7 @@ func (e *Env) DefenseLabel() string {
 // class, with fault forwarding cleared under the no-fault-forwarding
 // defense (§4.2 fixed silicon).
 func (e *Env) Features() cpu.Features {
-	var f cpu.Features
-	switch e.Class {
-	case ClassServer:
-		f = cpu.HighEndFeatures()
-	case ClassMobile:
-		f = cpu.MobileFeatures()
-	default:
-		f = cpu.EmbeddedFeatures()
-	}
+	f := e.Class.Features()
 	if e.cfg.NoFaultForwarding {
 		f.FaultForwarding = false
 	}
@@ -250,21 +213,13 @@ func (e *Env) Features() cpu.Features {
 // configuration, which measures bit-identically to a fresh assembly
 // without re-deriving the whole hierarchy.
 func (e *Env) NewPlatform() *platform.Platform {
-	key := "scenario/platform/" + e.Class
+	key := "scenario/platform/" + e.Class.Key()
 	if p, ok := e.scratch.Get(key).(*platform.Platform); ok {
 		p.Reset()
 		e.cfg.Apply(p)
 		return p
 	}
-	var p *platform.Platform
-	switch e.Class {
-	case ClassServer:
-		p = platform.NewServer()
-	case ClassMobile:
-		p = platform.NewMobile()
-	default:
-		p = platform.NewEmbedded()
-	}
+	p := e.Class.New()
 	e.cfg.Apply(p)
 	e.scratch.Put(key, p)
 	return p

@@ -8,6 +8,7 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/attack/physical"
 	"github.com/intrust-sim/intrust/internal/axis"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/power"
 	"github.com/intrust-sim/intrust/internal/softcrypto"
 	"github.com/intrust-sim/intrust/internal/stats"
@@ -27,8 +28,8 @@ func init() {
 // mobileOnlyDVFS gates CLKSCREW on the architectures whose platform
 // exposes a software-reachable DVFS regulator.
 func mobileOnlyDVFS(arch string) (bool, string) {
-	if ClassOf(arch) != ClassMobile {
-		return false, "no software-exposed DVFS regulator on the " + ClassOf(arch) +
+	if c, _ := platform.ArchClass(arch); c != platform.ClassMobile {
+		return false, "no software-exposed DVFS regulator on the " + c.Key() +
 			" platform: CLKSCREW's attack surface is the mobile SoC's frequency/voltage interface"
 	}
 	return true, ""

@@ -22,6 +22,7 @@ import (
 
 	"github.com/intrust-sim/intrust/internal/axis"
 	"github.com/intrust-sim/intrust/internal/engine"
+	"github.com/intrust-sim/intrust/internal/platform"
 	"github.com/intrust-sim/intrust/internal/stats"
 )
 
@@ -90,7 +91,7 @@ func (s *Spec) Family() string { return s.In }
 // against the given architecture, and why not when it cannot. Unknown
 // architectures are never applicable.
 func (s *Spec) Applicable(arch string) (bool, string) {
-	if !KnownArchitecture(arch) {
+	if _, ok := platform.ArchClass(arch); !ok {
 		return false, fmt.Sprintf("unknown architecture %q", arch)
 	}
 	if s.Applies == nil {

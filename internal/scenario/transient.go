@@ -26,26 +26,6 @@ func init() {
 	}
 }
 
-// needsSpeculativeStructure gates the attacks that poison a predictor
-// structure (BTB, RSB) the in-order embedded cores do not have.
-func needsSpeculativeStructure(structure string) func(string) (bool, string) {
-	return func(arch string) (bool, string) {
-		if ClassOf(arch) == ClassEmbedded {
-			return false, fmt.Sprintf("no %s on the in-order embedded core: nothing to poison", structure)
-		}
-		return true, ""
-	}
-}
-
-// needsMMU gates Meltdown: without an MMU there is no supervisor/user
-// address-space split to breach.
-func needsMMU(arch string) (bool, string) {
-	if ClassOf(arch) == ClassEmbedded {
-		return false, "no MMU on the MPU-based embedded core: no supervisor address space to breach"
-	}
-	return true, ""
-}
-
 // sgxOnly gates Foreshadow, an L1 terminal fault against SGX's EPC.
 func sgxOnly(arch string) (bool, string) {
 	if arch != "sgx" {
@@ -86,13 +66,13 @@ func transientScenarios() []*Spec {
 					return Outcome{}, err
 				}
 				return transientOutcome("spectre-v1", env,
-					r, fmt.Sprintf("Spectre v1 on the %s-class core vs %s", env.Class, env.DefenseLabel())), nil
+					r, fmt.Sprintf("Spectre v1 on the %s-class core vs %s", env.Class.Key(), env.DefenseLabel())), nil
 			},
 		},
 		{
 			ID: "spectre-btb", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Spectre-BTB: cross-training an indirect branch to a disclosure gadget the victim never calls",
-			Applies: needsSpeculativeStructure("branch-target buffer"),
+			Applies: axis.NotOnEmbedded("no branch-target buffer on the in-order embedded core: nothing to poison"),
 			Run: func(env *Env) (Outcome, error) {
 				// The btb-flush defense (§4.2) flushes predictor state on
 				// context switches (IBPB), untraining the attacker's BTB
@@ -102,33 +82,33 @@ func transientScenarios() []*Spec {
 					return Outcome{}, err
 				}
 				return transientOutcome("spectre-btb", env,
-					r, fmt.Sprintf("BTB cross-training on the %s-class core vs %s", env.Class, env.DefenseLabel())), nil
+					r, fmt.Sprintf("BTB cross-training on the %s-class core vs %s", env.Class.Key(), env.DefenseLabel())), nil
 			},
 		},
 		{
 			ID: "ret2spec", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "ret2spec: return stack buffer poisoning redirects a victim return to the gadget",
-			Applies: needsSpeculativeStructure("return stack buffer"),
+			Applies: axis.NotOnEmbedded("no return stack buffer on the in-order embedded core: nothing to poison"),
 			Run: func(env *Env) (Outcome, error) {
 				r, err := transient.Ret2spec(env.Features(), sweepSecret)
 				if err != nil {
 					return Outcome{}, err
 				}
 				return transientOutcome("ret2spec", env,
-					r, fmt.Sprintf("RSB poisoning on the %s-class core", env.Class)), nil
+					r, fmt.Sprintf("RSB poisoning on the %s-class core", env.Class.Key())), nil
 			},
 		},
 		{
 			ID: "meltdown", In: axis.FamilyTransient, Section: "4.2",
 			Summary: "Meltdown: fault-deferred forwarding of supervisor data to a user-space probe",
-			Applies: needsMMU,
+			Applies: axis.NotOnEmbedded("no MMU on the MPU-based embedded core: no supervisor address space to breach"),
 			Run: func(env *Env) (Outcome, error) {
 				r, err := transient.Meltdown(env.Features(), sweepSecret)
 				if err != nil {
 					return Outcome{}, err
 				}
 				return transientOutcome("meltdown", env,
-					r, fmt.Sprintf("fault-forwarding probe on the %s-class core", env.Class)), nil
+					r, fmt.Sprintf("fault-forwarding probe on the %s-class core", env.Class.Key())), nil
 			},
 		},
 		{

@@ -133,9 +133,6 @@ func (s *Sanctuary) identityCheck(a mem.Access) mem.Action {
 // Name implements tee.Architecture.
 func (s *Sanctuary) Name() string { return "Sanctuary (model)" }
 
-// Class implements tee.Architecture.
-func (s *Sanctuary) Class() platform.Class { return platform.ClassMobile }
-
 // Platform implements tee.Architecture.
 func (s *Sanctuary) Platform() *platform.Platform { return s.plat }
 

@@ -112,9 +112,6 @@ func (s *Sanctum) regionCheck(a mem.Access) mem.Action {
 // Name implements tee.Architecture.
 func (s *Sanctum) Name() string { return "Sanctum (model)" }
 
-// Class implements tee.Architecture.
-func (s *Sanctum) Class() platform.Class { return platform.ClassServer }
-
 // Platform implements tee.Architecture.
 func (s *Sanctum) Platform() *platform.Platform { return s.plat }
 

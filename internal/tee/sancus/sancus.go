@@ -112,9 +112,6 @@ func (s *Sancus) VendorKey(vendorID uint32) []byte {
 // Name implements tee.Architecture.
 func (s *Sancus) Name() string { return "Sancus (model)" }
 
-// Class implements tee.Architecture.
-func (s *Sancus) Class() platform.Class { return platform.ClassEmbedded }
-
 // Platform implements tee.Architecture.
 func (s *Sancus) Platform() *platform.Platform { return s.plat }
 

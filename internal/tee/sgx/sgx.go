@@ -135,9 +135,6 @@ func (s *SGX) epcmCheck(a mem.Access) mem.Action {
 // Name implements tee.Architecture.
 func (s *SGX) Name() string { return "Intel SGX (model)" }
 
-// Class implements tee.Architecture.
-func (s *SGX) Class() platform.Class { return platform.ClassServer }
-
 // Platform implements tee.Architecture.
 func (s *SGX) Platform() *platform.Platform { return s.plat }
 

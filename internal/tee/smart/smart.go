@@ -165,9 +165,6 @@ func (e *engine) fire() {
 // Name implements tee.Architecture.
 func (s *SMART) Name() string { return "SMART (model)" }
 
-// Class implements tee.Architecture.
-func (s *SMART) Class() platform.Class { return platform.ClassEmbedded }
-
 // Platform implements tee.Architecture.
 func (s *SMART) Platform() *platform.Platform { return s.plat }
 

@@ -83,7 +83,6 @@ type Enclave interface {
 // Architecture is one hardware-assisted security architecture instance.
 type Architecture interface {
 	Name() string
-	Class() platform.Class
 	Platform() *platform.Platform
 	Capabilities() Capabilities
 	CreateEnclave(cfg EnclaveConfig) (Enclave, error)

@@ -70,9 +70,6 @@ func New(p *platform.Platform) (*TrustLite, error) {
 // Name implements tee.Architecture.
 func (t *TrustLite) Name() string { return "TrustLite (model)" }
 
-// Class implements tee.Architecture.
-func (t *TrustLite) Class() platform.Class { return platform.ClassEmbedded }
-
 // Platform implements tee.Architecture.
 func (t *TrustLite) Platform() *platform.Platform { return t.plat }
 

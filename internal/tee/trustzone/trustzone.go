@@ -161,9 +161,6 @@ func (tz *TrustZone) AssignSecurePeripheral(r mem.Region) {
 // Name implements tee.Architecture.
 func (tz *TrustZone) Name() string { return "ARM TrustZone (model)" }
 
-// Class implements tee.Architecture.
-func (tz *TrustZone) Class() platform.Class { return platform.ClassMobile }
-
 // Platform implements tee.Architecture.
 func (tz *TrustZone) Platform() *platform.Platform { return tz.plat }
 

@@ -53,9 +53,6 @@ func (t *TyTAN) TrustLite() *trustlite.TrustLite { return t.tl }
 // Name implements tee.Architecture.
 func (t *TyTAN) Name() string { return "TyTAN (model)" }
 
-// Class implements tee.Architecture.
-func (t *TyTAN) Class() platform.Class { return platform.ClassEmbedded }
-
 // Platform implements tee.Architecture.
 func (t *TyTAN) Platform() *platform.Platform { return t.tl.Platform() }
 
